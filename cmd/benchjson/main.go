@@ -118,6 +118,7 @@ var hotPaths = []struct{ pkg, name string }{
 	{"rescon/internal/sim", "BenchmarkEventCancelFarFuture"},
 	{"rescon/internal/sim", "BenchmarkWheelChurn1MPending"},
 	{"rescon/internal/kernel", "BenchmarkConnCycle100kOpen"},
+	{"rescon/internal/kernel", "BenchmarkBogusSYNDrop"},
 }
 
 // compare diffs a fresh run against the baseline. Failures are gate

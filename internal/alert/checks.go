@@ -120,7 +120,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 				if ls.Closed() {
 					continue
 				}
-				target := "listen:" + ls.Addr().String()
+				target := ls.Name()
 				cur := ls.SynDrops()
 				// A restarted server re-creates the socket under the same
 				// address with fresh counters; treat a backwards counter as
@@ -150,7 +150,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 				}
 				pend := ls.Pending()
 				obs = append(obs, Observation{
-					Target: "listen:" + ls.Addr().String(),
+					Target: ls.Name(),
 					Value:  float64(pend) / float64(ls.AcceptCap()),
 					Detail: fmt.Sprintf("pending=%d cap=%d", pend, ls.AcceptCap()),
 				})
@@ -172,7 +172,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 				}
 				n := ls.EmbryonicCount()
 				obs = append(obs, Observation{
-					Target: "listen:" + ls.Addr().String(), Value: float64(n),
+					Target: ls.Name(), Value: float64(n),
 					Detail: fmt.Sprintf("half_open=%d", n),
 				})
 			}

@@ -8,9 +8,21 @@ import (
 	"rescon/internal/trace"
 )
 
+// intrHandler names the kernel routine an interrupt runs on completion,
+// so per-packet interrupt work needs no closure.
+type intrHandler uint8
+
+const (
+	intrNone     intrHandler = iota // CPU time only
+	intrDemux                       // earlyDemux(pkt)
+	intrProto                       // protoProcess(pkt, ls)
+	intrThrottle                    // throttleSYN(pkt)
+)
+
 // intrWork is one unit of interrupt-level processing. Interrupts have
 // strictly higher priority than any thread (§3.2): they preempt the
-// running slice and run FIFO to completion.
+// running slice and run FIFO to completion. The interrupt queue holds
+// the records by value, so raising one allocates nothing.
 type intrWork struct {
 	label string
 	cost  sim.Duration
@@ -25,7 +37,23 @@ type intrWork struct {
 	// pays" story): LRP/RC demux work attributes itself to the packet's
 	// destination once early demultiplexing has identified it.
 	deferTel bool
-	onDone   func()
+	// handler and its operands name the packet work to run on
+	// completion.
+	handler intrHandler
+	pkt     *netsim.Packet
+	ls      *ListenSocket
+}
+
+// run performs the interrupt's completion work.
+func (w *intrWork) run(k *Kernel) {
+	switch w.handler {
+	case intrDemux:
+		k.earlyDemux(w.pkt)
+	case intrProto:
+		k.protoProcess(w.pkt, w.ls)
+	case intrThrottle:
+		k.throttleSYN(w.pkt)
+	}
 }
 
 // running describes the thread slice currently on the CPU.
@@ -34,6 +62,8 @@ type running struct {
 	item    *WorkItem
 	started sim.Time
 	ev      sim.Event
+	// slice is the CPU time the slice was granted.
+	slice sim.Duration
 	// mig is the cache-affinity migration penalty prepended to this
 	// slice (per-CPU scheduling): charged like slice time, but it makes
 	// no progress on the item's cost.
@@ -45,19 +75,32 @@ type running struct {
 type CPU struct {
 	k     *Kernel
 	id    int
-	intrQ *netsim.Queue[*intrWork]
-	// inIntr is true while interrupt work occupies the CPU.
+	intrQ *netsim.Queue[intrWork]
+	// inIntr is true while interrupt work occupies the CPU; intr is the
+	// work in progress then.
 	inIntr bool
+	intr   intrWork
 	// preempted is the entity that was running when interrupt level was
 	// entered; baseline interrupt work is (mis)charged to it.
 	preempted *sched.Entity
-	cur       *running
-	retryEv   sim.Event
-	busy      sim.Duration
+	// cur points at slot while a thread slice runs, and is nil otherwise.
+	// A CPU runs one slice at a time, so one slot serves them all.
+	cur     *running
+	slot    running
+	retryEv sim.Event
+	busy    sim.Duration
+	// intrDone and sliceDone are the completion callbacks of interrupt
+	// work and thread slices, bound once so that scheduling either
+	// allocates nothing.
+	intrDone  func()
+	sliceDone func()
 }
 
 func newCPU(k *Kernel, id int) *CPU {
-	return &CPU{k: k, id: id, intrQ: netsim.NewQueue[*intrWork](0)}
+	c := &CPU{k: k, id: id, intrQ: netsim.NewQueue[intrWork](0)}
+	c.intrDone = c.completeIntr
+	c.sliceDone = c.completeSlice
+	return c
 }
 
 // BusyTime returns thread-level CPU time consumed (interrupt time is
@@ -66,7 +109,7 @@ func (c *CPU) BusyTime() sim.Duration { return c.busy }
 
 // RaiseInterrupt queues interrupt-level work and preempts any running
 // thread slice.
-func (c *CPU) RaiseInterrupt(w *intrWork) {
+func (c *CPU) RaiseInterrupt(w intrWork) {
 	c.intrQ.Push(w)
 	if c.inIntr {
 		return // will be drained by the active interrupt loop
@@ -100,7 +143,7 @@ func (c *CPU) PreemptIfIdleClass() {
 
 // preemptCurrent stops the running slice, charging the partial progress.
 func (c *CPU) preemptCurrent() {
-	r := c.cur
+	r := *c.cur
 	c.cur = nil
 	r.th.ent.SetOnCPU(false)
 	now := c.k.Now()
@@ -126,6 +169,7 @@ func (c *CPU) runNextIntr() {
 		c.dispatch()
 		return
 	}
+	c.intr = w
 	if c.k.Tracer.Enabled(trace.KindInterrupt) {
 		var name string
 		if w.container != nil {
@@ -137,32 +181,36 @@ func (c *CPU) runNextIntr() {
 			Detail: w.label,
 		})
 	}
-	c.k.eng.After(w.cost, func() {
-		now := c.k.Now()
-		c.k.interruptTime += w.cost
-		if w.container != nil {
-			w.container.ChargeCPU(rc.KernelCPU, w.cost)
+	c.k.eng.After(w.cost, c.intrDone)
+}
+
+// completeIntr finishes the interrupt work in progress: accounting, its
+// completion work, then the next queued interrupt.
+func (c *CPU) completeIntr() {
+	w := c.intr
+	c.intr = intrWork{}
+	now := c.k.Now()
+	c.k.interruptTime += w.cost
+	if w.container != nil {
+		w.container.ChargeCPU(rc.KernelCPU, w.cost)
+	}
+	if w.chargePreempted && c.preempted != nil {
+		// The classic misaccounting: interrupt time lands on the
+		// scheduler state of the unlucky preempted principal.
+		c.k.sch.Charge(c.preempted, nil, w.cost, now)
+	}
+	if c.k.tel != nil && !w.deferTel {
+		// Profile attribution for interrupt-level work that is not
+		// re-attributed at demux time: the baseline's misaccounting
+		// made visible — the preempted principal pays (Fig 14).
+		name := "(idle)"
+		if c.preempted != nil {
+			name = c.preempted.Name
 		}
-		if w.chargePreempted && c.preempted != nil {
-			// The classic misaccounting: interrupt time lands on the
-			// scheduler state of the unlucky preempted principal.
-			c.k.sch.Charge(c.preempted, nil, w.cost, now)
-		}
-		if c.k.tel != nil && !w.deferTel {
-			// Profile attribution for interrupt-level work that is not
-			// re-attributed at demux time: the baseline's misaccounting
-			// made visible — the preempted principal pays (Fig 14).
-			name := "(idle)"
-			if c.preempted != nil {
-				name = c.preempted.Name
-			}
-			c.k.tel.ChargeStage(name, trace.StageInterrupt, w.cost)
-		}
-		if w.onDone != nil {
-			w.onDone()
-		}
-		c.runNextIntr()
-	})
+		c.k.tel.ChargeStage(name, trace.StageInterrupt, w.cost)
+	}
+	w.run(c.k)
+	c.runNextIntr()
 }
 
 // telPrincipal names the resource principal a slice is attributed to in
@@ -297,14 +345,17 @@ func (c *CPU) start(th *Thread, now sim.Time) {
 		th.ent.NoteRanOn(c.id)
 	}
 	th.ent.SetOnCPU(true)
-	r := &running{th: th, item: item, started: now, mig: mig}
-	c.cur = r
-	r.ev = c.k.eng.After(mig+slice, func() { c.completeSlice(r, slice) })
+	c.slot = running{th: th, item: item, started: now, slice: slice, mig: mig}
+	c.cur = &c.slot
+	c.slot.ev = c.k.eng.After(mig+slice, c.sliceDone)
 }
 
-// completeSlice finishes a slice: accounting, completion callback, next
-// dispatch.
-func (c *CPU) completeSlice(r *running, slice sim.Duration) {
+// completeSlice finishes the running slice: accounting, completion
+// callback, next dispatch. It works on a copy of the slot, which the
+// completion callback may refill by dispatching the next slice.
+func (c *CPU) completeSlice() {
+	r := *c.cur
+	slice := r.slice
 	now := c.k.Now()
 	c.cur = nil
 	r.th.ent.SetOnCPU(false)

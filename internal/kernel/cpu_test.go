@@ -100,16 +100,16 @@ func TestInterruptDuringInterrupt(t *testing.T) {
 	// Interrupts arriving while interrupt work is in progress queue FIFO
 	// and extend the busy period.
 	eng, k := newKernel(ModeUnmodified)
-	var order []int
+	traceInterrupts(k)
 	eng.After(0, func() {
-		k.cpu.RaiseInterrupt(&intrWork{cost: 100 * sim.Microsecond, onDone: func() { order = append(order, 1) }})
+		k.cpu.RaiseInterrupt(intrWork{label: "1", cost: 100 * sim.Microsecond})
 	})
 	eng.After(50*sim.Microsecond, func() {
-		k.cpu.RaiseInterrupt(&intrWork{cost: 100 * sim.Microsecond, onDone: func() { order = append(order, 2) }})
+		k.cpu.RaiseInterrupt(intrWork{label: "2", cost: 100 * sim.Microsecond})
 	})
 	eng.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order %v", order)
+	if got := interruptStarts(k); got != "1@0s 2@100µs" {
+		t.Fatalf("interrupts %q, want 1@0s 2@100µs", got)
 	}
 	if k.InterruptTime() != 200*sim.Microsecond {
 		t.Fatalf("interrupt time %v", k.InterruptTime())
@@ -160,7 +160,7 @@ func TestProcessCPUTimeExcludesInterrupts(t *testing.T) {
 	p := k.NewProcess("app")
 	p.NewThread("t").PostFunc("w", sim.Millisecond, rc.UserCPU, nil, nil)
 	eng.After(100*sim.Microsecond, func() {
-		k.cpu.RaiseInterrupt(&intrWork{cost: 500 * sim.Microsecond, chargePreempted: true})
+		k.cpu.RaiseInterrupt(intrWork{cost: 500 * sim.Microsecond, chargePreempted: true})
 	})
 	eng.Run()
 	if p.CPUTime() != sim.Millisecond {

@@ -1,15 +1,32 @@
 package kernel
 
 import (
+	"strings"
 	"testing"
 
 	"rescon/internal/rc"
 	"rescon/internal/sim"
+	"rescon/internal/trace"
 )
 
 func newKernel(mode Mode) (*sim.Engine, *Kernel) {
 	eng := sim.NewEngine(1)
 	return eng, New(eng, mode, DefaultCosts())
+}
+
+// traceInterrupts attaches a tracer that records only interrupt starts.
+func traceInterrupts(k *Kernel) {
+	k.Tracer = trace.New(64)
+	k.Tracer.Filter = map[trace.Kind]bool{trace.KindInterrupt: true}
+}
+
+// interruptStarts lists the traced interrupts as "label@start".
+func interruptStarts(k *Kernel) string {
+	var out []string
+	for _, e := range k.Tracer.Events() {
+		out = append(out, e.Detail+"@"+e.At.String())
+	}
+	return strings.Join(out, " ")
 }
 
 func TestModeString(t *testing.T) {
@@ -99,16 +116,22 @@ func TestInterruptPreemptsThread(t *testing.T) {
 	eng, k := newKernel(ModeUnmodified)
 	p := k.NewProcess("p")
 	th := p.NewThread("t")
-	var itemDone, intrDone sim.Time
+	traceInterrupts(k)
+	var itemDone sim.Time
 	th.PostFunc("w", 100*sim.Microsecond, rc.UserCPU, nil, func() { itemDone = eng.Now() })
 	// Interrupt arrives mid-item.
 	eng.After(50*sim.Microsecond, func() {
-		k.cpu.RaiseInterrupt(&intrWork{label: "i", cost: 30 * sim.Microsecond,
-			onDone: func() { intrDone = eng.Now() }})
+		k.cpu.RaiseInterrupt(intrWork{label: "i", cost: 30 * sim.Microsecond})
 	})
+	var inIntr [2]bool // just before and just after 80µs
+	eng.After(80*sim.Microsecond-1, func() { inIntr[0] = k.cpu.inIntr })
+	eng.After(80*sim.Microsecond+1, func() { inIntr[1] = k.cpu.inIntr })
 	eng.Run()
-	if intrDone != sim.Time(80*sim.Microsecond) {
-		t.Fatalf("interrupt done at %v, want 80µs", intrDone)
+	if got := interruptStarts(k); got != "i@50µs" {
+		t.Fatalf("interrupts %q, want i@50µs", got)
+	}
+	if inIntr != [2]bool{true, false} {
+		t.Fatalf("interrupt level around 80µs %v, want done at 80µs", inIntr)
 	}
 	if itemDone != sim.Time(130*sim.Microsecond) {
 		t.Fatalf("item done at %v, want 130µs (delayed by interrupt)", itemDone)
@@ -124,14 +147,14 @@ func TestInterruptPreemptsThread(t *testing.T) {
 
 func TestInterruptsFIFO(t *testing.T) {
 	eng, k := newKernel(ModeUnmodified)
-	var order []int
+	traceInterrupts(k)
 	eng.After(0, func() {
-		k.cpu.RaiseInterrupt(&intrWork{cost: 10 * sim.Microsecond, onDone: func() { order = append(order, 1) }})
-		k.cpu.RaiseInterrupt(&intrWork{cost: 10 * sim.Microsecond, onDone: func() { order = append(order, 2) }})
+		k.cpu.RaiseInterrupt(intrWork{label: "1", cost: 10 * sim.Microsecond})
+		k.cpu.RaiseInterrupt(intrWork{label: "2", cost: 10 * sim.Microsecond})
 	})
 	eng.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("interrupt order %v", order)
+	if got := interruptStarts(k); got != "1@0s 2@10µs" {
+		t.Fatalf("interrupt order %q", got)
 	}
 }
 
@@ -149,7 +172,7 @@ func TestMisaccountingChargesPreempted(t *testing.T) {
 	// victim is the running thread.
 	eng.Every(500*sim.Microsecond, func() {
 		if k.cpu.cur != nil && k.cpu.cur.th == tv {
-			k.cpu.RaiseInterrupt(&intrWork{cost: 200 * sim.Microsecond, chargePreempted: true})
+			k.cpu.RaiseInterrupt(intrWork{cost: 200 * sim.Microsecond, chargePreempted: true})
 		}
 	})
 	eng.RunUntil(sim.Time(5 * sim.Second))
@@ -536,7 +559,7 @@ func TestUtilizationBreakdown(t *testing.T) {
 	p := k.NewProcess("app")
 	p.NewThread("t").PostFunc("w", 400*sim.Millisecond, rc.UserCPU, nil, nil)
 	eng.After(0, func() {
-		k.cpu.RaiseInterrupt(&intrWork{cost: 100 * sim.Millisecond})
+		k.cpu.RaiseInterrupt(intrWork{cost: 100 * sim.Millisecond})
 	})
 	eng.RunUntil(sim.Time(sim.Second))
 	u := k.Utilization()

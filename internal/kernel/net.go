@@ -90,6 +90,8 @@ type ListenSocket struct {
 	// before protocol effort is invested (LRP's bounded channels).
 	pendingSYN int
 	closed     bool
+	// name is the socket's principal name, built once at Listen.
+	name string
 }
 
 // Listen binds a listening socket for the process.
@@ -113,6 +115,7 @@ func (k *Kernel) Listen(p *Process, cfg ListenConfig) (*ListenSocket, error) {
 		synQ:      netsim.NewQueue[sim.Time](cfg.SynBacklog),
 		acceptQ:   netsim.NewQueue[*Conn](cfg.AcceptBacklog),
 		container: cfg.Container,
+		name:      "listen:" + cfg.Local.String(),
 	}
 	ls.lis = &netsim.Listener{Local: cfg.Local, Filter: cfg.Filter, Owner: ls}
 	if err := k.net.demux.Add(ls.lis); err != nil {
@@ -149,6 +152,11 @@ func (k *Kernel) ListenSockets() []*ListenSocket { return k.net.socks }
 
 // Addr returns the socket's local endpoint.
 func (ls *ListenSocket) Addr() netsim.Addr { return ls.cfg.Local }
+
+// Name returns the socket's principal name, "listen:" and its local
+// endpoint: the telemetry timeline principal and alert target for the
+// socket.
+func (ls *ListenSocket) Name() string { return ls.name }
 
 // AcceptCap returns the accept-queue capacity.
 func (ls *ListenSocket) AcceptCap() int { return ls.acceptQ.Cap() }
@@ -365,31 +373,33 @@ func (k *Kernel) ClientSend(pkt *netsim.Packet) {
 // Arrive is the NIC receive path: every packet raises an interrupt. What
 // happens inside the interrupt depends on the kernel mode (§4.7).
 func (k *Kernel) Arrive(pkt *netsim.Packet) {
-	k.Tracer.Emitf(k.Now(), trace.KindPacket, "%s", pkt)
+	k.Tracer.EmitPacket(trace.Event{At: k.Now(), Kind: trace.KindPacket, CPU: -1}, "%s", pkt.Header())
 	switch k.mode {
 	case ModeUnmodified:
 		if k.Police.Enabled && pkt.Kind == netsim.SYN {
 			// Emergency interrupt-level SYN throttle (see Policing): decide
 			// the SYN's fate for the cost of the interrupt alone; only
 			// admitted SYNs pay protocol processing.
-			k.cpu.RaiseInterrupt(&intrWork{
+			k.cpu.RaiseInterrupt(intrWork{
 				label:           "intr+throttle",
 				cost:            k.costs.Interrupt,
 				chargePreempted: true,
-				onDone:          func() { k.throttleSYN(pkt) },
+				handler:         intrThrottle,
+				pkt:             pkt,
 			})
 			return
 		}
 		// All protocol processing at interrupt level, FIFO, charged to
 		// the unlucky running principal.
-		k.cpu.RaiseInterrupt(&intrWork{
+		k.cpu.RaiseInterrupt(intrWork{
 			label:           "intr+proto",
 			cost:            k.costs.Interrupt + k.protoCost(pkt),
 			chargePreempted: true,
-			onDone:          func() { k.protoProcess(pkt, nil) },
+			handler:         intrProto,
+			pkt:             pkt,
 		})
 	case ModeLRP, ModeRC:
-		k.cpu.RaiseInterrupt(&intrWork{
+		k.cpu.RaiseInterrupt(intrWork{
 			label:           "intr+demux",
 			cost:            k.costs.Interrupt + k.costs.Demux,
 			chargePreempted: true,
@@ -397,26 +407,37 @@ func (k *Kernel) Arrive(pkt *netsim.Packet) {
 			// the profile can attribute this interrupt-level work to its
 			// destination instead of the preempted victim.
 			deferTel: true,
-			onDone:   func() { k.earlyDemux(pkt) },
+			handler:  intrDemux,
+			pkt:      pkt,
 		})
 	}
 }
 
-// emitPkt records a structured packet-fate event (drop, police),
-// attributed by name to the responsible container when known. Detail
-// formatting only happens when the kind is traced.
-func (k *Kernel) emitPkt(kind trace.Kind, cont *rc.Container, pkt *netsim.Packet, format string, args ...any) {
-	if !k.Tracer.Enabled(kind) {
-		return
-	}
+// pktEvent is the structured part of a packet-fate event, attributed by
+// name to the responsible container when known.
+func (k *Kernel) pktEvent(kind trace.Kind, cont *rc.Container, pkt *netsim.Packet) trace.Event {
 	var name string
 	if cont != nil {
 		name = cont.Name()
 	}
-	k.Tracer.Emit(trace.Event{
-		At: k.Now(), Kind: kind, CPU: -1, Principal: name,
-		Conn: pkt.ConnID, Detail: fmt.Sprintf(format, args...),
-	})
+	return trace.Event{At: k.Now(), Kind: kind, CPU: -1, Principal: name, Conn: pkt.ConnID}
+}
+
+// emitPkt records a packet-fate event (drop, police) whose Detail reads
+// fmt.Sprintf(format, pkt); the text is rendered only if the trace is
+// read.
+func (k *Kernel) emitPkt(kind trace.Kind, cont *rc.Container, pkt *netsim.Packet, format string) {
+	if k.Tracer.Enabled(kind) {
+		k.Tracer.EmitPacket(k.pktEvent(kind, cont, pkt), format, pkt.Header())
+	}
+}
+
+// emitPktOver is emitPkt for a policing decision, whose Detail also names
+// the limit the backlog exceeded: fmt.Sprintf(format, limit, pkt).
+func (k *Kernel) emitPktOver(kind trace.Kind, cont *rc.Container, pkt *netsim.Packet, format string, limit int) {
+	if k.Tracer.Enabled(kind) {
+		k.Tracer.EmitPacketInt(k.pktEvent(kind, cont, pkt), format, limit, pkt.Header())
+	}
 }
 
 // protoCost returns the protocol-processing CPU cost for a packet.
@@ -469,7 +490,7 @@ func (k *Kernel) earlyDemux(pkt *netsim.Packet) {
 		// before any protocol processing is invested — LRP's "excess
 		// traffic is discarded early" (§3.2), which is what keeps the
 		// LRP and RC systems stable under overload.
-		k.emitPkt(trace.KindDrop, cont, pkt, "early drop, accept queue full: %s", pkt)
+		k.emitPkt(trace.KindDrop, cont, pkt, "early drop, accept queue full: %s")
 		if cont != nil {
 			cont.ChargeDrop()
 		}
@@ -482,14 +503,8 @@ func (k *Kernel) earlyDemux(pkt *netsim.Packet) {
 	if pkt.Kind == netsim.SYN && ls != nil && !pkt.Bogus {
 		ls.pendingSYN++
 	}
-	w := &pktWork{
-		pkt:       pkt,
-		container: cont,
-		cost:      k.protoCost(pkt),
-		run:       func() { k.protoProcess(pkt, ls) },
-	}
-	if !proc.netQ.enqueue(w) {
-		k.emitPkt(trace.KindDrop, cont, pkt, "backlog full: %s", pkt)
+	if !proc.netQ.enqueue(&pktWork{pkt: pkt, ls: ls, container: cont, cost: k.protoCost(pkt)}) {
+		k.emitPkt(trace.KindDrop, cont, pkt, "backlog full: %s")
 		if cont != nil {
 			cont.ChargeDrop()
 		}
@@ -527,7 +542,7 @@ func (k *Kernel) throttleSYN(pkt *netsim.Packet) {
 			limit = 1
 		}
 		if ls.EmbryonicCount() >= limit {
-			k.emitPkt(trace.KindPolice, cont, pkt, "SYN throttled at interrupt level, embryonic over %d: %s", limit, pkt)
+			k.emitPktOver(trace.KindPolice, cont, pkt, "SYN throttled at interrupt level, embryonic over %d: %s", limit)
 			k.policedDrops++
 			if cont != nil {
 				cont.ChargeDrop()
@@ -539,11 +554,13 @@ func (k *Kernel) throttleSYN(pkt *netsim.Packet) {
 			return
 		}
 	}
-	k.cpu.RaiseInterrupt(&intrWork{
+	k.cpu.RaiseInterrupt(intrWork{
 		label:           "intr+proto",
 		cost:            k.protoCost(pkt),
 		chargePreempted: true,
-		onDone:          func() { k.protoProcess(pkt, ls) },
+		handler:         intrProto,
+		pkt:             pkt,
+		ls:              ls,
 	})
 }
 
@@ -576,7 +593,7 @@ func (k *Kernel) policeDemux(pkt *netsim.Packet, proc *Process, cont *rc.Contain
 	if proc.netQ.backlogFor(cont) < limit {
 		return false
 	}
-	k.emitPkt(trace.KindPolice, cont, pkt, "policed, backlog over %d: %s", limit, pkt)
+	k.emitPktOver(trace.KindPolice, cont, pkt, "policed, backlog over %d: %s", limit)
 	k.policedDrops++
 	if cont != nil {
 		cont.ChargeDrop()
@@ -657,7 +674,7 @@ func (k *Kernel) handleSYN(pkt *netsim.Packet, ls *ListenSocket) {
 		// one timeout, so expiries leave the queue in FIFO order.
 		ls.expireSyns(k.Now())
 		if ls.synQ.Full() {
-			k.emitPkt(trace.KindDrop, ls.container, pkt, "SYN queue full: %s", pkt)
+			k.emitPkt(trace.KindDrop, ls.container, pkt, "SYN queue full: %s")
 			ls.synDrops++
 			if ls.cfg.OnSynDrop != nil {
 				ls.cfg.OnSynDrop(pkt.Src)
@@ -668,7 +685,7 @@ func (k *Kernel) handleSYN(pkt *netsim.Packet, ls *ListenSocket) {
 		return
 	}
 	if ls.acceptQ.Full() {
-		k.emitPkt(trace.KindDrop, ls.container, pkt, "accept queue full: %s", pkt)
+		k.emitPkt(trace.KindDrop, ls.container, pkt, "accept queue full: %s")
 		ls.synDrops++
 		if ls.cfg.OnSynDrop != nil {
 			ls.cfg.OnSynDrop(pkt.Src)
@@ -681,7 +698,11 @@ func (k *Kernel) handleSYN(pkt *netsim.Packet, ls *ListenSocket) {
 	var memHolder *rc.Container
 	if k.mode == ModeRC && ls.container != nil {
 		if err := ls.container.ChargeMemory(SocketBufferBytes); err != nil {
-			k.emitPkt(trace.KindDrop, ls.container, pkt, "memory limit: %s (%v)", pkt, err)
+			if k.Tracer.Enabled(trace.KindDrop) {
+				e := k.pktEvent(trace.KindDrop, ls.container, pkt)
+				e.Detail = fmt.Sprintf("memory limit: %s (%v)", pkt, err)
+				k.Tracer.Emit(e)
+			}
 			ls.synDrops++
 			ls.container.ChargeDrop()
 			if ls.cfg.OnSynDrop != nil {
@@ -708,10 +729,10 @@ func (k *Kernel) handleSYN(pkt *netsim.Packet, ls *ListenSocket) {
 		if conn.container != nil {
 			name = conn.container.Name()
 		}
-		k.Tracer.Emit(trace.Event{
+		k.Tracer.EmitSource(trace.Event{
 			At: k.Now(), Kind: trace.KindConn, CPU: -1, Principal: name,
-			Conn: conn.id, Detail: fmt.Sprintf("established from %s", pkt.Src),
-		})
+			Conn: conn.id,
+		}, "established from %s", pkt.Src)
 	}
 	k.net.conns.insert(conn.id, h)
 	k.net.established++
@@ -759,13 +780,16 @@ func (k *Kernel) CloseConnsOf(p *Process) {
 	}
 }
 
-// pktWork is protocol processing pending on a kernel network thread.
+// pktWork is protocol processing pending on a kernel network thread. The
+// queues hold it by value, so admitting a packet allocates nothing.
 type pktWork struct {
-	pkt       *netsim.Packet
+	pkt *netsim.Packet
+	ls  *ListenSocket
+	// label is empty for fresh packets (NextWork derives it from the
+	// packet kind) and set for work requeued by requeueFront.
 	label     string
 	container *rc.Container
 	cost      sim.Duration
-	run       func()
 	seq       uint64
 }
 
@@ -774,15 +798,26 @@ type pktWork struct {
 // determines the order in which they are serviced"); in ModeLRP it is a
 // single FIFO. Each container's backlog is bounded.
 type pktQueue struct {
-	k       *Kernel
-	queues  []*contQueue
+	k      *Kernel
+	queues []*contQueue
+	// spare holds drained per-container queues for reuse, so per-
+	// connection containers do not allocate a queue per burst.
+	spare   []*contQueue
 	nextSeq uint64
 	backlog int
+	// cur and item are the work NextWork last handed to the network
+	// thread: the thread runs one item at a time, so one slot serves
+	// them all. finish is item's completion callback, bound once.
+	cur    pktWork
+	item   WorkItem
+	finish func()
+	// pending is PendingContainers' reused result.
+	pending []*rc.Container
 }
 
 type contQueue struct {
 	c *rc.Container
-	q *netsim.Queue[*pktWork]
+	q *netsim.Queue[pktWork]
 	// servedWeighted is the QoS-normalized protocol work already done
 	// for this container; among equal-priority containers the one with
 	// the least weighted service goes first (§4.1 network QoS values).
@@ -790,7 +825,9 @@ type contQueue struct {
 }
 
 func newPktQueue(k *Kernel) *pktQueue {
-	return &pktQueue{k: k, backlog: DefaultNetBacklog}
+	pq := &pktQueue{k: k, backlog: DefaultNetBacklog}
+	pq.finish = pq.finishWork
+	return pq
 }
 
 func (pq *pktQueue) queueFor(c *rc.Container) *contQueue {
@@ -799,7 +836,14 @@ func (pq *pktQueue) queueFor(c *rc.Container) *contQueue {
 			return cq
 		}
 	}
-	cq := &contQueue{c: c, q: netsim.NewQueue[*pktWork](pq.backlog)}
+	var cq *contQueue
+	if n := len(pq.spare); n > 0 {
+		cq = pq.spare[n-1]
+		pq.spare = pq.spare[:n-1]
+		*cq = contQueue{c: c, q: cq.q}
+	} else {
+		cq = &contQueue{c: c, q: netsim.NewQueue[pktWork](pq.backlog)}
+	}
 	// A new flow joins the weighted-fair service at the current virtual
 	// time (the minimum of the active flows), so it neither inherits
 	// past credit nor starves standing backlogs.
@@ -832,8 +876,8 @@ func (pq *pktQueue) backlogFor(c *rc.Container) int {
 	return 0
 }
 
-// enqueue adds pending protocol work; it reports false when the backlog
-// is full and the packet must be dropped.
+// enqueue adds (a copy of) pending protocol work; it reports false when
+// the backlog is full and the packet must be dropped.
 func (pq *pktQueue) enqueue(w *pktWork) bool {
 	w.seq = pq.nextSeq
 	pq.nextSeq++
@@ -843,7 +887,7 @@ func (pq *pktQueue) enqueue(w *pktWork) bool {
 	} else {
 		cq = pq.queueFor(nil) // LRP: one FIFO for the whole process
 	}
-	return cq.q.Push(w)
+	return cq.q.Push(*w)
 }
 
 // HasWork implements WorkSource.
@@ -859,6 +903,8 @@ func (pq *pktQueue) HasWork() bool {
 // NextWork implements WorkSource: the pending packet whose container has
 // the highest priority runs first; among equal priorities the container
 // with the least QoS-weighted service goes first, then arrival order.
+// The returned item is the queue's single in-flight slot, valid until its
+// OnDone runs or requeueFront takes it back.
 func (pq *pktQueue) NextWork() *WorkItem {
 	var best *contQueue
 	bestPrio := -1
@@ -903,6 +949,8 @@ func (pq *pktQueue) NextWork() *WorkItem {
 				break
 			}
 		}
+		best.c = nil
+		pq.spare = append(pq.spare, best)
 	}
 	cont := w.container
 	if pq.k.mode != ModeRC {
@@ -910,16 +958,41 @@ func (pq *pktQueue) NextWork() *WorkItem {
 	}
 	label := w.label
 	if label == "" {
-		label = "proto:" + w.pkt.Kind.String()
+		label = protoLabel(w.pkt.Kind)
 	}
-	return &WorkItem{
+	pq.cur = w
+	pq.item = WorkItem{
 		Label:     label,
 		Cost:      w.cost,
 		Kind:      rc.KernelCPU,
 		Stage:     trace.StageSocket,
 		Container: cont,
-		OnDone:    w.run,
+		OnDone:    pq.finish,
 	}
+	return &pq.item
+}
+
+// protoLabel names the protocol work for a packet kind.
+func protoLabel(k netsim.PacketKind) string {
+	switch k {
+	case netsim.SYN:
+		return "proto:SYN"
+	case netsim.Data:
+		return "proto:DATA"
+	case netsim.FIN:
+		return "proto:FIN"
+	default:
+		return "proto:" + k.String()
+	}
+}
+
+// finishWork is the in-flight item's completion: the packet's protocol
+// processing. The slot is released first, because the processing may
+// dispatch the network thread again and refill it.
+func (pq *pktQueue) finishWork() {
+	pkt, ls := pq.cur.pkt, pq.cur.ls
+	pq.cur = pktWork{}
+	pq.k.protoProcess(pkt, ls)
 }
 
 // topPriority returns the highest container priority among pending
@@ -941,28 +1014,32 @@ func (pq *pktQueue) topPriority() int {
 	return best
 }
 
-// requeueFront parks a partially processed work item back at the head of
-// its container's queue, so higher-priority pending packets can be served
-// first (§4.7: service strictly in container-priority order).
+// requeueFront parks the partially processed in-flight item back at the
+// head of its container's queue, so higher-priority pending packets can
+// be served first (§4.7: service strictly in container-priority order).
+// The network thread gets work only from its queue, so item is always the
+// one NextWork handed out.
 func (pq *pktQueue) requeueFront(item *WorkItem) {
-	cq := pq.queueFor(item.Container)
-	cq.q.PushFront(&pktWork{
-		label:     item.Label,
-		container: item.Container,
-		cost:      item.Cost,
-		run:       item.OnDone,
-	})
+	if item != &pq.item {
+		panic("kernel: requeueFront of a work item the protocol queue did not hand out")
+	}
+	w := pq.cur
+	pq.cur = pktWork{}
+	w.label, w.container, w.cost, w.seq = item.Label, item.Container, item.Cost, 0
+	pq.queueFor(item.Container).q.PushFront(w)
 }
 
 // PendingContainers returns the containers that currently have pending
-// protocol work (nil entries are skipped by the scheduler).
+// protocol work (nil entries are skipped by the scheduler). The slice is
+// reused: it is valid until the next call.
 func (pq *pktQueue) PendingContainers() []*rc.Container {
-	out := make([]*rc.Container, 0, len(pq.queues))
+	out := pq.pending[:0]
 	for _, cq := range pq.queues {
 		if cq.q.Len() > 0 && cq.c != nil {
 			out = append(out, cq.c)
 		}
 	}
+	pq.pending = out
 	return out
 }
 

@@ -116,7 +116,7 @@ func TestSMPInterruptsOnPrimaryOnly(t *testing.T) {
 	// A long interrupt burst hits CPU 0; the thread there is delayed, the
 	// other CPU keeps computing.
 	eng.After(sim.Millisecond, func() {
-		k.cpu.RaiseInterrupt(&intrWork{label: "storm", cost: 5 * sim.Millisecond})
+		k.cpu.RaiseInterrupt(intrWork{label: "storm", cost: 5 * sim.Millisecond})
 	})
 	eng.Run()
 	// The 5 ms stolen by the interrupt is shared: the preempted thread

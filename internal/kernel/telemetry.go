@@ -66,7 +66,7 @@ func (k *Kernel) sampleTelemetry() {
 			continue
 		}
 		k.tel.Record(telemetry.Sample{
-			At: now, Principal: "listen:" + ls.cfg.Local.String(),
+			At: now, Principal: ls.name,
 			ListenQ:   ls.acceptQ.Len(),
 			BacklogHi: ls.acceptQ.HighWater(),
 			Drops:     ls.synDrops,

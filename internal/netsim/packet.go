@@ -49,7 +49,27 @@ type Packet struct {
 	Bogus bool
 }
 
-// String summarizes the packet.
-func (p *Packet) String() string {
-	return fmt.Sprintf("%s %s->%s conn=%d %dB", p.Kind, p.Src, p.Dst, p.ConnID, p.Size)
+// Header is the fixed-size, pointer-free part of a packet: everything
+// its one-line summary shows. A trace record keeps a Header by value, so
+// it can render the packet long after the packet itself is gone without
+// holding it live.
+type Header struct {
+	Kind   PacketKind
+	Src    Addr
+	Dst    Addr
+	ConnID uint64
+	Size   int
 }
+
+// Header returns a value copy of the packet's header fields.
+func (p *Packet) Header() Header {
+	return Header{Kind: p.Kind, Src: p.Src, Dst: p.Dst, ConnID: p.ConnID, Size: p.Size}
+}
+
+// String summarizes the packet header.
+func (h Header) String() string {
+	return fmt.Sprintf("%s %s->%s conn=%d %dB", h.Kind, h.Src, h.Dst, h.ConnID, h.Size)
+}
+
+// String summarizes the packet.
+func (p *Packet) String() string { return p.Header().String() }

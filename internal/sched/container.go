@@ -60,6 +60,10 @@ type ContainerScheduler struct {
 	sawThrottled bool
 	policy       LeafPolicy
 	rng          *sim.RNG
+	// decayDt and decayFactor memoise the last decay interval and its
+	// factor (see decayedOf).
+	decayDt     sim.Duration
+	decayFactor float64
 }
 
 // NewContainerScheduler returns a container scheduler with default
@@ -228,8 +232,13 @@ func weight(c *rc.Container) float64 {
 func (s *ContainerScheduler) decayedOf(c *rc.Container, now sim.Time) float64 {
 	st := s.state(c)
 	if now > st.lastDecay {
-		dt := now.Sub(st.lastDecay)
-		st.decayed *= math.Exp(-dt.Seconds() / decayTau.Seconds())
+		// The decays of one Pick mostly share one interval (the leaves
+		// were last decayed together), and the same interval always gives
+		// the same factor, so memoising the last one changes no result.
+		if dt := now.Sub(st.lastDecay); dt != s.decayDt {
+			s.decayDt, s.decayFactor = dt, math.Exp(-dt.Seconds()/decayTau.Seconds())
+		}
+		st.decayed *= s.decayFactor
 		st.lastDecay = now
 	}
 	return st.decayed
@@ -419,28 +428,34 @@ func (s *ContainerScheduler) Bind(e *Entity, c *rc.Container, now sim.Time) {
 // recently, and destroyed containers. The current resource binding is
 // always kept.
 func (s *ContainerScheduler) prune(e *Entity, now sim.Time) {
-	if s.DisablePruning {
-		// Still drop destroyed containers; scheduling over freed
-		// principals would be a use-after-free in a real kernel.
-		kept := e.binding[:0]
-		for _, b := range e.binding {
-			if !b.c.Destroyed() {
-				kept = append(kept, b)
-			}
+	keep := func(b bindingEntry) bool {
+		// Destroyed containers go even with pruning disabled: scheduling
+		// over freed principals would be a use-after-free in a real
+		// kernel.
+		if b.c.Destroyed() {
+			return false
 		}
-		e.binding = kept
+		return s.DisablePruning || b.c == e.Resource || now.Sub(b.last) <= s.PruneAge
+	}
+	i := 0
+	for i < len(e.binding) && keep(e.binding[i]) {
+		i++
+	}
+	if i == len(e.binding) {
+		// Nothing to drop. Leave the entries unwritten: rewriting them in
+		// place would cost a GC write barrier per entry on every Pick.
 		return
 	}
+	kept := e.binding[:i]
 	var newest bindingEntry
-	kept := e.binding[:0]
-	for _, b := range e.binding {
+	for _, b := range e.binding[i:] {
 		if b.c.Destroyed() {
 			continue
 		}
 		if newest.c == nil || b.last > newest.last {
 			newest = b
 		}
-		if b.c == e.Resource || now.Sub(b.last) <= s.PruneAge {
+		if keep(b) {
 			kept = append(kept, b)
 		}
 	}
@@ -448,6 +463,8 @@ func (s *ContainerScheduler) prune(e *Entity, now sim.Time) {
 		// Never prune a binding to empty: a thread idle longer than the
 		// pruning age keeps its most recent live binding until it is
 		// rebound (threads always have *some* resource context, §4.2).
+		// Only a scan from the first entry can get here, so newest is
+		// the newest live entry of the whole binding.
 		kept = append(kept, newest)
 	}
 	e.binding = kept

@@ -54,6 +54,8 @@ type Entity struct {
 	// network thread uses it so that its scheduling class reflects
 	// exactly the containers with pending protocol work (§4.7) — pending
 	// only priority-0 traffic means idle class, with no staleness window.
+	// The returned slice is valid only until the next call: the scheduler
+	// consumes it at once, so the supplier may reuse one slice.
 	DynamicBinding func() []*rc.Container
 
 	// Proc is the classic scheduler's principal (the owning process).

@@ -1,8 +1,15 @@
 // Package trace provides a bounded, deterministic, structured event log
 // for the simulated kernel. Tracing is off unless a Tracer is attached,
-// so the hot paths pay only a nil check; call sites that must format
-// details guard the work with Enabled so a detached or filtered tracer
-// costs nothing.
+// so the hot paths pay only a nil check.
+//
+// Events about a packet (arrivals, drops, policing, connection
+// establishment) are recorded without formatting anything: the ring
+// keeps the format, a value copy of the packet header and at most one
+// integer, and Events renders the Detail text when the ring is read.
+// Almost every event is evicted unread, so the per-packet path never
+// pays for text. Other details are formatted when emitted; call sites
+// guard that work with Enabled so a detached or filtered tracer costs
+// nothing.
 package trace
 
 import (
@@ -10,6 +17,7 @@ import (
 	"io"
 	"strings"
 
+	"rescon/internal/netsim"
 	"rescon/internal/sim"
 )
 
@@ -109,9 +117,43 @@ func (e Event) String() string {
 	return b.String()
 }
 
+// detailShape says how a ring record's Detail is produced on read.
+type detailShape uint8
+
+const (
+	detailText      detailShape = iota // Detail is the rendered text
+	detailPacket                       // fmt.Sprintf(Detail, hdr)
+	detailIntPacket                    // fmt.Sprintf(Detail, arg, hdr)
+	detailSource                       // fmt.Sprintf(Detail, hdr.Src)
+)
+
+// record is one ring slot. For a packet event, ev.Detail holds the
+// format and hdr/arg its operands; nothing in the slot points at the
+// packet, so a retained record never keeps one live.
+type record struct {
+	ev    Event
+	hdr   netsim.Header
+	arg   int
+	shape detailShape
+}
+
+// event returns the record as an Event, rendering a deferred Detail.
+func (r *record) event() Event {
+	e := r.ev
+	switch r.shape {
+	case detailPacket:
+		e.Detail = fmt.Sprintf(e.Detail, r.hdr)
+	case detailIntPacket:
+		e.Detail = fmt.Sprintf(e.Detail, r.arg, r.hdr)
+	case detailSource:
+		e.Detail = fmt.Sprintf(e.Detail, r.hdr.Src)
+	}
+	return e
+}
+
 // Tracer is a bounded ring of events.
 type Tracer struct {
-	events []Event
+	events []record
 	next   int
 	full   bool
 	total  uint64
@@ -124,7 +166,7 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Tracer{events: make([]Event, capacity)}
+	return &Tracer{events: make([]record, capacity)}
 }
 
 // Enabled reports whether events of the kind would be recorded. Call
@@ -137,14 +179,50 @@ func (t *Tracer) Enabled(kind Kind) bool {
 	return t.Filter == nil || t.Filter[kind]
 }
 
-// Emit records an event (subject to the filter). If the event's CPU field
-// was left at its zero value the event is treated as processor-less
-// (CPU -1); processor-scoped emitters must set CPU explicitly.
+// Emit records an event (subject to the filter). The CPU field is kept
+// as given: processor-less emitters must set it to -1.
 func (t *Tracer) Emit(e Event) {
 	if !t.Enabled(e.Kind) {
 		return
 	}
-	t.events[t.next] = e
+	t.push(record{ev: e})
+}
+
+// EmitPacket records e with its Detail deferred: Events renders it as
+// fmt.Sprintf(format, h), the same text formatting the packet itself
+// would give. e.Detail is ignored. Nothing is formatted or allocated
+// here, so per-packet call sites need no Enabled guard.
+func (t *Tracer) EmitPacket(e Event, format string, h netsim.Header) {
+	if !t.Enabled(e.Kind) {
+		return
+	}
+	e.Detail = format
+	t.push(record{ev: e, hdr: h, shape: detailPacket})
+}
+
+// EmitPacketInt is EmitPacket for a format with an integer operand
+// before the packet: the Detail renders as fmt.Sprintf(format, n, h).
+func (t *Tracer) EmitPacketInt(e Event, format string, n int, h netsim.Header) {
+	if !t.Enabled(e.Kind) {
+		return
+	}
+	e.Detail = format
+	t.push(record{ev: e, hdr: h, arg: n, shape: detailIntPacket})
+}
+
+// EmitSource is EmitPacket for a format whose one operand is a source
+// address: the Detail renders as fmt.Sprintf(format, src).
+func (t *Tracer) EmitSource(e Event, format string, src netsim.Addr) {
+	if !t.Enabled(e.Kind) {
+		return
+	}
+	e.Detail = format
+	t.push(record{ev: e, hdr: netsim.Header{Src: src}, shape: detailSource})
+}
+
+// push stores r in the next ring slot, evicting the oldest when full.
+func (t *Tracer) push(r record) {
+	t.events[t.next] = r
 	t.next++
 	t.total++
 	if t.next == len(t.events) {
@@ -153,8 +231,11 @@ func (t *Tracer) Emit(e Event) {
 	}
 }
 
-// Emitf records a detail-only event, formatting lazily: the format is not
-// evaluated when the tracer is detached or the kind filtered.
+// Emitf records a detail-only, processor-less event. The format is
+// evaluated at once when the kind is recorded, and skipped when the
+// tracer is detached or the kind filtered; the boxed arguments are built
+// by the caller either way. It is for rare events — per-packet paths use
+// EmitPacket, which formats nothing until the ring is read.
 func (t *Tracer) Emitf(at sim.Time, kind Kind, format string, args ...any) {
 	if !t.Enabled(kind) {
 		return
@@ -165,16 +246,17 @@ func (t *Tracer) Emitf(at sim.Time, kind Kind, format string, args ...any) {
 // Total returns how many events have been emitted (including evicted).
 func (t *Tracer) Total() uint64 { return t.total }
 
-// Events returns the retained events in chronological order.
+// Events returns the retained events in chronological order, with every
+// deferred Detail rendered.
 func (t *Tracer) Events() []Event {
-	if !t.full {
-		out := make([]Event, t.next)
-		copy(out, t.events[:t.next])
-		return out
+	n, oldest := t.next, 0
+	if t.full {
+		n, oldest = len(t.events), t.next
 	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.next:]...)
-	out = append(out, t.events[:t.next]...)
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = t.events[(oldest+i)%len(t.events)].event()
+	}
 	return out
 }
 

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"rescon/internal/netsim"
 	"rescon/internal/sim"
 )
 
@@ -133,5 +135,135 @@ func TestDefaultCapacity(t *testing.T) {
 	}
 	if len(tr.Events()) != 1024 {
 		t.Fatalf("default capacity: %d", len(tr.Events()))
+	}
+}
+
+// lazyCase is one emission in two forms: through the tracer (deferred
+// rendering where the shape allows it) and as the Event an eager
+// fmt.Sprintf over the live packet would have recorded.
+type lazyCase struct {
+	emit func(*Tracer)
+	want Event
+}
+
+// lazyCases covers every deferred shape the kernel uses, with its real
+// format strings, next to the eager fallbacks it keeps.
+func lazyCases() []lazyCase {
+	pkts := []*netsim.Packet{
+		{Kind: netsim.SYN, Src: netsim.Addr{IP: netsim.MustParseIP("66.0.0.9"), Port: 1031}, Dst: netsim.Addr{IP: netsim.MustParseIP("10.0.0.1"), Port: 80}, Size: 40, Bogus: true},
+		{Kind: netsim.Data, Src: netsim.Addr{IP: netsim.MustParseIP("10.1.0.1"), Port: 5000}, Dst: netsim.Addr{IP: netsim.MustParseIP("10.0.0.1"), Port: 80}, ConnID: 4242, Size: 1460, Payload: "opaque"},
+		{Kind: netsim.FIN, Src: netsim.Addr{IP: netsim.MustParseIP("255.255.255.255"), Port: 65535}, Dst: netsim.Addr{IP: 0, Port: 0}, ConnID: 1<<64 - 1, Size: 40},
+		{Kind: netsim.PacketKind(9), ConnID: 7, Size: -1},
+	}
+	var cases []lazyCase
+	for i, pkt := range pkts {
+		at := sim.Time(i * 1000)
+		h := pkt.Header()
+		base := Event{At: at, CPU: -1, Principal: "flood", Conn: pkt.ConnID}
+		with := func(kind Kind, detail string) Event {
+			e := base
+			e.Kind, e.Detail = kind, detail
+			return e
+		}
+		arrive := Event{At: at, Kind: KindPacket, CPU: -1, Detail: fmt.Sprintf("%s", pkt)}
+		cases = append(cases,
+			// Kernel.Arrive.
+			lazyCase{
+				emit: func(t *Tracer) { t.EmitPacket(Event{At: at, Kind: KindPacket, CPU: -1}, "%s", h) },
+				want: arrive,
+			},
+			// Kernel.emitPkt.
+			lazyCase{
+				emit: func(t *Tracer) { t.EmitPacket(with(KindDrop, "ignored"), "backlog full: %s", h) },
+				want: with(KindDrop, fmt.Sprintf("backlog full: %s", pkt)),
+			},
+			// Kernel.emitPktOver.
+			lazyCase{
+				emit: func(t *Tracer) {
+					t.EmitPacketInt(with(KindPolice, ""), "policed, backlog over %d: %s", 64-i*40, h)
+				},
+				want: with(KindPolice, fmt.Sprintf("policed, backlog over %d: %s", 64-i*40, pkt)),
+			},
+			// Kernel.handleSYN on establishment.
+			lazyCase{
+				emit: func(t *Tracer) { t.EmitSource(with(KindConn, ""), "established from %s", pkt.Src) },
+				want: with(KindConn, fmt.Sprintf("established from %s", pkt.Src)),
+			},
+			// Eager fallbacks: wire faults and memory-limit drops.
+			lazyCase{
+				emit: func(t *Tracer) {
+					t.Emitf(at, KindFault, "wire fault: duplicated %s (+%v)", pkt, sim.Duration(i)*sim.Microsecond)
+				},
+				want: Event{At: at, Kind: KindFault, CPU: -1,
+					Detail: fmt.Sprintf("wire fault: duplicated %s (+%v)", pkt, sim.Duration(i)*sim.Microsecond)},
+			},
+			lazyCase{
+				emit: func(t *Tracer) {
+					t.Emit(with(KindDrop, fmt.Sprintf("memory limit: %s (%v)", pkt, "limit exceeded")))
+				},
+				want: with(KindDrop, fmt.Sprintf("memory limit: %s (%v)", pkt, "limit exceeded")),
+			},
+		)
+	}
+	return cases
+}
+
+// Deferred rendering must reproduce, byte for byte, what formatting the
+// packet at emit time gave — through ring wraparound and the filter, and
+// in the rendered dump.
+func TestLazyDetailMatchesEager(t *testing.T) {
+	cases := lazyCases()
+	filters := map[string]map[Kind]bool{
+		"all":          nil,
+		"drop+conn":    {KindDrop: true, KindConn: true},
+		"packet+fault": {KindPacket: true, KindFault: true, KindPolice: false},
+	}
+	for name, filter := range filters {
+		for _, capacity := range []int{len(cases) * 2, 7, 1} {
+			tr := New(capacity)
+			tr.Filter = filter
+			var want []Event
+			for _, c := range cases {
+				c.emit(tr)
+				if filter == nil || filter[c.want.Kind] {
+					want = append(want, c.want)
+				}
+			}
+			if uint64(len(want)) != tr.Total() {
+				t.Fatalf("%s/cap %d: Total %d, want %d", name, capacity, tr.Total(), len(want))
+			}
+			if len(want) > capacity {
+				want = want[len(want)-capacity:]
+			}
+			got := tr.Events()
+			if len(got) != len(want) {
+				t.Fatalf("%s/cap %d: %d events retained, want %d", name, capacity, len(got), len(want))
+			}
+			var dump strings.Builder
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s/cap %d: event %d\n got %+v\nwant %+v", name, capacity, i, got[i], want[i])
+				}
+				fmt.Fprintln(&dump, want[i])
+			}
+			if tr.String() != dump.String() {
+				t.Fatalf("%s/cap %d: dump differs\n got %q\nwant %q", name, capacity, tr.String(), dump.String())
+			}
+		}
+	}
+}
+
+// Recording a packet event must neither format nor allocate.
+func TestEmitPacketNoAllocs(t *testing.T) {
+	tr := New(16)
+	h := netsim.Header{Kind: netsim.SYN, Size: 40}
+	e := Event{Kind: KindDrop, CPU: -1, Principal: "flood"}
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.EmitPacket(e, "backlog full: %s", h)
+		tr.EmitPacketInt(e, "policed, backlog over %d: %s", 64, h)
+		tr.EmitSource(e, "established from %s", h.Src)
+	})
+	if allocs != 0 {
+		t.Fatalf("deferred emits allocate %.2f objects/op, want 0", allocs)
 	}
 }

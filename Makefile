@@ -11,12 +11,13 @@ vet:
 	$(GO) vet ./...
 
 # Lint: vet, formatting, and doc coverage of the public surfaces (every
-# exported symbol of the root rescon facade and of the rcruntime bridge
-# must carry a doc comment).
+# exported symbol of the root rescon facade, the rcruntime bridge, the
+# shared alert/watchdog core and the chaos harness must carry a doc
+# comment).
 lint: vet
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
-	$(GO) run ./cmd/checkdocs . ./internal/rcruntime
+	$(GO) run ./cmd/checkdocs . ./internal/rcruntime ./internal/alert ./internal/chaos
 
 # Fast suite: -short skips the long experiment sweeps but keeps the
 # runtime invariant checker on (the experiments test Options enable it).

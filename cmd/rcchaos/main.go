@@ -174,26 +174,17 @@ func replay(path string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// cell is one (scenario, mode) unit of the sweep.
-type cell struct {
-	sc  chaos.Scenario
-	res *chaos.Result
+// cell is one unit of a sweep: a (scenario, mode) pair, or one live
+// scenario with -live.
+type cell[S, R any] struct {
+	sc  S
+	res R
 	err error
 }
 
-// sweep runs scenarios seed..seed+runs-1 under every kernel mode,
-// fanning cells across workers. Every cell is an independent engine, so
-// parallelism never changes results; reporting stays in deterministic
-// (seed, mode) order. Each failure is shrunk and written as a repro.
-func sweep(runs int, seed uint64, out string, workers int, verbose bool, stdout, stderr io.Writer) int {
-	cells := make([]cell, runs*len(chaos.ModeNames))
-	for i := 0; i < runs; i++ {
-		sc := chaos.Generate(seed + uint64(i))
-		for m, mode := range chaos.ModeNames {
-			sc.Mode = mode
-			cells[i*len(chaos.ModeNames)+m] = cell{sc: sc}
-		}
-	}
+// runCells runs every cell through run, fanning them across workers.
+// Every cell is independent, so parallelism never changes results.
+func runCells[S, R any](cells []cell[S, R], workers int, run func(S) (R, error)) {
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -201,7 +192,7 @@ func sweep(runs int, seed uint64, out string, workers int, verbose bool, stdout,
 		go func() {
 			defer wg.Done()
 			for idx := range work {
-				cells[idx].res, cells[idx].err = runChecked(cells[idx].sc)
+				cells[idx].res, cells[idx].err = run(cells[idx].sc)
 			}
 		}()
 	}
@@ -210,6 +201,22 @@ func sweep(runs int, seed uint64, out string, workers int, verbose bool, stdout,
 	}
 	close(work)
 	wg.Wait()
+}
+
+// sweep runs scenarios seed..seed+runs-1 under every kernel mode,
+// fanning cells across workers. Every cell is an independent engine;
+// reporting stays in deterministic (seed, mode) order. Each failure is
+// shrunk and written as a repro.
+func sweep(runs int, seed uint64, out string, workers int, verbose bool, stdout, stderr io.Writer) int {
+	cells := make([]cell[chaos.Scenario, *chaos.Result], runs*len(chaos.ModeNames))
+	for i := 0; i < runs; i++ {
+		sc := chaos.Generate(seed + uint64(i))
+		for m, mode := range chaos.ModeNames {
+			sc.Mode = mode
+			cells[i*len(chaos.ModeNames)+m].sc = sc
+		}
+	}
+	runCells(cells, workers, runChecked)
 
 	failures := 0
 	for _, c := range cells {
@@ -220,7 +227,7 @@ func sweep(runs int, seed uint64, out string, workers int, verbose bool, stdout,
 		case c.res.Failed():
 			failures++
 			fmt.Fprintf(stdout, "seed %d mode %s: FAIL (%d violation(s), classes %v)\n",
-				c.sc.Seed, c.sc.Mode, len(c.res.Violations), chaos.Classes(c.res))
+				c.sc.Seed, c.sc.Mode, len(c.res.Violations), c.res.Classes())
 			fmt.Fprintln(stdout, "  "+c.res.Violations[0])
 			writeRepro(c, out, stdout, stderr)
 		case verbose:
@@ -236,38 +243,16 @@ func sweep(runs int, seed uint64, out string, workers int, verbose bool, stdout,
 	return exitOK
 }
 
-// liveCell is one live-scenario unit of a -live sweep.
-type liveCell struct {
-	sc  chaos.LiveScenario
-	res *chaos.LiveResult
-	err error
-}
-
 // liveSweep runs live scenarios seed..seed+runs-1, fanning cells across
-// workers. Each cell is an isolated runtime on its own virtual clock,
-// so parallelism never changes results; reporting stays in seed order.
-// Each failure is shrunk and written as a live repro.
+// workers. Each cell is an isolated runtime on its own virtual clock;
+// reporting stays in seed order. Each failure is shrunk and written as
+// a live repro.
 func liveSweep(runs int, seed uint64, out string, workers int, verbose bool, stdout, stderr io.Writer) int {
-	cells := make([]liveCell, runs)
+	cells := make([]cell[chaos.LiveScenario, *chaos.LiveResult], runs)
 	for i := range cells {
-		cells[i] = liveCell{sc: chaos.GenerateLive(seed + uint64(i))}
+		cells[i].sc = chaos.GenerateLive(seed + uint64(i))
 	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range work {
-				cells[idx].res, cells[idx].err = runLiveChecked(cells[idx].sc)
-			}
-		}()
-	}
-	for idx := range cells {
-		work <- idx
-	}
-	close(work)
-	wg.Wait()
+	runCells(cells, workers, runLiveChecked)
 
 	failures := 0
 	for _, c := range cells {
@@ -294,7 +279,7 @@ func liveSweep(runs int, seed uint64, out string, workers int, verbose bool, std
 
 // writeLiveRepro shrinks a failing live cell and writes the minimal
 // scenario as an indented JSON repro file.
-func writeLiveRepro(c liveCell, out string, stdout, stderr io.Writer) {
+func writeLiveRepro(c cell[chaos.LiveScenario, *chaos.LiveResult], out string, stdout, stderr io.Writer) {
 	class := chaos.Classify(c.res.Violations[0])
 	shrunk := shrinkLiveFn(c.sc, class)
 	path := filepath.Join(out, fmt.Sprintf("live-repro-%d.json", c.sc.Seed))
@@ -308,8 +293,8 @@ func writeLiveRepro(c liveCell, out string, stdout, stderr io.Writer) {
 
 // writeRepro shrinks a failing cell and writes the minimal scenario as
 // an indented JSON repro file.
-func writeRepro(c cell, out string, stdout, stderr io.Writer) {
-	class := chaos.Classes(c.res)[0]
+func writeRepro(c cell[chaos.Scenario, *chaos.Result], out string, stdout, stderr io.Writer) {
+	class := c.res.Classes()[0]
 	shrunk := shrinkFn(c.sc, class)
 	path := filepath.Join(out, fmt.Sprintf("chaos-repro-%d-%s.json", c.sc.Seed, c.sc.Mode))
 	if err := shrunk.WriteFile(path); err != nil {

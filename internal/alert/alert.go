@@ -28,9 +28,10 @@
 // asserted byte-identical across serial and parallel runs.
 //
 // The closed loop on top of the detectors is Watchdog (watchdog.go): on
-// critical overload it tightens kernel admission control and clamps a
-// runaway container, then restores the original settings with
-// exponential backoff once the alert clears.
+// critical overload it tightens admission control through an Actuator
+// (the simulated kernel's SYN policing, or the live runtime's accept
+// policy) and clamps a runaway container, then restores the original
+// settings with exponential backoff once the alert clears.
 package alert
 
 import (

@@ -8,6 +8,7 @@ import (
 	"rescon/internal/httpsim"
 	"rescon/internal/kernel"
 	"rescon/internal/netsim"
+	"rescon/internal/rc"
 	"rescon/internal/sim"
 	"rescon/internal/telemetry"
 	"rescon/internal/workload"
@@ -22,9 +23,16 @@ var (
 // floodScene runs a server + paying clients + SYN flood for 400ms with
 // the alert battery attached, optionally with the watchdog engaged on
 // top. The flood runs from 100ms to 250ms so the run covers quiet →
-// overload → recovery.
-func floodScene(t *testing.T, mode kernel.Mode, seed int64, withWatchdog bool) (*Monitor, *Watchdog) {
+// overload → recovery. With hog set, every per-connection container
+// is parented by a "hog" container the watchdog may clamp.
+func floodScene(t *testing.T, mode kernel.Mode, seed int64, withWatchdog, hog bool) (*Monitor, *Watchdog) {
 	t.Helper()
+	var parent *rc.Container
+	var wcfg WatchdogConfig
+	if hog {
+		parent = rc.MustNew(nil, rc.FixedShare, "hog", rc.Attributes{Share: 0.5})
+		wcfg.Clampable = []*rc.Container{parent}
+	}
 	eng := sim.NewEngine(seed)
 	k := kernel.New(eng, mode, kernel.DefaultCosts())
 	k.AttachTelemetry(telemetry.New(telemetry.Config{}))
@@ -34,12 +42,12 @@ func floodScene(t *testing.T, mode kernel.Mode, seed int64, withWatchdog bool) (
 	}
 	var wd *Watchdog
 	if withWatchdog {
-		wd = AttachWatchdog(mon, k, WatchdogConfig{})
+		wd = AttachWatchdog(mon, k, wcfg)
 	}
 
 	if _, err := httpsim.NewServer(httpsim.Config{
 		Kernel: k, Name: "httpd", Addr: testServerAddr, API: httpsim.EventAPI,
-		PerConnContainers: mode == kernel.ModeRC,
+		PerConnContainers: mode == kernel.ModeRC, Parent: parent,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +69,7 @@ func floodScene(t *testing.T, mode kernel.Mode, seed int64, withWatchdog bool) (
 // alert in every kernel mode — and only after the flood starts.
 func TestFloodRaisesCritical(t *testing.T) {
 	for _, mode := range []kernel.Mode{kernel.ModeUnmodified, kernel.ModeLRP, kernel.ModeRC} {
-		mon, _ := floodScene(t, mode, 7, false)
+		mon, _ := floodScene(t, mode, 7, false, false)
 		at, ok := mon.FirstAtSince(LevelCritical, 0)
 		if !ok {
 			t.Errorf("%v: flood raised no critical alert (events=%d)", mode, len(mon.Events()))
@@ -109,7 +117,7 @@ func TestQuietBaselineStaysOk(t *testing.T) {
 // policing, and once the flood stops and alerts clear it must restore
 // the saved settings after backoff — the full closed loop.
 func TestWatchdogEngagesAndRestores(t *testing.T) {
-	mon, wd := floodScene(t, kernel.ModeRC, 7, true)
+	mon, wd := floodScene(t, kernel.ModeRC, 7, true, false)
 	if wd.Engagements() == 0 {
 		t.Fatalf("watchdog never engaged under flood (events=%d)", len(mon.Events()))
 	}
@@ -146,7 +154,7 @@ func TestWatchdogEngagesAndRestores(t *testing.T) {
 // principal names only).
 func TestAlertStreamDeterministic(t *testing.T) {
 	render := func() string {
-		mon, _ := floodScene(t, kernel.ModeRC, 7, true)
+		mon, _ := floodScene(t, kernel.ModeRC, 7, true, false)
 		var buf bytes.Buffer
 		if err := mon.WriteJSONL(&buf); err != nil {
 			t.Error(err)
@@ -167,7 +175,7 @@ func TestAlertStreamDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			mon, _ := floodScene(t, kernel.ModeRC, 7, true)
+			mon, _ := floodScene(t, kernel.ModeRC, 7, true, false)
 			var buf bytes.Buffer
 			if err := mon.WriteJSONL(&buf); err != nil {
 				t.Error(err)

@@ -50,7 +50,9 @@
 package chaos
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 )
 
@@ -77,12 +79,30 @@ func Classify(v string) string {
 	return "unknown"
 }
 
-// Classes summarizes a result's violations as its distinct failure
-// classes, in first-occurrence order.
-func Classes(r *Result) []string {
+// Violations are the invariant violations one run recorded; empty
+// means the run was clean. Result and LiveResult embed them.
+type Violations []string
+
+// Failed reports whether any invariant was violated.
+func (vs Violations) Failed() bool { return len(vs) > 0 }
+
+// FailsWith reports whether any violation belongs to the given class
+// (see Classify).
+func (vs Violations) FailsWith(class string) bool {
+	for _, v := range vs {
+		if Classify(v) == class {
+			return true
+		}
+	}
+	return false
+}
+
+// Classes summarizes the violations as their distinct failure classes,
+// in first-occurrence order.
+func (vs Violations) Classes() []string {
 	var out []string
 	seen := make(map[string]bool)
-	for _, v := range r.Violations {
+	for _, v := range vs {
 		c := Classify(v)
 		if !seen[c] {
 			seen[c] = true
@@ -90,6 +110,58 @@ func Classes(r *Result) []string {
 		}
 	}
 	return out
+}
+
+// outcome is what the shared harness core needs of a run's result: its
+// violations and its state digest.
+type outcome interface {
+	verdict() (*Violations, uint64)
+}
+
+// runChecked runs sc twice from scratch and, if the two digests differ,
+// adds the determinism violation "<what>: run hashes differ: …" to the
+// first run's result, which it returns — the FoundationDB-style check
+// that a run really is a pure function of its scenario.
+func runChecked[S any, R outcome](sc S, run func(S) (R, error), what string) (R, error) {
+	r1, err := run(sc)
+	if err != nil {
+		return r1, err
+	}
+	r2, err := run(sc)
+	if err != nil {
+		return r2, err
+	}
+	vs, h1 := r1.verdict()
+	if _, h2 := r2.verdict(); h1 != h2 {
+		*vs = append(*vs, fmt.Sprintf("%s: run hashes differ: %016x vs %016x", what, h1, h2))
+	}
+	return r1, nil
+}
+
+// writeRepro writes a scenario as an indented JSON repro file.
+func writeRepro(path string, sc any) error {
+	data, err := json.MarshalIndent(sc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// loadRepro reads and validates a JSON repro file; kind names the file
+// in errors.
+func loadRepro[S interface{ Validate() error }](path, kind string) (S, error) {
+	var sc, zero S
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return zero, fmt.Errorf("chaos: reading %s: %w", kind, err)
+	}
+	if err := json.Unmarshal(data, &sc); err != nil {
+		return zero, fmt.Errorf("chaos: parsing %s %s: %w", kind, path, err)
+	}
+	if err := sc.Validate(); err != nil {
+		return zero, fmt.Errorf("chaos: %s %s: %w", kind, path, err)
+	}
+	return sc, nil
 }
 
 // Smoke generates runs scenarios starting at seed and executes each one
@@ -107,7 +179,7 @@ func Smoke(runs int, seed uint64) error {
 			}
 			if r.Failed() {
 				return fmt.Errorf("chaos: seed %d mode %s: %d violation(s), classes %v, first: %s",
-					sc.Seed, mode, len(r.Violations), Classes(r), r.Violations[0])
+					sc.Seed, mode, len(r.Violations), r.Classes(), r.Violations[0])
 			}
 		}
 	}

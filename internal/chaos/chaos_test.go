@@ -1,12 +1,36 @@
 package chaos
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rescon/internal/sim"
 )
+
+// checkReproGolden writes sc as its JSON repro file and compares the
+// bytes against testdata/name.
+func checkReproGolden(t *testing.T, name string, sc interface{ WriteFile(string) error }) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := sc.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs from the golden:\n--- got\n%s--- want\n%s", name, got, want)
+	}
+}
 
 func TestGenerateDeterministic(t *testing.T) {
 	a, b := Generate(5), Generate(5)
@@ -87,6 +111,10 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(sc, got) {
 		t.Fatalf("round trip changed scenario:\n%+v\nvs\n%+v", sc, got)
 	}
+	_, err = LoadScenario(filepath.Join(t.TempDir(), "missing.json"))
+	if err == nil || !strings.HasPrefix(err.Error(), "chaos: reading repro: ") {
+		t.Fatalf("loading a missing file: %v, want a chaos: reading repro error", err)
+	}
 }
 
 // TestMutationCaughtAndShrinks is the harness's self-test: a planted
@@ -114,6 +142,7 @@ func TestMutationCaughtAndShrinks(t *testing.T) {
 	if shrunk.Mutation != MutationPhantomCPU {
 		t.Fatal("shrink dropped the mutation")
 	}
+	checkReproGolden(t, "shrink_phantom_cpu.json", shrunk)
 	rr, err := Run(shrunk)
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,12 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
-	"os"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"rescon/internal/alert"
@@ -303,9 +301,9 @@ type LiveTenantResult struct {
 
 // LiveResult is the outcome of one live scenario run.
 type LiveResult struct {
-	Scenario   LiveScenario
-	Violations []string
-	Hash       uint64
+	Scenario LiveScenario
+	Violations
+	Hash uint64
 
 	Tenants               map[string]LiveTenantResult
 	Served, Shed          uint64
@@ -318,62 +316,7 @@ type LiveResult struct {
 	Elapsed               time.Duration
 }
 
-// Failed reports whether any invariant was violated.
-func (r *LiveResult) Failed() bool { return len(r.Violations) > 0 }
-
-// FailsWith reports whether any violation belongs to the given class.
-func (r *LiveResult) FailsWith(class string) bool {
-	for _, v := range r.Violations {
-		if Classify(v) == class {
-			return true
-		}
-	}
-	return false
-}
-
-// liveSink tallies RequestEvents by cause for the conservation check.
-type liveSink struct {
-	mu                                   sync.Mutex
-	served, shed, breaker, drain, panics uint64
-}
-
-func (s *liveSink) RecordRequest(ev rcruntime.RequestEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch ev.Cause {
-	case rcruntime.CauseShed:
-		s.shed++
-	case rcruntime.CauseBreaker:
-		s.breaker++
-	case rcruntime.CauseDrain:
-		s.drain++
-	case rcruntime.CausePanic:
-		s.panics++
-		s.served++
-	default:
-		s.served++
-	}
-}
-
-// liveClock is the injected rcruntime.Clock: Sleep advances virtual
-// time instead of waiting, so a whole scenario runs in microseconds of
-// wall clock and every timestamp is deterministic.
-type liveClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *liveClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *liveClock) Sleep(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
+func (r *LiveResult) verdict() (*Violations, uint64) { return &r.Violations, r.Hash }
 
 // RunLive executes the scenario once against the real middleware stack
 // and returns its result. An error means the scenario could not be
@@ -382,13 +325,13 @@ func RunLive(sc LiveScenario) (*LiveResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	clk := &liveClock{}
+	clk := &rcruntime.VirtualClock{}
 	inj := fault.NewLive(int64(sc.Seed), fault.LiveConfig{
 		HandlerStallRate: sc.Faults.StallRate,
 		HandlerStallFor:  time.Duration(sc.Faults.StallFor),
 		PanicRate:        sc.Faults.PanicRate,
 	}, clk)
-	sink := &liveSink{}
+	sink := &rcruntime.TallySink{}
 
 	root := rc.MustNew(nil, rc.FixedShare, "livefuzz", rc.Attributes{})
 	bound := make(map[string]*rc.Container, len(sc.Tenants))
@@ -424,7 +367,7 @@ func RunLive(sc LiveScenario) (*LiveResult, error) {
 	}
 
 	var mon *rcruntime.Monitor
-	var wd *rcruntime.Watchdog
+	var wd *alert.Watchdog
 	if sc.Watchdog != nil {
 		am := alert.New()
 		am.SetRun(int64(sc.Seed), "livefuzz", sc.Window)
@@ -437,7 +380,7 @@ func RunLive(sc LiveScenario) (*LiveResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		wd = rcruntime.AttachWatchdog(mon, rcruntime.WatchdogConfig{
+		wd = rcruntime.AttachWatchdog(mon, alert.WatchdogConfig{
 			ClampLimit:      sc.Watchdog.ClampLimit,
 			BackoffTicks:    sc.Watchdog.BackoffTicks,
 			MaxBackoffTicks: sc.Watchdog.MaxBackoffTicks,
@@ -635,15 +578,8 @@ func RunLive(sc LiveScenario) (*LiveResult, error) {
 	if issued != served+shed+panicked {
 		violate("live-conservation: issued %d != served %d + shed %d + panicked %d", issued, served, shed, panicked)
 	}
-	sink.mu.Lock()
-	conserve := sink.served == s.Served && sink.shed == s.Shed &&
-		sink.breaker == s.BreakerShed && sink.drain == s.DrainShed && sink.panics == s.Panics
-	sinkLine := fmt.Sprintf("served=%d shed=%d breaker=%d drain=%d panics=%d",
-		sink.served, sink.shed, sink.breaker, sink.drain, sink.panics)
-	sink.mu.Unlock()
-	if !conserve {
-		violate("live-conservation: telemetry sink %s vs stats served=%d shed=%d breaker=%d drain=%d panics=%d",
-			sinkLine, s.Served, s.Shed, s.BreakerShed, s.DrainShed, s.Panics)
+	if m := sink.Mismatch(s); m != "" {
+		violate("live-conservation: telemetry sink %s", m)
 	}
 
 	// Starvation: a calm unlimited tenant that issued work and never got
@@ -720,150 +656,66 @@ func hashLiveRun(am *alert.Monitor, ctrl *rebalance.Controller, res *LiveResult,
 // determinism violation if the digests differ. The first run's result
 // is returned.
 func RunLiveChecked(sc LiveScenario) (*LiveResult, error) {
-	r1, err := RunLive(sc)
-	if err != nil {
-		return nil, err
-	}
-	r2, err := RunLive(sc)
-	if err != nil {
-		return nil, err
-	}
-	if r1.Hash != r2.Hash {
-		r1.Violations = append(r1.Violations,
-			fmt.Sprintf("live determinism: run hashes differ: %016x vs %016x", r1.Hash, r2.Hash))
-	}
-	return r1, nil
+	return runChecked(sc, RunLive, "live determinism")
 }
 
 // ShrinkLive greedily minimizes a failing live scenario while
 // preserving its failure class: it drops hostile tenants, halves
 // request counts and round counts, strips the fault schedule and each
 // defense layer, keeping every candidate that still fails the same
-// way. Determinism failures re-run candidates through RunLiveChecked.
+// way.
 func ShrinkLive(sc LiveScenario, class string) LiveScenario {
-	runs := 0
-	fails := func(c LiveScenario) bool {
-		if runs >= shrinkMaxRuns {
-			return false
-		}
-		runs++
-		var r *LiveResult
-		var err error
-		if class == "determinism" {
-			r, err = RunLiveChecked(c)
-		} else {
-			r, err = RunLive(c)
-		}
-		return err == nil && r.FailsWith(class)
-	}
+	return shrink(sc, class, RunLive, RunLiveChecked, livePasses)
+}
 
-	for reduced := true; reduced; {
-		reduced = false
-		// Drop hostile tenants, last-to-first; the calm victim stays.
-		for i := len(sc.Tenants) - 1; i >= 0; i-- {
-			if sc.Tenants[i].Calm {
-				continue
-			}
-			cand := sc
-			cand.Tenants = append(append([]LiveTenantSpec(nil), sc.Tenants[:i]...), sc.Tenants[i+1:]...)
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		// Halve request counts.
-		for i := range sc.Tenants {
-			if sc.Tenants[i].Requests <= 1 {
-				continue
-			}
-			cand := sc
-			cand.Tenants = append([]LiveTenantSpec(nil), sc.Tenants...)
-			cand.Tenants[i].Requests /= 2
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		// Halve the phases.
-		if sc.HostileRounds/2 >= liveShrinkMinHostile {
-			cand := sc
-			cand.HostileRounds = sc.HostileRounds / 2
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		if sc.CalmRounds/2 >= liveShrinkMinCalm {
-			cand := sc
-			cand.CalmRounds = sc.CalmRounds / 2
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		// Strip the fault schedule and each defense layer.
-		if sc.Faults != (LiveFaultSpec{}) {
-			cand := sc
-			cand.Faults = LiveFaultSpec{}
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		if sc.Breakers != nil {
-			cand := sc
-			cand.Breakers = nil
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		if sc.Watchdog != nil {
-			cand := sc
-			cand.Watchdog = nil
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		// Disarm the rebalancer — legal only when no planted mutation
-		// needs the controller to exist.
-		if sc.Rebalance != nil && sc.Rebalance.Mutation == "" {
-			cand := sc
-			cand.Rebalance = nil
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
+// livePasses proposes ShrinkLive's candidates, in order.
+func livePasses(s *shrinker[LiveScenario]) {
+	// Drop hostile tenants, last-to-first; the calm victim stays.
+	for i := len(s.cur.Tenants) - 1; i >= 0; i-- {
+		if !s.cur.Tenants[i].Calm {
+			s.edit(func(c *LiveScenario) { c.Tenants = slices.Delete(slices.Clone(c.Tenants), i, i+1) })
 		}
 	}
-	return sc
+	// Halve request counts.
+	for i := range s.cur.Tenants {
+		if s.cur.Tenants[i].Requests > 1 {
+			s.edit(func(c *LiveScenario) {
+				c.Tenants = slices.Clone(c.Tenants)
+				c.Tenants[i].Requests /= 2
+			})
+		}
+	}
+	// Halve the phases.
+	if s.cur.HostileRounds/2 >= liveShrinkMinHostile {
+		s.edit(func(c *LiveScenario) { c.HostileRounds /= 2 })
+	}
+	if s.cur.CalmRounds/2 >= liveShrinkMinCalm {
+		s.edit(func(c *LiveScenario) { c.CalmRounds /= 2 })
+	}
+	// Strip the fault schedule and each defense layer.
+	if s.cur.Faults != (LiveFaultSpec{}) {
+		s.edit(func(c *LiveScenario) { c.Faults = LiveFaultSpec{} })
+	}
+	if s.cur.Breakers != nil {
+		s.edit(func(c *LiveScenario) { c.Breakers = nil })
+	}
+	if s.cur.Watchdog != nil {
+		s.edit(func(c *LiveScenario) { c.Watchdog = nil })
+	}
+	// Disarm the rebalancer — legal only when no planted mutation
+	// needs the controller to exist.
+	if s.cur.Rebalance != nil && s.cur.Rebalance.Mutation == "" {
+		s.edit(func(c *LiveScenario) { c.Rebalance = nil })
+	}
 }
 
 // WriteFile writes the live scenario as an indented JSON repro file.
-func (sc LiveScenario) WriteFile(path string) error {
-	data, err := json.MarshalIndent(sc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (sc LiveScenario) WriteFile(path string) error { return writeRepro(path, sc) }
 
 // LoadLiveScenario reads and validates a repro file written by
 // LiveScenario.WriteFile.
 func LoadLiveScenario(path string) (LiveScenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return LiveScenario{}, fmt.Errorf("chaos: reading live repro: %w", err)
-	}
-	var sc LiveScenario
-	if err := json.Unmarshal(data, &sc); err != nil {
-		return LiveScenario{}, fmt.Errorf("chaos: parsing live repro %s: %w", path, err)
-	}
-	if err := sc.Validate(); err != nil {
-		return LiveScenario{}, fmt.Errorf("chaos: live repro %s: %w", path, err)
-	}
-	return sc, nil
+	return loadRepro[LiveScenario](path, "live repro")
 }
 
 // LiveSmoke generates and runs live scenarios starting at seed, each
@@ -878,23 +730,8 @@ func LiveSmoke(runs int, seed uint64) error {
 		}
 		if r.Failed() {
 			return fmt.Errorf("chaos: live seed %d: %d violation(s), classes %v, first: %s",
-				sc.Seed, len(r.Violations), liveClasses(r), r.Violations[0])
+				sc.Seed, len(r.Violations), r.Classes(), r.Violations[0])
 		}
 	}
 	return nil
-}
-
-// liveClasses summarizes a live result's violations as distinct
-// failure classes, in first-occurrence order.
-func liveClasses(r *LiveResult) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, v := range r.Violations {
-		c := Classify(v)
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -110,6 +110,7 @@ func TestLiveRebalanceFailureShrinks(t *testing.T) {
 	if shrunk.Faults != (LiveFaultSpec{}) {
 		t.Fatalf("shrink kept the fault schedule for a workload-independent bug: %+v", shrunk.Faults)
 	}
+	checkReproGolden(t, "shrink_live_rebalance.json", shrunk)
 	r, err := RunLive(shrunk)
 	if err != nil {
 		t.Fatal(err)

@@ -131,6 +131,7 @@ func TestShrinkLiveKeepsCleanScenario(t *testing.T) {
 	if !reflect.DeepEqual(sc, got) {
 		t.Fatalf("shrinking a clean scenario changed it:\n%+v\n%+v", sc, got)
 	}
+	checkReproGolden(t, "shrink_live_clean.json", got)
 }
 
 func TestClassifyLiveClasses(t *testing.T) {

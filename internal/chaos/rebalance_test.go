@@ -112,6 +112,7 @@ func TestRebalanceFailureShrinks(t *testing.T) {
 	if len(shrunk.Workloads) > 1 {
 		t.Fatalf("shrink kept %d workloads for a workload-independent bug", len(shrunk.Workloads))
 	}
+	checkReproGolden(t, "shrink_rebalance.json", shrunk)
 	r, err := Run(shrunk)
 	if err != nil {
 		t.Fatal(err)

@@ -45,9 +45,9 @@ const premiumClients = 2
 // used by the determinism check and repro replay, and headline counters
 // for reporting.
 type Result struct {
-	Scenario   Scenario
-	Violations []string
-	Hash       uint64
+	Scenario Scenario
+	Violations
+	Hash uint64
 
 	Completed     uint64
 	Established   uint64
@@ -67,19 +67,7 @@ type Result struct {
 	RebalanceDisarms uint64
 }
 
-// Failed reports whether any invariant was violated.
-func (r *Result) Failed() bool { return len(r.Violations) > 0 }
-
-// FailsWith reports whether any violation belongs to the given class
-// (see Classify).
-func (r *Result) FailsWith(class string) bool {
-	for _, v := range r.Violations {
-		if Classify(v) == class {
-			return true
-		}
-	}
-	return false
-}
+func (r *Result) verdict() (*Violations, uint64) { return &r.Violations, r.Hash }
 
 // Run executes the scenario once and returns its result. An error means
 // the scenario could not be built (bad spec, unbuildable hierarchy) —
@@ -531,18 +519,5 @@ func hashRun(tel *telemetry.Collector, mon *alert.Monitor, ctrl *rebalance.Contr
 // FoundationDB-style check that the simulation really is a pure
 // function of the scenario. The first run's result is returned.
 func RunChecked(sc Scenario) (*Result, error) {
-	r1, err := Run(sc)
-	if err != nil {
-		return nil, err
-	}
-	r2, err := Run(sc)
-	if err != nil {
-		return nil, err
-	}
-	if r1.Hash != r2.Hash {
-		r1.Violations = append(r1.Violations,
-			fmt.Sprintf("fault: invariant violated at %v: determinism: run hashes differ: %016x vs %016x",
-				sc.Horizon, r1.Hash, r2.Hash))
-	}
-	return r1, nil
+	return runChecked(sc, Run, fmt.Sprintf("fault: invariant violated at %v: determinism", sc.Horizon))
 }

@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"rescon/internal/fault"
 	"rescon/internal/kernel"
@@ -373,27 +371,10 @@ func genFaults(r *sim.RNG) fault.Config {
 }
 
 // WriteFile writes the scenario as an indented JSON repro file.
-func (sc Scenario) WriteFile(path string) error {
-	data, err := json.MarshalIndent(sc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func (sc Scenario) WriteFile(path string) error { return writeRepro(path, sc) }
 
 // LoadScenario reads and validates a repro file written by WriteFile
 // (or by hand).
 func LoadScenario(path string) (Scenario, error) {
-	var sc Scenario
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return sc, err
-	}
-	if err := json.Unmarshal(data, &sc); err != nil {
-		return sc, fmt.Errorf("chaos: parsing %s: %w", path, err)
-	}
-	if err := sc.Validate(); err != nil {
-		return sc, fmt.Errorf("chaos: %s: %w", path, err)
-	}
-	return sc, nil
+	return loadRepro[Scenario](path, "repro")
 }

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"slices"
+
 	"rescon/internal/fault"
 	"rescon/internal/sim"
 )
@@ -18,130 +20,120 @@ const shrinkMaxRuns = 200
 // interesting states, so shrinking further just produces flaky repros.
 const minHorizon = 250 * sim.Millisecond
 
+// shrinker is the greedy delta-debugging driver behind Shrink and
+// ShrinkLive. Each scenario type supplies its ordered candidate passes;
+// a pass derives candidates from cur and hands each to try, and a
+// candidate that still fails the same way becomes cur.
+type shrinker[S any] struct {
+	cur     S
+	fails   func(S) bool
+	reduced bool
+}
+
+// try adopts cand as the current scenario if it still fails.
+func (s *shrinker[S]) try(cand S) {
+	if s.fails(cand) {
+		s.cur, s.reduced = cand, true
+	}
+}
+
+// edit tries the current scenario with one change applied to a copy.
+func (s *shrinker[S]) edit(change func(*S)) {
+	cand := s.cur
+	change(&cand)
+	s.try(cand)
+}
+
+// shrink runs passes over sc round after round until a whole round
+// accepts no candidate, spending at most shrinkMaxRuns executions. A
+// candidate fails the same way when its run records a violation of
+// class; determinism failures only manifest across a double run, so
+// that class runs candidates through checked, every other class through
+// a single run.
+func shrink[S any, R outcome](sc S, class string, run, checked func(S) (R, error), passes func(*shrinker[S])) S {
+	if class == "determinism" {
+		run = checked
+	}
+	runs := 0
+	s := &shrinker[S]{cur: sc, fails: func(c S) bool {
+		if runs >= shrinkMaxRuns {
+			return false
+		}
+		runs++
+		r, err := run(c)
+		if err != nil {
+			return false
+		}
+		vs, _ := r.verdict()
+		return vs.FailsWith(class)
+	}}
+	for s.reduced = true; s.reduced; {
+		s.reduced = false
+		passes(s)
+	}
+	return s.cur
+}
+
 // Shrink greedily minimizes a failing scenario while preserving its
 // failure class (see Classify): it repeatedly tries removing workloads,
 // container subtrees, the crash plan and fault schedule, and halving
 // workload sizes and the horizon, keeping every candidate that still
 // fails the same way, until no single reduction does. The result is the
-// minimal repro to ship in a bug report. Determinism failures re-run
-// candidates through RunChecked (the class only manifests across a
-// double run); every other class uses a single run per candidate.
+// minimal repro to ship in a bug report.
 func Shrink(sc Scenario, class string) Scenario {
-	runs := 0
-	fails := func(c Scenario) bool {
-		if runs >= shrinkMaxRuns {
-			return false
-		}
-		runs++
-		var r *Result
-		var err error
-		if class == "determinism" {
-			r, err = RunChecked(c)
-		} else {
-			r, err = Run(c)
-		}
-		return err == nil && r.FailsWith(class)
-	}
-
-	for reduced := true; reduced; {
-		reduced = false
-		// Remove whole workloads, last-to-first so indices stay valid.
-		for i := len(sc.Workloads) - 1; i >= 0; i-- {
-			cand := sc
-			cand.Workloads = deleteAt(sc.Workloads, i)
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		// Halve workload sizes.
-		for i := range sc.Workloads {
-			cand := sc
-			cand.Workloads = append([]WorkloadSpec(nil), sc.Workloads...)
-			w := &cand.Workloads[i]
-			shrunk := false
-			if w.Count > 1 {
-				w.Count /= 2
-				shrunk = true
-			}
-			if w.Rate > 100 {
-				w.Rate /= 2
-				shrunk = true
-			}
-			if shrunk && fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		// Remove container subtrees, last-to-first.
-		for i := len(sc.Containers) - 1; i >= 0; i-- {
-			cand, ok := dropContainer(sc, i)
-			if ok && fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		// Strip scenario-level knobs.
-		if sc.Crash != nil {
-			cand := sc
-			cand.Crash = nil
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		if sc.Faults != (emptyFaults) {
-			cand := sc
-			cand.Faults = emptyFaults
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		if sc.Policing {
-			cand := sc
-			cand.Policing = false
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		// Disarm the adaptive rebalancer — legal only when no mutation
-		// requires it (a rebalance mutation without the spec fails
-		// Validate, and the failure it plants obviously needs the
-		// controller to exist).
-		if sc.Rebalance != nil && !isRebalanceMutation(sc.Mutation) {
-			cand := sc
-			cand.Rebalance = nil
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		if sc.CPUs > 1 {
-			cand := sc
-			cand.CPUs = 1
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-		if sc.Horizon/2 >= minHorizon {
-			cand := sc
-			cand.Horizon = sc.Horizon / 2
-			if fails(cand) {
-				sc = cand
-				reduced = true
-			}
-		}
-	}
-	return sc
+	return shrink(sc, class, Run, RunChecked, scenarioPasses)
 }
 
-func deleteAt(ws []WorkloadSpec, i int) []WorkloadSpec {
-	out := make([]WorkloadSpec, 0, len(ws)-1)
-	out = append(out, ws[:i]...)
-	return append(out, ws[i+1:]...)
+// scenarioPasses proposes Shrink's candidates, in order.
+func scenarioPasses(s *shrinker[Scenario]) {
+	// Remove whole workloads, last-to-first so indices stay valid.
+	for i := len(s.cur.Workloads) - 1; i >= 0; i-- {
+		s.edit(func(c *Scenario) { c.Workloads = slices.Delete(slices.Clone(c.Workloads), i, i+1) })
+	}
+	// Halve workload sizes.
+	for i := range s.cur.Workloads {
+		if w := s.cur.Workloads[i]; w.Count > 1 || w.Rate > 100 {
+			s.edit(func(c *Scenario) {
+				c.Workloads = slices.Clone(c.Workloads)
+				w := &c.Workloads[i]
+				if w.Count > 1 {
+					w.Count /= 2
+				}
+				if w.Rate > 100 {
+					w.Rate /= 2
+				}
+			})
+		}
+	}
+	// Remove container subtrees, last-to-first.
+	for i := len(s.cur.Containers) - 1; i >= 0; i-- {
+		if cand, ok := dropContainer(s.cur, i); ok {
+			s.try(cand)
+		}
+	}
+	// Strip scenario-level knobs.
+	if s.cur.Crash != nil {
+		s.edit(func(c *Scenario) { c.Crash = nil })
+	}
+	if s.cur.Faults != (emptyFaults) {
+		s.edit(func(c *Scenario) { c.Faults = emptyFaults })
+	}
+	if s.cur.Policing {
+		s.edit(func(c *Scenario) { c.Policing = false })
+	}
+	// Disarm the adaptive rebalancer — legal only when no mutation
+	// requires it (a rebalance mutation without the spec fails
+	// Validate, and the failure it plants obviously needs the
+	// controller to exist).
+	if s.cur.Rebalance != nil && !isRebalanceMutation(s.cur.Mutation) {
+		s.edit(func(c *Scenario) { c.Rebalance = nil })
+	}
+	if s.cur.CPUs > 1 {
+		s.edit(func(c *Scenario) { c.CPUs = 1 })
+	}
+	if s.cur.Horizon/2 >= minHorizon {
+		s.edit(func(c *Scenario) { c.Horizon /= 2 })
+	}
 }
 
 // dropContainer removes spec idx and its whole subtree, remapping the

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"time"
 
 	"rescon/internal/metrics"
@@ -18,32 +17,13 @@ import (
 // The live experiment is the real-runtime bridge: the same isolation
 // story as the simulator's policed-vs-unpoliced ablations, reproduced on
 // a *real* net/http server over a loopback listener, governed by
-// rcruntime.Runtime. Time is virtual — a lockstep clock is injected into
-// the runtime and the closed-loop load generator, handlers "burn" CPU by
-// advancing it, and requests are issued sequentially in a fixed order —
-// so goodput numbers are bit-identical run to run even though every
+// rcruntime.Runtime. Time is virtual — an rcruntime.VirtualClock is
+// injected into the runtime and the closed-loop load generator,
+// handlers "burn" CPU by advancing it, and requests are issued
+// sequentially in a fixed order — so goodput numbers are bit-identical run to run even though every
 // request crosses a real TCP connection and the real net/http stack.
 // Only the per-request accounting-overhead microbenchmark uses the wall
 // clock (and varies run to run, exactly like Table 1's cost column).
-
-// lockstepClock is the injected rcruntime.Clock: Sleep advances virtual
-// time instead of waiting.
-type lockstepClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *lockstepClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *lockstepClock) Sleep(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
 
 // liveParams are the knobs of one live cell.
 type liveParams struct {
@@ -153,7 +133,7 @@ func Live(opt Options) (*LiveResult, error) {
 // runLiveCell boots the governed server and drives the closed-loop load
 // generator for p.rounds rounds of sequential, fixed-order requests.
 func runLiveCell(name string, p liveParams) (*LiveCell, error) {
-	clk := &lockstepClock{}
+	clk := &rcruntime.VirtualClock{}
 	root := rc.MustNew(nil, rc.FixedShare, "live", rc.Attributes{})
 	good := rc.MustNew(root, rc.FixedShare, "good", rc.Attributes{})
 	flood := rc.MustNew(root, rc.FixedShare, "flood", rc.Attributes{Limit: p.floodLimit})

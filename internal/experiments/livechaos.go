@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"rescon/internal/alert"
@@ -201,40 +200,15 @@ func LiveChaos(opt Options) (*LiveChaosResult, error) {
 	return res, nil
 }
 
-// chaosCountingSink tallies RequestEvents by cause so the conservation
-// invariant can reconcile the telemetry stream against Stats.
-type chaosCountingSink struct {
-	mu                                   sync.Mutex
-	served, shed, breaker, drain, panics uint64
-}
-
-func (s *chaosCountingSink) RecordRequest(ev rcruntime.RequestEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch ev.Cause {
-	case rcruntime.CauseShed:
-		s.shed++
-	case rcruntime.CauseBreaker:
-		s.breaker++
-	case rcruntime.CauseDrain:
-		s.drain++
-	case rcruntime.CausePanic:
-		s.panics++
-		s.served++
-	default:
-		s.served++
-	}
-}
-
 // runLiveChaosCell boots the governed server with the cell's defenses,
 // drives the hostile and calm phases, then drains. Invariants that are
 // cheap and always-true (telemetry/stats conservation, zero in-flight
 // after drain) are checked unconditionally; checkJournal additionally
 // requires the watchdog's clamp and unclamp notes in the alert stream.
 func runLiveChaosCell(name string, defended bool, p liveChaosParams, checkJournal bool) (*LiveChaosCell, error) {
-	clk := &lockstepClock{}
+	clk := &rcruntime.VirtualClock{}
 	inj := fault.NewLive(p.seed, p.faults, clk)
-	sink := &chaosCountingSink{}
+	sink := &rcruntime.TallySink{}
 
 	root := rc.MustNew(nil, rc.FixedShare, "livechaos", rc.Attributes{})
 	good := rc.MustNew(root, rc.FixedShare, "good", rc.Attributes{})
@@ -260,7 +234,7 @@ func runLiveChaosCell(name string, defended bool, p liveChaosParams, checkJourna
 	}
 
 	var mon *rcruntime.Monitor
-	var wd *rcruntime.Watchdog
+	var wd *alert.Watchdog
 	if defended {
 		am := alert.New()
 		am.SetRun(p.seed, "livechaos", sim.Duration(p.window))
@@ -275,7 +249,7 @@ func runLiveChaosCell(name string, defended bool, p liveChaosParams, checkJourna
 		if err != nil {
 			return nil, err
 		}
-		wd = rcruntime.AttachWatchdog(mon, rcruntime.WatchdogConfig{
+		wd = rcruntime.AttachWatchdog(mon, alert.WatchdogConfig{
 			ClampLimit:      0.1,
 			BackoffTicks:    4,
 			MaxBackoffTicks: 8,
@@ -399,15 +373,8 @@ func runLiveChaosCell(name string, defended bool, p liveChaosParams, checkJourna
 	if s.InflightRequests != 0 {
 		return nil, fmt.Errorf("in-flight request leak after drain: %d", s.InflightRequests)
 	}
-	sink.mu.Lock()
-	conserve := sink.served == s.Served && sink.shed == s.Shed &&
-		sink.breaker == s.BreakerShed && sink.drain == s.DrainShed && sink.panics == s.Panics
-	sinkLine := fmt.Sprintf("sink served=%d shed=%d breaker=%d drain=%d panics=%d",
-		sink.served, sink.shed, sink.breaker, sink.drain, sink.panics)
-	sink.mu.Unlock()
-	if !conserve {
-		return nil, fmt.Errorf("stats conservation violated: %s vs stats served=%d shed=%d breaker=%d drain=%d panics=%d",
-			sinkLine, s.Served, s.Shed, s.BreakerShed, s.DrainShed, s.Panics)
+	if m := sink.Mismatch(s); m != "" {
+		return nil, fmt.Errorf("stats conservation violated: sink %s", m)
 	}
 
 	cell.Shed, cell.BreakerShed, cell.Refused = s.Shed, s.BreakerShed, s.Refused

@@ -24,7 +24,7 @@ func breakerTree(t *testing.T) (root, t1, t2 *rc.Container, binder Binder) {
 // period elapses into a half-open probe, and an admitted probe closes
 // it again.
 func TestBreakerOpensAndRecloses(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, t1, _, binder := breakerTree(t)
 	sink := &recordingSink{}
 	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
@@ -73,7 +73,7 @@ func TestBreakerOpensAndRecloses(t *testing.T) {
 // reopens the breaker with a doubled open duration — the exponential
 // backoff that keeps a hammering tenant from oscillating the breaker.
 func TestBreakerProbeShedReopens(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, t1, _, binder := breakerTree(t)
 	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
 		WithBinder(binder),
@@ -116,7 +116,7 @@ func TestBreakerProbeShedReopens(t *testing.T) {
 // TestBreakerDisabledByDefault: without WithBreakers the accessors are
 // inert and repeated sheds never turn into 503s.
 func TestBreakerDisabledByDefault(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, leaf, binder := tenantTree(t)
 	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
 		WithBinder(binder))

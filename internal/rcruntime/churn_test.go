@@ -13,7 +13,7 @@ import (
 // snapshot-table memory once the prune threshold is crossed, even when
 // the window never rolls.
 func TestEnforcerPruneSweepsDestroyed(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, time.Hour) // a window that never rolls inside the test
 	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
 	keeper := rc.MustNew(root, rc.FixedShare, "keeper", rc.Attributes{Limit: 0.5})

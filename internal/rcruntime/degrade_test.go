@@ -36,7 +36,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // the budget — derived from WindowRemaining, rounded up to whole
 // seconds.
 func TestShedCarriesRetryAfter(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, _, binder := tenantTree(t)
 	_, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
 		WithBinder(binder))
@@ -56,7 +56,7 @@ func TestShedCarriesRetryAfter(t *testing.T) {
 // immediately and clean; afterwards every request is shed with 503 +
 // Connection: close and counted as DrainShed.
 func TestDrainShedsAndReportsClean(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, _, binder := tenantTree(t)
 	sink := &recordingSink{}
 	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond},
@@ -95,7 +95,7 @@ func TestDrainShedsAndReportsClean(t *testing.T) {
 // expires is reported as leaked (and Shutdown surfaces it as an error);
 // the drain never preempts it, and the late finish is still charged.
 func TestDrainReportsLeakedRequest(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, leaf, binder := tenantTree(t)
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -144,7 +144,7 @@ func TestDrainReportsLeakedRequest(t *testing.T) {
 // in Panics (and Served), and its partial wall-clock is still charged
 // to the bound container.
 func TestMiddlewarePanicRecovery(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, leaf, binder := tenantTree(t)
 	sink := &recordingSink{}
 	rt, err := NewRuntime(Config{Root: root, Window: 100 * time.Millisecond},
@@ -176,7 +176,7 @@ func TestMiddlewarePanicRecovery(t *testing.T) {
 // TestEnforcerSync runs a closure under the enforcer lock and observes
 // its effects.
 func TestEnforcerSync(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	ran := false
 	e.Sync(func() { ran = true })

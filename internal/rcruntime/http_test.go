@@ -37,7 +37,7 @@ func (s *recordingSink) last(t *testing.T) RequestEvent {
 // govern builds a governed handler: requests carry their synthetic cost
 // in X-Cost (a duration) which the handler burns by advancing the fake
 // clock — so all accounting is exact and deterministic.
-func govern(t *testing.T, fc *fakeClock, cfg Config, opts ...Option) (*Runtime, http.Handler) {
+func govern(t *testing.T, fc *VirtualClock, cfg Config, opts ...Option) (*Runtime, http.Handler) {
 	t.Helper()
 	rt, err := NewRuntime(cfg, append([]Option{WithClock(fc)}, opts...)...)
 	if err != nil {
@@ -79,7 +79,7 @@ func tenantTree(t *testing.T) (root, leaf *rc.Container, binder Binder) {
 // tenant is refused immediately with 429 + Retry-After while the clock
 // stands still, and the window roll restores its budget.
 func TestMiddlewareShedsWith429(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, leaf, binder := tenantTree(t)
 	sink := &recordingSink{}
 	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
@@ -127,7 +127,7 @@ func TestMiddlewareShedsWith429(t *testing.T) {
 // an over-budget request is held and admitted when the window rolls,
 // counted as delayed, not shed.
 func TestMiddlewareDelaysUntilRoll(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, _, binder := tenantTree(t)
 	sink := &recordingSink{}
 	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond},
@@ -154,7 +154,7 @@ func TestMiddlewareDelaysUntilRoll(t *testing.T) {
 // Rebind charges the original container, work after charges the new one,
 // and the telemetry event names the final binding.
 func TestRebindMidRequest(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
 	first := rc.MustNew(root, rc.TimeShare, "first", rc.Attributes{Priority: 1})
 	second := rc.MustNew(root, rc.TimeShare, "second", rc.Attributes{Priority: 1})
@@ -202,7 +202,7 @@ func TestRebindMidRequest(t *testing.T) {
 // targets all refuse without panicking, and the original binding keeps
 // charging.
 func TestRebindRejectsBadTargets(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
 	dead := rc.MustNew(nil, rc.FixedShare, "dead", rc.Attributes{})
 	_ = dead.Release()
@@ -247,7 +247,7 @@ func TestRebindRejectsBadTargets(t *testing.T) {
 
 // TestBinderFallbacks: nil and destroyed binder results charge the root.
 func TestBinderFallbacks(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
 	dead := rc.MustNew(root, rc.TimeShare, "dead", rc.Attributes{Priority: 1})
 	_ = dead.Release()
@@ -275,7 +275,7 @@ func TestBinderFallbacks(t *testing.T) {
 // TestMiddlewareStatusCapture: the telemetry event carries the handler's
 // status code, including implicit 200s on first Write.
 func TestMiddlewareStatusCapture(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
 	sink := &recordingSink{}
 	rt, err := NewRuntime(Config{Root: root}, WithClock(fc), WithTelemetrySink(sink))

@@ -130,7 +130,7 @@ func TestListenerFrac(t *testing.T) {
 // window budget — and admitted again after the roll. The fake clock
 // makes the budget state deterministic.
 func TestListenerOverBudget(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, leaf := testTree(t, 0.5)
 	rt := MustNewRuntime(Config{
 		Root:   root,

@@ -13,7 +13,7 @@ import (
 // shed delta and raises through warning to critical as overload
 // sustains.
 func TestMonitorRaisesOnSheds(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, _, binder := tenantTree(t)
 	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
 		WithBinder(binder))
@@ -50,7 +50,7 @@ func TestMonitorRaisesOnSheds(t *testing.T) {
 // TestMonitorTenantShare: CheckTenantCPU reports each watched tenant's
 // share of the hierarchy's per-tick CPU delta.
 func TestMonitorTenantShare(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
 	hog := rc.MustNew(root, rc.FixedShare, "hog", rc.Attributes{})
 	good := rc.MustNew(root, rc.FixedShare, "good", rc.Attributes{})
@@ -84,7 +84,7 @@ func TestMonitorTenantShare(t *testing.T) {
 // TestAttachMonitorTwiceFails: the check names collide on one
 // alert.Monitor, and the error is returned rather than panicked.
 func TestAttachMonitorTwiceFails(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root, _ := testTree(t, 0.5)
 	rt, err := NewRuntime(Config{Root: root, Window: 10 * time.Millisecond}, WithClock(fc))
 	if err != nil {
@@ -103,7 +103,7 @@ func TestAttachMonitorTwiceFails(t *testing.T) {
 // the identical request sequence produce byte-identical alert streams.
 func TestMonitorTickDeterministic(t *testing.T) {
 	digest := func() string {
-		fc := &fakeClock{}
+		fc := &VirtualClock{}
 		root, _, binder := tenantTree(t)
 		rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
 			WithBinder(binder))

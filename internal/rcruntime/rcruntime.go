@@ -64,6 +64,29 @@ func (RealClock) Now() time.Time { return time.Now() }
 // Sleep implements Clock.
 func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
 
+// VirtualClock is a Clock whose time advances only when something
+// sleeps, so a run takes microseconds of wall clock and every timestamp
+// is deterministic. The zero value starts at the zero time; it is safe
+// for concurrent use.
+type VirtualClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+// Now implements Clock.
+func (c *VirtualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// Sleep implements Clock: it advances virtual time by d.
+func (c *VirtualClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
 // DefaultWindow is the limit-enforcement window: a subtree with Limit L
 // may consume at most L×window of CPU per window.
 const DefaultWindow = 100 * time.Millisecond

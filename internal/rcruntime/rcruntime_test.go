@@ -9,27 +9,8 @@ import (
 	"rescon/internal/rc"
 )
 
-// fakeClock advances only when something sleeps, so tests are instant and
-// deterministic for the single-goroutine cases.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *fakeClock) Sleep(d time.Duration) {
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	f.mu.Unlock()
-}
-
 func TestUnlimitedAdmitsImmediately(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	c := rc.MustNew(nil, rc.TimeShare, "c", rc.Attributes{Priority: 1})
 	before := fc.Now()
@@ -44,7 +25,7 @@ func TestUnlimitedAdmitsImmediately(t *testing.T) {
 }
 
 func TestLimitDelaysWork(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	capped := rc.MustNew(nil, rc.FixedShare, "capped", rc.Attributes{Limit: 0.5})
 	leaf := rc.MustNew(capped, rc.TimeShare, "leaf", rc.Attributes{Priority: 1})
@@ -65,7 +46,7 @@ func TestLimitDelaysWork(t *testing.T) {
 }
 
 func TestHierarchicalLimit(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	parent := rc.MustNew(nil, rc.FixedShare, "parent", rc.Attributes{Limit: 0.3})
 	l1 := rc.MustNew(parent, rc.TimeShare, "l1", rc.Attributes{Priority: 1})
@@ -83,7 +64,7 @@ func TestHierarchicalLimit(t *testing.T) {
 // exhausted budget is restored and admission is immediate again — usage
 // from the old window must not count against the new one.
 func TestWindowRollRestoresBudget(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	capped := rc.MustNew(nil, rc.FixedShare, "capped", rc.Attributes{Limit: 0.5})
 	leaf := rc.MustNew(capped, rc.TimeShare, "leaf", rc.Attributes{Priority: 1})
@@ -103,7 +84,7 @@ func TestWindowRollRestoresBudget(t *testing.T) {
 // snapshot accounting, not a cumulative-usage comparison (which would
 // deadlock after the first window).
 func TestBudgetIsPerWindow(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	const window = 10 * time.Millisecond
 	const budget = 5 * time.Millisecond // Limit 0.5 × 10ms
 	e := New(fc, window)
@@ -129,7 +110,7 @@ func TestBudgetIsPerWindow(t *testing.T) {
 // tracked and is then destroyed must drop out of the snapshot table at
 // the next roll instead of leaking (and must not panic the roll).
 func TestRollPrunesDestroyedContainers(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	capped := rc.MustNew(nil, rc.FixedShare, "capped", rc.Attributes{Limit: 0.5})
 	leaf := rc.MustNew(capped, rc.TimeShare, "leaf", rc.Attributes{Priority: 1})
@@ -212,7 +193,7 @@ func TestRollWakesBlockedWaiter(t *testing.T) {
 }
 
 func TestDoBracketsAndCharges(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	c := rc.MustNew(nil, rc.TimeShare, "c", rc.Attributes{Priority: 1})
 	e.Do(c, func() { fc.Sleep(2 * time.Millisecond) })
@@ -222,7 +203,7 @@ func TestDoBracketsAndCharges(t *testing.T) {
 }
 
 func TestChargeNegativeIgnored(t *testing.T) {
-	e := New(&fakeClock{}, time.Millisecond)
+	e := New(&VirtualClock{}, time.Millisecond)
 	c := rc.MustNew(nil, rc.TimeShare, "c", rc.Attributes{Priority: 1})
 	e.Acquire(c)(-time.Second)
 	if c.Usage().CPU() != 0 {
@@ -231,7 +212,7 @@ func TestChargeNegativeIgnored(t *testing.T) {
 }
 
 func TestChargeAfterDestroyIsSafe(t *testing.T) {
-	e := New(&fakeClock{}, time.Millisecond)
+	e := New(&VirtualClock{}, time.Millisecond)
 	c := rc.MustNew(nil, rc.TimeShare, "c", rc.Attributes{Priority: 1})
 	charge := e.Acquire(c)
 	_ = c.Release()

@@ -34,9 +34,5 @@ func AttachRebalancer(m *Monitor, cfg rebalance.Config) (*rebalance.Controller, 
 	return ctrl, nil
 }
 
-// watchdogFreezer documents the arbitration contract at the type level:
-// both rcruntime.Watchdog and alert.Watchdog satisfy rebalance.Freezer.
-var (
-	_ rebalance.Freezer = (*Watchdog)(nil)
-	_ rebalance.Freezer = (*alert.Watchdog)(nil)
-)
+// The watchdog is the rebalancer's arbitration partner in both worlds.
+var _ rebalance.Freezer = (*alert.Watchdog)(nil)

@@ -18,12 +18,12 @@ import (
 // under test: watchdog first, rebalancer second, so each monitor tick
 // runs watchdog observation before the rebalancer's freeze decision.
 type rebalanceRig struct {
-	fc   *fakeClock
+	fc   *VirtualClock
 	rt   *Runtime
 	h    http.Handler
 	am   *alert.Monitor
 	mon  *Monitor
-	wd   *Watchdog
+	wd   *alert.Watchdog
 	ctrl *rebalance.Controller
 	root *rc.Container
 	hog  *rc.Container
@@ -32,7 +32,7 @@ type rebalanceRig struct {
 
 func newRebalanceRig(t *testing.T, cfg rebalance.Config) *rebalanceRig {
 	t.Helper()
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
 	// Both tenants start with window budgets: the rebalancer moves the
 	// budget between them; the watchdog may clamp the hog harder.
@@ -50,7 +50,7 @@ func newRebalanceRig(t *testing.T, cfg rebalance.Config) *rebalanceRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := AttachWatchdog(mon, WatchdogConfig{
+	wd := AttachWatchdog(mon, alert.WatchdogConfig{
 		ClampLimit: 0.1, BackoffTicks: 2, MaxBackoffTicks: 8,
 		Clampable: []*rc.Container{hog},
 	})

@@ -142,6 +142,47 @@ type nopSink struct{}
 
 func (nopSink) RecordRequest(RequestEvent) {}
 
+// TallySink is a TelemetrySink that counts requests by cause into the
+// matching Stats fields, so a run can reconcile its telemetry stream
+// against the runtime's own counters.
+type TallySink struct {
+	mu sync.Mutex
+	n  Stats // only Served, Shed, BreakerShed, DrainShed and Panics
+}
+
+// RecordRequest implements TelemetrySink.
+func (t *TallySink) RecordRequest(ev RequestEvent) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch ev.Cause {
+	case CauseShed:
+		t.n.Shed++
+	case CauseBreaker:
+		t.n.BreakerShed++
+	case CauseDrain:
+		t.n.DrainShed++
+	case CausePanic:
+		t.n.Panics++
+		t.n.Served++
+	default:
+		t.n.Served++
+	}
+}
+
+// Mismatch compares the tallies with s and describes the difference,
+// or returns "" when every cause count agrees.
+func (t *TallySink) Mismatch(s Stats) string {
+	t.mu.Lock()
+	n := t.n
+	t.mu.Unlock()
+	if n.Served == s.Served && n.Shed == s.Shed && n.BreakerShed == s.BreakerShed &&
+		n.DrainShed == s.DrainShed && n.Panics == s.Panics {
+		return ""
+	}
+	return fmt.Sprintf("served=%d shed=%d breaker=%d drain=%d panics=%d vs stats served=%d shed=%d breaker=%d drain=%d panics=%d",
+		n.Served, n.Shed, n.BreakerShed, n.DrainShed, n.Panics, s.Served, s.Shed, s.BreakerShed, s.DrainShed, s.Panics)
+}
+
 // Stats is a snapshot of the runtime's request and accept counters.
 type Stats struct {
 	// Served counts requests that completed through the middleware

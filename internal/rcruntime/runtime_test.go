@@ -59,7 +59,7 @@ func TestMustNewRuntimePanicsOnBadConfig(t *testing.T) {
 
 func TestOptionOverrides(t *testing.T) {
 	root, _ := testTree(t, 0.5)
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	rt, err := NewRuntime(Config{Root: root, Window: 50 * time.Millisecond},
 		WithClock(fc), WithWindow(20*time.Millisecond))
 	if err != nil {
@@ -86,7 +86,7 @@ func TestOptionOverrides(t *testing.T) {
 }
 
 func TestAcquireForTryAcquire(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	_, leaf := testTree(t, 0.5)
 	e.Acquire(leaf)(5 * time.Millisecond) // exhaust the window budget
@@ -107,7 +107,7 @@ func TestAcquireForTryAcquire(t *testing.T) {
 }
 
 func TestAcquireForBoundedWaitExpires(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	_, leaf := testTree(t, 0.5)
 	e.Acquire(leaf)(5 * time.Millisecond)
@@ -121,7 +121,7 @@ func TestAcquireForBoundedWaitExpires(t *testing.T) {
 }
 
 func TestAcquireForWaitsAcrossRoll(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	_, leaf := testTree(t, 0.5)
 	e.Acquire(leaf)(5 * time.Millisecond)
@@ -133,7 +133,7 @@ func TestAcquireForWaitsAcrossRoll(t *testing.T) {
 }
 
 func TestOverBudget(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	_, leaf := testTree(t, 0.5)
 	if e.OverBudget(leaf) {
@@ -154,7 +154,7 @@ func TestOverBudget(t *testing.T) {
 }
 
 func TestWindowRemaining(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	_, leaf := testTree(t, 0.5)
 	e.Acquire(leaf)(0) // rolls the window to "now"
@@ -175,7 +175,7 @@ func TestWindowRemaining(t *testing.T) {
 // advances and the window never rolls) the table would otherwise grow
 // without bound, one entry per limited container ever acquired.
 func TestReleasedContainersPrunedMidWindow(t *testing.T) {
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	e := New(fc, time.Hour) // never rolls during the test
 	const churn = 1000
 	for i := 0; i < churn; i++ {

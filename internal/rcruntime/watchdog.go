@@ -1,244 +1,66 @@
-// Watchdog: the closed loop on top of the runtime check battery — the
-// live-server counterpart of the simulation's alert.Watchdog. On a
-// critical overload alert it swaps in a tight AcceptPolicy (refuse new
-// connections early, before a goroutine or a parsed request is invested
-// in them) and, when one clampable tenant dominates recent CPU, caps
-// that tenant's Limit via SetAttributes under the enforcer's lock. Once
-// every trigger alert has cleared it restores the saved policy and
-// attributes after an exponential-backoff delay, so a borderline server
-// does not oscillate between policed and unpoliced. Every action is
-// journaled into the alert stream under alert.WatchdogCheckName, so the
-// JSONL shows the full detection→reaction→restore loop.
+// Watchdog actuator: the live runtime's lever for the shared
+// alert.Watchdog state machine. On engagement it swaps in a tight
+// AcceptPolicy (refuse new connections early, before a goroutine or a
+// parsed request is invested in them) aimed at the clamped runaway
+// tenant; on restore it reinstates the saved policy. Container reads
+// and writes run under the enforcer's lock, and the journal names this
+// watchdog "(runtime-watchdog)".
 
 package rcruntime
 
 import (
 	"fmt"
-	"time"
 
 	"rescon/internal/alert"
 	"rescon/internal/rc"
-	"rescon/internal/sim"
 )
 
-// Watchdog reaction defaults, in monitor ticks where noted.
-const (
-	// DefaultWatchdogClampLimit is the CPU-fraction cap applied to a
-	// runaway clampable tenant while the watchdog is engaged.
-	DefaultWatchdogClampLimit = 0.5
-	// DefaultWatchdogBackoffTicks is the initial delay between the last
-	// trigger alert clearing and the watchdog restoring saved settings.
-	DefaultWatchdogBackoffTicks = 16
-	// DefaultWatchdogMaxBackoffTicks caps the exponential restore backoff.
-	DefaultWatchdogMaxBackoffTicks = 256
-	// WatchdogClampWindowTicks is the CPU-accounting window used to
-	// decide which clampable tenant is the runaway.
-	WatchdogClampWindowTicks = 8
-)
-
-// WatchdogConfig tunes the runtime's closed loop; zero values take the
-// defaults above.
-type WatchdogConfig struct {
-	// Triggers are the check names whose critical alerts engage the
-	// watchdog. Default: rt-shed-rate, rt-refuse-rate, rt-inflight and
-	// rt-tenant-cpu.
-	Triggers []string
-	// TightPolicy is the emergency AcceptPolicy applied while engaged.
-	// Zero keeps the saved policy's connection cap (halved, when set)
-	// and, crucially, points OverBudgetOf at the clamped runaway — the
-	// only target that actually fires, since an unlimited root is never
-	// over budget.
-	TightPolicy AcceptPolicy
-	// ClampLimit is the Attributes.Limit applied to a runaway tenant.
-	ClampLimit float64
-	// BackoffTicks / MaxBackoffTicks control the restore delay and its
-	// exponential growth when the watchdog re-engages soon after a
-	// restore.
-	BackoffTicks    int
-	MaxBackoffTicks int
-	// Clampable lists the tenants the watchdog may cap. Only explicitly
-	// listed containers are ever touched — clamping the server's own
-	// container would convert an overload into an outage.
-	Clampable []*rc.Container
-}
-
-func (cfg WatchdogConfig) withDefaults() WatchdogConfig {
+// AttachWatchdog wires the closed-loop watchdog to the monitor's alert
+// stream, acting through the runtime's accept policy. cfg.Triggers
+// defaults to rt-shed-rate, rt-refuse-rate, rt-inflight and
+// rt-tenant-cpu. Call after AttachMonitor, before serving load.
+func AttachWatchdog(m *Monitor, cfg alert.WatchdogConfig) *alert.Watchdog {
 	if len(cfg.Triggers) == 0 {
 		cfg.Triggers = []string{CheckShedRate, CheckRefuseRate, CheckInflight, CheckTenantCPU}
 	}
-	if cfg.ClampLimit <= 0 {
-		cfg.ClampLimit = DefaultWatchdogClampLimit
-	}
-	if cfg.BackoffTicks <= 0 {
-		cfg.BackoffTicks = DefaultWatchdogBackoffTicks
-	}
-	if cfg.MaxBackoffTicks <= 0 {
-		cfg.MaxBackoffTicks = DefaultWatchdogMaxBackoffTicks
-	}
-	return cfg
+	return alert.AttachWatchdogWith(m.am, &policyActuator{rt: m.rt}, cfg)
 }
 
-type alertKey struct{ check, target string }
-
-// Watchdog holds the closed-loop state for one Runtime: which trigger
-// keys are critical, the saved pre-engagement policy and attributes,
-// and the restore countdown. It is driven entirely by the monitor's
-// event and tick hooks — it has no goroutine of its own.
-type Watchdog struct {
-	rt  *Runtime
-	m   *Monitor
-	cfg WatchdogConfig
-
-	critical map[alertKey]bool
-
-	engaged     bool
-	savedPolicy AcceptPolicy
-	clamped     *rc.Container
-	savedAttrs  rc.Attributes
-
-	countdown      int // ticks until restore; -1 when no restore pending
-	backoff        int
-	hasRestored    bool
-	restoredAtTick uint64
-
-	engagements uint64
-	restores    uint64
-
-	// per-clampable CPU history ring for runaway detection.
-	prevCPU []time.Duration
-	deltas  [][]time.Duration
-	histPos int
+// policyActuator tightens the runtime's AcceptPolicy.
+type policyActuator struct {
+	rt    *Runtime
+	saved AcceptPolicy
 }
 
-// AttachWatchdog wires a watchdog to the monitor's alert stream. Call
-// after AttachMonitor, before serving load.
-func AttachWatchdog(m *Monitor, cfg WatchdogConfig) *Watchdog {
-	w := &Watchdog{
-		rt: m.rt, m: m, cfg: cfg.withDefaults(),
-		critical:  make(map[alertKey]bool),
-		countdown: -1,
-	}
-	w.backoff = w.cfg.BackoffTicks
-	w.prevCPU = make([]time.Duration, len(w.cfg.Clampable))
-	w.deltas = make([][]time.Duration, len(w.cfg.Clampable))
-	w.rt.enf.Sync(func() {
-		for i, c := range w.cfg.Clampable {
-			w.prevCPU[i] = time.Duration(c.Usage().CPU())
-			w.deltas[i] = make([]time.Duration, WatchdogClampWindowTicks)
-		}
-	})
-	m.am.OnEvent(w.onEvent)
-	m.am.OnTick(w.onTick)
-	return w
+func (a *policyActuator) Sync(fn func()) { a.rt.enf.Sync(fn) }
+
+// Wording journals the clamp first: the tight policy is derived from it.
+func (a *policyActuator) Wording() alert.Wording {
+	return alert.Wording{Target: "(runtime-watchdog)", Runaway: "tenant", ClampFirst: true}
 }
 
-// Engaged reports whether the watchdog's emergency settings are
-// currently applied.
-func (w *Watchdog) Engaged() bool { return w.engaged }
-
-// Engagements returns how many times the watchdog has engaged.
-func (w *Watchdog) Engagements() uint64 { return w.engagements }
-
-// Restores returns how many times saved settings have been restored.
-func (w *Watchdog) Restores() uint64 { return w.restores }
-
-// Clamped returns the tenant currently clamped, or nil.
-func (w *Watchdog) Clamped() *rc.Container { return w.clamped }
-
-func (w *Watchdog) isTrigger(check string) bool {
-	for _, t := range w.cfg.Triggers {
-		if t == check {
-			return true
-		}
+// Tighten keeps the saved policy's connection cap (halved, when set)
+// and, crucially, points OverBudgetOf at the clamped runaway — the only
+// target that actually fires, since an unlimited root is never over
+// budget.
+func (a *policyActuator) Tighten(clamped *rc.Container) string {
+	a.saved = a.rt.Policy()
+	tight := AcceptPolicy{Enabled: true, MaxConns: a.saved.MaxConns, Frac: a.saved.Frac, OverBudgetOf: clamped}
+	if tight.MaxConns > 1 {
+		tight.MaxConns /= 2
 	}
-	return false
-}
-
-func (w *Watchdog) onEvent(ev alert.Event) {
-	if !w.isTrigger(ev.Check) {
-		return
-	}
-	k := alertKey{ev.Check, ev.Target}
-	if ev.Level == alert.LevelCritical {
-		w.critical[k] = true
-		w.engage(ev)
-		return
-	}
-	if !w.critical[k] {
-		return
-	}
-	delete(w.critical, k)
-	if w.engaged && len(w.critical) == 0 && w.countdown < 0 {
-		w.countdown = w.backoff
-		w.m.am.Note(ev.At, alert.WatchdogCheckName, "(runtime-watchdog)", alert.LevelOk,
-			fmt.Sprintf("overload cleared; restore in %d tick(s)", w.countdown))
-	}
-}
-
-func (w *Watchdog) engage(ev alert.Event) {
-	if w.engaged {
-		// Overload returned while waiting to restore: cancel the
-		// countdown, keep the emergency settings.
-		w.countdown = -1
-		return
-	}
-	w.engaged = true
-	w.engagements++
-	if w.hasRestored && w.m.am.Ticks()-w.restoredAtTick <= alert.FlapWindowTicks {
-		// Re-engaged right after restoring — the restore was premature.
-		// Back off harder next time.
-		w.backoff *= 2
-		if w.backoff > w.cfg.MaxBackoffTicks {
-			w.backoff = w.cfg.MaxBackoffTicks
-		}
-	} else {
-		w.backoff = w.cfg.BackoffTicks
-	}
-	w.countdown = -1
-
-	// Clamp first: the derived tight policy wants the runaway as its
-	// OverBudgetOf target (an unlimited root never reads as over budget,
-	// so pointing the policy there would refuse nothing).
-	if c := w.runaway(); c != nil {
-		attrs := c.Attributes()
-		if attrs.Limit == 0 || attrs.Limit > w.cfg.ClampLimit {
-			w.clamped = c
-			w.savedAttrs = attrs
-			na := attrs
-			na.Limit = w.cfg.ClampLimit
-			var err error
-			w.rt.enf.Sync(func() { err = c.SetAttributes(na) })
-			if err != nil {
-				w.clamped = nil
-			} else {
-				w.m.am.Note(ev.At, alert.WatchdogCheckName, c.Name(), alert.LevelCritical,
-					fmt.Sprintf("clamped runaway tenant limit=%g (was %g)", w.cfg.ClampLimit, w.savedAttrs.Limit))
-			}
-		}
-	}
-
-	w.savedPolicy = w.rt.Policy()
-	tight := w.cfg.TightPolicy
-	if !tight.Enabled {
-		tight = AcceptPolicy{Enabled: true, MaxConns: w.savedPolicy.MaxConns, Frac: w.savedPolicy.Frac}
-		if tight.MaxConns > 1 {
-			tight.MaxConns /= 2
-		}
-	}
-	if tight.OverBudgetOf == nil && w.clamped != nil {
-		tight.OverBudgetOf = w.clamped
-	}
-	if err := w.rt.SetPolicy(tight); err != nil {
+	if err := a.rt.SetPolicy(tight); err != nil {
 		// Neither a connection cap nor a clamped runaway to police by:
 		// nothing the accept path can refuse on. Keep the saved policy.
-		w.m.am.Note(ev.At, alert.WatchdogCheckName, "(runtime-watchdog)", alert.LevelCritical,
-			fmt.Sprintf("engaged on %s/%s: policy unchanged (%v)", ev.Check, ev.Target, err))
-		return
+		return fmt.Sprintf("policy unchanged (%v)", err)
 	}
-	w.m.am.Note(ev.At, alert.WatchdogCheckName, "(runtime-watchdog)", alert.LevelCritical,
-		fmt.Sprintf("engaged on %s/%s: policy tightened max_conns=%d over_budget_of=%s (was enabled=%t max_conns=%d)",
-			ev.Check, ev.Target, tight.MaxConns, policyTarget(tight.OverBudgetOf),
-			w.savedPolicy.Enabled, w.savedPolicy.MaxConns))
+	return fmt.Sprintf("policy tightened max_conns=%d over_budget_of=%s (was enabled=%t max_conns=%d)",
+		tight.MaxConns, policyTarget(clamped), a.saved.Enabled, a.saved.MaxConns)
+}
+
+func (a *policyActuator) Restore() string {
+	_ = a.rt.SetPolicy(a.saved)
+	return fmt.Sprintf("restored policy enabled=%t max_conns=%d", a.saved.Enabled, a.saved.MaxConns)
 }
 
 func policyTarget(c *rc.Container) string {
@@ -246,80 +68,4 @@ func policyTarget(c *rc.Container) string {
 		return "(none)"
 	}
 	return c.Name()
-}
-
-// runaway returns the clampable tenant that dominated CPU over the last
-// WatchdogClampWindowTicks: it must have consumed more than half the
-// CPU charged to all clampables in the window. Ties and quiet windows
-// return nil — the watchdog never guesses.
-func (w *Watchdog) runaway() *rc.Container {
-	var total time.Duration
-	sums := make([]time.Duration, len(w.cfg.Clampable))
-	for i := range w.cfg.Clampable {
-		for _, d := range w.deltas[i] {
-			sums[i] += d
-		}
-		total += sums[i]
-	}
-	if total <= 0 {
-		return nil
-	}
-	best, bestIdx := time.Duration(0), -1
-	for i, s := range sums {
-		if s > best {
-			best, bestIdx = s, i
-		}
-	}
-	if bestIdx < 0 || best*2 <= total {
-		return nil
-	}
-	c := w.cfg.Clampable[bestIdx]
-	if c.Destroyed() {
-		return nil
-	}
-	return c
-}
-
-func (w *Watchdog) onTick(at sim.Time) {
-	// Advance the CPU window ring.
-	if len(w.cfg.Clampable) > 0 {
-		w.rt.enf.Sync(func() {
-			for i, c := range w.cfg.Clampable {
-				cur := time.Duration(c.Usage().CPU())
-				w.deltas[i][w.histPos] = cur - w.prevCPU[i]
-				w.prevCPU[i] = cur
-			}
-		})
-		w.histPos = (w.histPos + 1) % WatchdogClampWindowTicks
-	}
-
-	if !w.engaged || w.countdown < 0 {
-		return
-	}
-	w.countdown--
-	if w.countdown > 0 {
-		return
-	}
-	w.restore(at)
-}
-
-func (w *Watchdog) restore(at sim.Time) {
-	_ = w.rt.SetPolicy(w.savedPolicy)
-	detail := fmt.Sprintf("restored policy enabled=%t max_conns=%d", w.savedPolicy.Enabled, w.savedPolicy.MaxConns)
-	if w.clamped != nil {
-		c, attrs := w.clamped, w.savedAttrs
-		w.rt.enf.Sync(func() {
-			if !c.Destroyed() {
-				_ = c.SetAttributes(attrs)
-			}
-		})
-		detail += fmt.Sprintf("; unclamped %s limit=%g", c.Name(), attrs.Limit)
-		w.clamped = nil
-	}
-	w.engaged = false
-	w.countdown = -1
-	w.hasRestored = true
-	w.restoredAtTick = w.m.am.Ticks()
-	w.restores++
-	w.m.am.Note(at, alert.WatchdogCheckName, "(runtime-watchdog)", alert.LevelOk, detail)
 }

@@ -1,7 +1,10 @@
 package rcruntime
 
 import (
+	"bytes"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,19 +17,19 @@ import (
 // an unlimited hog the watchdog may clamp, a good tenant, low alert
 // thresholds so a couple of hostile ticks engage it.
 type watchdogRig struct {
-	fc   *fakeClock
+	fc   *VirtualClock
 	rt   *Runtime
 	h    http.Handler
 	am   *alert.Monitor
 	mon  *Monitor
-	wd   *Watchdog
+	wd   *alert.Watchdog
 	root *rc.Container
 	hog  *rc.Container
 }
 
-func newWatchdogRig(t *testing.T, cfg WatchdogConfig) *watchdogRig {
+func newWatchdogRig(t *testing.T, cfg alert.WatchdogConfig) *watchdogRig {
 	t.Helper()
-	fc := &fakeClock{}
+	fc := &VirtualClock{}
 	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
 	hog := rc.MustNew(root, rc.FixedShare, "hog", rc.Attributes{}) // unlimited: only a clamp can tame it
 	good := rc.MustNew(root, rc.FixedShare, "good", rc.Attributes{})
@@ -68,7 +71,7 @@ func (r *watchdogRig) calmTick() {
 // counts down the backoff, and restores both settings — with the clamp
 // and unclamp journaled in the alert stream.
 func TestWatchdogClampsAndRestores(t *testing.T) {
-	rig := newWatchdogRig(t, WatchdogConfig{ClampLimit: 0.2, BackoffTicks: 2, MaxBackoffTicks: 8})
+	rig := newWatchdogRig(t, alert.WatchdogConfig{ClampLimit: 0.2, BackoffTicks: 2, MaxBackoffTicks: 8})
 
 	// Default Raise is 2: the second hostile tick's critical engages. One
 	// extra tick first so the CPU ring has the hog's delta for runaway
@@ -129,7 +132,7 @@ func TestWatchdogClampsAndRestores(t *testing.T) {
 // countdown keeps the emergency settings — the engagement count does
 // not grow, the countdown is cancelled.
 func TestWatchdogReengageCancelsRestore(t *testing.T) {
-	rig := newWatchdogRig(t, WatchdogConfig{ClampLimit: 0.2, BackoffTicks: 6, MaxBackoffTicks: 8})
+	rig := newWatchdogRig(t, alert.WatchdogConfig{ClampLimit: 0.2, BackoffTicks: 6, MaxBackoffTicks: 8})
 	for i := 0; i < 3 && !rig.wd.Engaged(); i++ {
 		rig.hostileTick()
 	}
@@ -162,7 +165,7 @@ func TestWatchdogReengageCancelsRestore(t *testing.T) {
 // doubles the restore backoff (bounded), so an oscillating overload
 // converges to longer engaged periods.
 func TestWatchdogBackoffDoublesOnFlap(t *testing.T) {
-	rig := newWatchdogRig(t, WatchdogConfig{ClampLimit: 0.2, BackoffTicks: 2, MaxBackoffTicks: 4})
+	rig := newWatchdogRig(t, alert.WatchdogConfig{ClampLimit: 0.2, BackoffTicks: 2, MaxBackoffTicks: 4})
 
 	engageAndRestore := func() (calmTicks int) {
 		for i := 0; i < 5 && !rig.wd.Engaged(); i++ {
@@ -190,5 +193,33 @@ func TestWatchdogBackoffDoublesOnFlap(t *testing.T) {
 	}
 	if second <= first {
 		t.Fatalf("backoff did not grow: first restore after %d calm tick(s), second after %d", first, second)
+	}
+}
+
+// TestWatchdogJournalGolden pins the runtime watchdog's journal byte for
+// byte through clamp → restore → flap → doubled-backoff restore.
+func TestWatchdogJournalGolden(t *testing.T) {
+	rig := newWatchdogRig(t, alert.WatchdogConfig{ClampLimit: 0.2, BackoffTicks: 2, MaxBackoffTicks: 4})
+	for cycle := 0; cycle < 3; cycle++ {
+		for i := 0; i < 5 && !rig.wd.Engaged(); i++ {
+			rig.hostileTick()
+		}
+		for i := 0; i < 60 && rig.wd.Engaged(); i++ {
+			rig.calmTick()
+		}
+	}
+	if rig.wd.Engagements() != 3 || rig.wd.Restores() != 3 {
+		t.Fatalf("cycle counts %d/%d, want 3/3", rig.wd.Engagements(), rig.wd.Restores())
+	}
+	var buf bytes.Buffer
+	if err := rig.am.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "watchdog_journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("journal differs from the golden:\n--- got\n%s--- want\n%s", buf.Bytes(), want)
 	}
 }

@@ -31,11 +31,11 @@
 //     controller degrades to "do nothing". Checked as
 //     rebalance-oscillation.
 //   - Actuator arbitration. The controller and the overload watchdog
-//     (alert.Watchdog in the simulation, rcruntime.Watchdog on the
-//     live runtime) act on the same hierarchy. The watchdog wins:
-//     while any configured Freezer reports Engaged the controller is
-//     frozen, and it stays frozen for CalmTicks after the engagement
-//     clears before resyncing its view of the hierarchy and resuming.
+//     (alert.Watchdog, in the simulation and on the live runtime alike)
+//     act on the same hierarchy. The watchdog wins: while any
+//     configured Freezer reports Engaged the controller is frozen, and
+//     it stays frozen for CalmTicks after the engagement clears before
+//     resyncing its view of the hierarchy and resuming.
 //
 // Every decision — arm, step, freeze, resume, disarm, restore — is
 // journaled and exported as a byte-stable JSONL stream (WriteJSONL),
@@ -126,8 +126,7 @@ func (r Resource) String() string {
 }
 
 // Freezer is the arbitration interface: anything with an Engaged
-// predicate may freeze the controller. Both alert.Watchdog and
-// rcruntime.Watchdog satisfy it.
+// predicate may freeze the controller. alert.Watchdog satisfies it.
 type Freezer interface {
 	Engaged() bool
 }

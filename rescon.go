@@ -468,14 +468,15 @@ type (
 	// on every Tick — the adapter between the live runtime and the
 	// alerting subsystem.
 	RuntimeMonitor = rcruntime.Monitor
-	// RuntimeWatchdogConfig tunes the runtime watchdog: the emergency
-	// clamp limit, restore backoff, and which tenants may be clamped.
-	RuntimeWatchdogConfig = rcruntime.WatchdogConfig
-	// RuntimeWatchdog reacts to critical runtime alerts by tightening
-	// the accept policy and clamping the runaway tenant, then restores
-	// the saved settings after a calm stretch — every action journaled
-	// in the alert stream.
-	RuntimeWatchdog = rcruntime.Watchdog
+	// RuntimeWatchdogConfig is WatchdogConfig; on the runtime its
+	// Triggers default to the rt-* checks and Clampable lists the
+	// tenants the watchdog may clamp.
+	RuntimeWatchdogConfig = alert.WatchdogConfig
+	// RuntimeWatchdog is Watchdog acting on the runtime: on critical
+	// runtime alerts it clamps the runaway tenant and tightens the
+	// accept policy toward it, then restores the saved settings after a
+	// calm stretch — every action journaled in the alert stream.
+	RuntimeWatchdog = alert.Watchdog
 )
 
 // NewAlertMonitor returns an empty alert monitor, ready for a check
@@ -629,12 +630,14 @@ type (
 	AlertEvent = alert.Event
 	// AlertLevel is an alert severity (ok, warning, critical).
 	AlertLevel = alert.Level
-	// Watchdog is the closed loop on the alert stream: on critical
-	// overload it tightens kernel policing and clamps a runaway
-	// container, restoring with exponential backoff.
+	// Watchdog is the closed loop on the alert stream, one state machine
+	// for both worlds: on critical overload it tightens admission
+	// control (kernel SYN policing in the simulation, the accept policy
+	// on the runtime) and clamps a runaway container, restoring with
+	// exponential backoff.
 	Watchdog = alert.Watchdog
-	// WatchdogConfig tunes the watchdog's triggers, emergency settings
-	// and restore backoff.
+	// WatchdogConfig tunes the watchdog's triggers, clamp limit and
+	// restore backoff.
 	WatchdogConfig = alert.WatchdogConfig
 )
 
@@ -687,9 +690,8 @@ type (
 	RebalanceResource = rebalance.Resource
 	// RebalanceFreezer is an actuator the controller yields to: while
 	// Engaged returns true the controller freezes, and it resyncs its
-	// view of member attributes before resuming. Both the simulated
-	// watchdog (Watchdog) and the runtime one (RuntimeWatchdog)
-	// implement it.
+	// view of member attributes before resuming. Watchdog implements
+	// it in both worlds.
 	RebalanceFreezer = rebalance.Freezer
 )
 

@@ -119,6 +119,7 @@ var hotPaths = []struct{ pkg, name string }{
 	{"rescon/internal/sim", "BenchmarkWheelChurn1MPending"},
 	{"rescon/internal/kernel", "BenchmarkConnCycle100kOpen"},
 	{"rescon/internal/kernel", "BenchmarkBogusSYNDrop"},
+	{"rescon/internal/kernel", "BenchmarkChargeSlice10kConns"},
 }
 
 // compare diffs a fresh run against the baseline. Failures are gate

@@ -124,7 +124,9 @@ type Check struct {
 	ClearFrac float64
 	// Observe returns this tick's observations. A target absent from the
 	// returned slice is fed value zero (calm), so alerts on vanished
-	// targets (e.g. a closed listen socket) clear normally.
+	// targets (e.g. a closed listen socket) clear normally. The Monitor
+	// copies the observations out and never keeps the slice, so a check
+	// may return the same backing array every tick.
 	Observe func() []Observation
 }
 

@@ -114,8 +114,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	prevSyn := make(map[string]uint64)
 	reg(Check{
 		Name: CheckSynDrops, Warn: DefaultSynDropsWarn, Crit: DefaultSynDropsCrit,
-		Observe: func() []Observation {
-			var obs []Observation
+		Observe: reuse(func(obs []Observation) []Observation {
 			for _, ls := range k.ListenSockets() {
 				if ls.Closed() {
 					continue
@@ -136,14 +135,13 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 				})
 			}
 			return obs
-		},
+		}),
 	})
 
 	// accept-queue: occupancy of each listener's accept queue.
 	reg(Check{
 		Name: CheckAcceptQueue, Warn: DefaultAcceptQueueWarn, Crit: DefaultAcceptQueueCrit,
-		Observe: func() []Observation {
-			var obs []Observation
+		Observe: reuse(func(obs []Observation) []Observation {
 			for _, ls := range k.ListenSockets() {
 				if ls.Closed() || ls.AcceptCap() <= 0 {
 					continue
@@ -156,7 +154,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 				})
 			}
 			return obs
-		},
+		}),
 	})
 
 	// embryonic: half-open connections held per listener. Policed
@@ -164,8 +162,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	// means un-admission-controlled flood traffic.
 	reg(Check{
 		Name: CheckEmbryonic, Warn: DefaultEmbryonicWarn, Crit: DefaultEmbryonicCrit,
-		Observe: func() []Observation {
-			var obs []Observation
+		Observe: reuse(func(obs []Observation) []Observation {
 			for _, ls := range k.ListenSockets() {
 				if ls.Closed() {
 					continue
@@ -177,7 +174,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 				})
 			}
 			return obs
-		},
+		}),
 	})
 
 	// interrupt-load: per-tick delta of interrupt-context CPU as a
@@ -187,16 +184,16 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	var prevIntr sim.Duration
 	reg(Check{
 		Name: CheckInterruptLoad, Warn: DefaultInterruptWarn, Crit: DefaultInterruptCrit,
-		Observe: func() []Observation {
+		Observe: reuse(func(obs []Observation) []Observation {
 			cur := k.InterruptTime()
 			delta := cur - prevIntr
 			prevIntr = cur
-			return []Observation{{
+			return append(obs, Observation{
 				Target: "(machine)",
 				Value:  float64(delta) / float64(tel.Interval()),
 				Detail: fmt.Sprintf("interrupt_total_ns=%d", int64(cur)),
-			}}
-		},
+			})
+		}),
 	})
 
 	// backlog-pressure: occupancy of each process's protocol backlog
@@ -204,8 +201,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	// show up on runqueue/syn-drops instead).
 	reg(Check{
 		Name: CheckBacklog, Warn: DefaultBacklogWarn, Crit: DefaultBacklogCrit,
-		Observe: func() []Observation {
-			var obs []Observation
+		Observe: reuse(func(obs []Observation) []Observation {
 			for _, p := range k.Processes() {
 				bound := p.NetBacklogBound()
 				if bound <= 0 {
@@ -218,7 +214,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 				})
 			}
 			return obs
-		},
+		}),
 	})
 
 	// backlog-growth: net packets the backlog grew by over the last
@@ -227,8 +223,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	histBacklog := make(map[string][]int)
 	reg(Check{
 		Name: CheckBacklogGrowth, Warn: DefaultBacklogGrowthWarn, Crit: DefaultBacklogGrowthCrit,
-		Observe: func() []Observation {
-			var obs []Observation
+		Observe: reuse(func(obs []Observation) []Observation {
 			for _, p := range k.Processes() {
 				if p.NetBacklogBound() <= 0 {
 					continue
@@ -253,31 +248,31 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 				})
 			}
 			return obs
-		},
+		}),
 	})
 
 	// runqueue: scheduler run-queue depth — the "everything runnable,
 	// nothing finishing" stall signal.
 	reg(Check{
 		Name: CheckRunQueue, Warn: DefaultRunQueueWarn, Crit: DefaultRunQueueCrit,
-		Observe: func() []Observation {
-			return []Observation{{
+		Observe: reuse(func(obs []Observation) []Observation {
+			return append(obs, Observation{
 				Target: "(machine)", Value: float64(k.RunQueueDepth()),
-			}}
-		},
+			})
+		}),
 	})
 
 	// disk-queue: occupancy of the disk request queue.
 	reg(Check{
 		Name: CheckDiskQueue, Warn: DefaultDiskQueueWarn, Crit: DefaultDiskQueueCrit,
-		Observe: func() []Observation {
+		Observe: reuse(func(obs []Observation) []Observation {
 			n := k.Disk().QueueLen()
-			return []Observation{{
+			return append(obs, Observation{
 				Target: "(disk)",
 				Value:  float64(n) / float64(kernel.DefaultDiskQueueLimit),
 				Detail: fmt.Sprintf("queued=%d limit=%d", n, kernel.DefaultDiskQueueLimit),
-			}}
-		},
+			})
+		}),
 	})
 
 	// starvation (resource-container modes only): a watched container
@@ -295,11 +290,10 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 		var prevBusy sim.Duration
 		m.MustRegister(Check{
 			Name: CheckStarvation, Warn: 1, Crit: 0, Raise: StarvationRaiseTicks,
-			Observe: func() []Observation {
+			Observe: reuse(func(obs []Observation) []Observation {
 				busy := k.BusyTime()
 				busyDelta := busy - prevBusy
 				prevBusy = busy
-				var obs []Observation
 				for _, c := range k.WatchedContainers() {
 					if c.Destroyed() || c.Attributes().Share <= 0 {
 						continue
@@ -319,7 +313,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 					})
 				}
 				return obs
-			},
+			}),
 		})
 	}
 
@@ -331,4 +325,17 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 
 	tel.AddSampleHook(m.Tick)
 	return m, nil
+}
+
+// reuse adapts fill into an Observe function that appends every tick's
+// observations to one buffer, truncated rather than reallocated. The
+// Monitor copies each Observation out of the returned slice and never
+// keeps the slice, so handing it the same backing array every tick is
+// safe.
+func reuse(fill func(obs []Observation) []Observation) func() []Observation {
+	var buf []Observation
+	return func() []Observation {
+		buf = fill(buf[:0])
+		return buf
+	}
 }

@@ -138,7 +138,7 @@ func (s *ForkServer) serveOn(w *forkWorker, conn *kernel.Conn) {
 				prio = s.cfg.ConnPriority(conn.Client())
 			}
 			if cc, err := rc.New(s.cfg.Parent, rc.TimeShare,
-				fmt.Sprintf("conn-%d", conn.ID()), rc.Attributes{Priority: prio}); err == nil {
+				connContainerName(conn.ID()), rc.Attributes{Priority: prio}); err == nil {
 				cont = cc
 				conn.SetContainer(cc)
 			}

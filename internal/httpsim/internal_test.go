@@ -3,6 +3,8 @@ package httpsim
 // White-box tests of the event loop internals.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"rescon/internal/kernel"
@@ -92,5 +94,18 @@ func TestEventPriorityFallsBackToZero(t *testing.T) {
 	s := &Server{cfg: Config{Kernel: k}, k: k}
 	if got := s.eventPriority(&event{conn: &kernel.Conn{}}); got != 0 {
 		t.Fatalf("priority of container-less event: %d", got)
+	}
+}
+
+// connContainerName must render exactly what fmt's %d did, with the
+// string as its only allocation.
+func TestConnContainerName(t *testing.T) {
+	for _, id := range []uint64{0, 7, 1000, 1<<32 + 1, math.MaxUint64} {
+		if got, want := connContainerName(id), fmt.Sprintf("conn-%d", id); got != want {
+			t.Errorf("connContainerName(%d) = %q, want %q", id, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = connContainerName(123456) }); allocs > 1 {
+		t.Errorf("connContainerName allocates %.0f objects, want at most 1", allocs)
 	}
 }

@@ -79,7 +79,7 @@ func (s *MTServer) accept(ls *kernel.ListenSocket) {
 				prio = s.cfg.ConnPriority(conn.Client())
 			}
 			cc, err := rc.New(s.cfg.Parent, rc.TimeShare,
-				fmt.Sprintf("conn-%d", conn.ID()), rc.Attributes{Priority: prio})
+				connContainerName(conn.ID()), rc.Attributes{Priority: prio})
 			if err == nil {
 				conn.SetContainer(cc)
 			}

@@ -3,6 +3,7 @@ package httpsim
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"rescon/internal/kernel"
 	"rescon/internal/netsim"
@@ -10,6 +11,14 @@ import (
 	"rescon/internal/sim"
 	"rescon/internal/trace"
 )
+
+// connContainerName names the per-connection container of connection
+// id, "conn-<id>", formatting into a stack buffer so the string itself is
+// the only allocation.
+func connContainerName(id uint64) string {
+	var buf [32]byte
+	return string(strconv.AppendUint(append(buf[:0], "conn-"...), id, 10))
+}
 
 // API selects the event-notification interface the server uses (§5.5).
 type API int
@@ -356,7 +365,7 @@ func (s *Server) handleAccept(ls *kernel.ListenSocket, next func()) {
 				prio = ls.Container().EffectivePriority()
 			}
 			cc, err := rc.New(s.cfg.Parent, rc.TimeShare,
-				fmt.Sprintf("conn-%d", conn.ID()), rc.Attributes{Priority: prio})
+				connContainerName(conn.ID()), rc.Attributes{Priority: prio})
 			if err == nil {
 				conn.SetContainer(cc)
 			}

@@ -1,12 +1,14 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"rescon/internal/netsim"
 	"rescon/internal/rc"
 	"rescon/internal/sim"
 	"rescon/internal/telemetry"
+	"rescon/internal/trace"
 )
 
 // floodRig is an RC-mode kernel at the worst point of a SYN flood (§5.7):
@@ -81,5 +83,70 @@ func BenchmarkBogusSYNDrop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.arrive()
+	}
+}
+
+// profileRig is an RC-mode kernel with telemetry attached whose profile
+// already holds profiledConns per-connection containers, each charged
+// one CPU slice: the steady state of a long run that gives every
+// connection its own container (§4.8).
+type profileRig struct {
+	k     *Kernel
+	th    *Thread
+	conns []*rc.Container
+	item  WorkItem
+}
+
+const profiledConns = 10_000
+
+func newProfileRig(tb testing.TB) *profileRig {
+	tb.Helper()
+	_, k := newKernel(ModeRC)
+	k.AttachTelemetry(telemetry.New(telemetry.Config{}))
+	r := &profileRig{k: k, th: k.NewProcess("httpd").NewThread("worker")}
+	r.item = WorkItem{Label: "serve", Kind: rc.UserCPU, Stage: trace.StageUser}
+	for i := 0; i < profiledConns; i++ {
+		c := rc.MustNew(nil, rc.TimeShare, fmt.Sprintf("conn-%d", i), rc.Attributes{Priority: DefaultPriority})
+		r.conns = append(r.conns, c)
+		r.charge(c)
+	}
+	return r
+}
+
+// charge accounts one 10µs slice of the rig's thread running on behalf
+// of c.
+func (r *profileRig) charge(c *rc.Container) {
+	r.item.Container = c
+	r.k.cpu.chargeSlice(r.th, &r.item, 10*sim.Microsecond, r.k.Now())
+}
+
+// Charging a CPU slice to a container the profile has already seen must
+// not allocate or touch a string-keyed map, however many per-connection
+// containers the profile holds: the row is reached through the slot the
+// container caches.
+func TestChargeSliceProfiledConnNoAllocs(t *testing.T) {
+	r := newProfileRig(t)
+	c := r.conns[profiledConns/2]
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() { r.charge(c) })
+	if allocs != 0 {
+		t.Fatalf("charging a slice to a profiled container allocates %.2f objects/op, want 0", allocs)
+	}
+	// One slice from setup, the warm-up call and the measured runs.
+	if got, want := r.k.Telemetry().StageCPU(c.Name(), trace.StageUser), (runs+2)*10*sim.Microsecond; got != want {
+		t.Fatalf("profile cell %s/user = %v, want %v", c.Name(), got, want)
+	}
+}
+
+// BenchmarkChargeSlice10kConns measures one CPU slice's accounting —
+// container, scheduler and virtual-CPU profile — charged to one of 10k
+// already-profiled per-connection containers. Guarded by benchjson as a
+// pinned hot path.
+func BenchmarkChargeSlice10kConns(b *testing.B) {
+	r := newProfileRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.charge(r.conns[i%profiledConns])
 	}
 }

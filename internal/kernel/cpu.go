@@ -203,11 +203,12 @@ func (c *CPU) completeIntr() {
 		// Profile attribution for interrupt-level work that is not
 		// re-attributed at demux time: the baseline's misaccounting
 		// made visible — the preempted principal pays (Fig 14).
-		name := "(idle)"
+		r := c.k.telIdle
 		if c.preempted != nil {
-			name = c.preempted.Name
+			th := c.preempted.Owner.(*Thread)
+			r = c.k.tel.Resolve(&th.profile, c.preempted.Name)
 		}
-		c.k.tel.ChargeStage(name, trace.StageInterrupt, w.cost)
+		c.k.tel.Charge(r, trace.StageInterrupt, w.cost)
 	}
 	w.run(c.k)
 	c.runNextIntr()
@@ -235,7 +236,7 @@ func (c *CPU) chargeSlice(th *Thread, item *WorkItem, d sim.Duration, now sim.Ti
 	th.proc.cpuTime += d
 	c.busy += d
 	if c.k.tel != nil {
-		c.k.tel.ChargeStage(telPrincipal(th, item), item.Stage, d)
+		c.k.tel.Charge(c.k.threadRow(th, item), item.Stage, d)
 	}
 }
 
@@ -329,7 +330,7 @@ func (c *CPU) start(th *Thread, now sim.Time) {
 		}
 	}
 	if c.k.tel != nil {
-		c.k.tel.CountDispatch(telPrincipal(th, item))
+		c.k.tel.Dispatch(c.k.threadRow(th, item))
 	}
 	if c.k.Tracer.Enabled(trace.KindDispatch) {
 		c.k.Tracer.Emit(trace.Event{

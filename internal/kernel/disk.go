@@ -148,7 +148,11 @@ func (d *Disk) start() {
 		if d.k.tel != nil {
 			// Disk occupancy joins the profile under its own stage, so
 			// "who held the device" is queryable next to CPU attribution.
-			d.k.tel.ChargeStage(diskPrincipal(req.container), trace.StageDisk, cost)
+			r := d.k.telMachine
+			if req.container != nil {
+				r = d.k.containerRow(req.container)
+			}
+			d.k.tel.Charge(r, trace.StageDisk, cost)
 		}
 		if req.container != nil {
 			// A failed read still occupied the device: charge the time (with

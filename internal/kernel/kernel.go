@@ -76,6 +76,9 @@ type Kernel struct {
 	// profile attribution; see AttachTelemetry. Every instrumentation
 	// point is behind a nil check, so a detached collector is free.
 	tel *telemetry.Collector
+	// telIdle, telUnmatched and telMachine are the profile rows of the
+	// kernel's fixed non-container principals, interned on attach.
+	telIdle, telUnmatched, telMachine telemetry.Row
 	// watched are containers sampled into the telemetry usage timeline,
 	// in registration order.
 	watched []*rc.Container
@@ -314,6 +317,9 @@ type Process struct {
 	netQ      *pktQueue
 	cpuTime   sim.Duration
 	exited    bool
+	// profile caches the process's telemetry profile row (LRP-mode
+	// packet attribution).
+	profile rc.ProfileSlot
 }
 
 // NewProcess creates a process. In ModeRC a default time-share container
@@ -449,6 +455,9 @@ type Thread struct {
 	source  WorkSource
 	cpuTime sim.Duration
 	exited  bool
+	// profile caches the telemetry profile row of the thread's
+	// scheduler entity, charged for work bound to no container.
+	profile rc.ProfileSlot
 }
 
 // NewThread creates a thread in the process. In ModeRC it starts bound to

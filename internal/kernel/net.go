@@ -466,14 +466,14 @@ func (k *Kernel) earlyDemux(pkt *netsim.Packet) {
 		// container (a flood pays for its own SYN processing), in ModeLRP
 		// the destination process, and "(unmatched)" for packets no
 		// socket claims.
-		name := "(unmatched)"
+		r := k.telUnmatched
 		if k.mode == ModeRC && cont != nil {
-			name = cont.Name()
+			r = k.containerRow(cont)
 		} else if proc != nil {
-			name = proc.name
+			r = k.tel.Resolve(&proc.profile, proc.name)
 		}
-		k.tel.ChargeStage(name, trace.StageInterrupt, k.costs.Interrupt)
-		k.tel.ChargeStage(name, trace.StageIP, k.costs.Demux)
+		k.tel.Charge(r, trace.StageInterrupt, k.costs.Interrupt)
+		k.tel.Charge(r, trace.StageIP, k.costs.Demux)
 	}
 	if proc == nil {
 		return // no matching socket: packet dropped silently

@@ -17,6 +17,9 @@ func (k *Kernel) AttachTelemetry(t *telemetry.Collector) {
 		return
 	}
 	k.tel = t
+	k.telIdle = t.Intern("(idle)")
+	k.telUnmatched = t.Intern("(unmatched)")
+	k.telMachine = t.Intern("(machine)")
 	k.Tracer = t.Tracer()
 	t.SetRun(k.eng.Seed(), k.mode.String())
 	k.eng.Every(t.Interval(), k.sampleTelemetry)
@@ -81,10 +84,27 @@ func (k *Kernel) sampleTelemetry() {
 			At: now, Principal: c.Name(),
 			CPU:        u.CPU(),
 			Drops:      u.PacketsDropped,
-			Dispatches: k.tel.Dispatches(c.Name()),
+			Dispatches: k.tel.RowDispatches(k.containerRow(c)),
 		})
 	}
 	k.tel.FireSampleHooks(now)
+}
+
+// containerRow resolves c's profile row through the slot cached on the
+// container. Requires an attached collector.
+func (k *Kernel) containerRow(c *rc.Container) telemetry.Row {
+	return k.tel.Resolve(&c.Profile, c.Name())
+}
+
+// threadRow resolves the profile row a slice of th running item is
+// attributed to — the principal telPrincipal names — through the slot
+// cached on the item's container or, for unbound work, on the thread.
+// Requires an attached collector.
+func (k *Kernel) threadRow(th *Thread, item *WorkItem) telemetry.Row {
+	if item.Container != nil {
+		return k.containerRow(item.Container)
+	}
+	return k.tel.Resolve(&th.profile, th.ent.Name)
 }
 
 // WatchedContainers returns the containers registered with

@@ -2,9 +2,18 @@ package rc
 
 import (
 	"testing"
+	"unsafe"
 
 	"rescon/internal/sim"
 )
+
+// Every connection gets a container, so a Container that outgrows the
+// 256-byte allocation size class costs every request the next class up.
+func TestContainerFitsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Container{}); sz > 256 {
+		t.Fatalf("Container is %d bytes, want at most 256", sz)
+	}
+}
 
 // Charging runs once per scheduled CPU slice and per packet; with the
 // ancestor chain built, it must stay allocation-free.

@@ -160,20 +160,39 @@ const (
 	KernelCPU
 )
 
+// ProfileSlot is an opaque per-profile slot: the identity of the
+// telemetry collector that owns it and the index of the principal's row
+// in that collector's profile table. The zero value means unassigned
+// (collector identities start at 1). The profile fills the slot on its
+// first charge and re-resolves it whenever a different collector charges
+// the same principal, so the accounting hot path indexes a row instead
+// of hashing the principal's name; rc stores the slot without
+// interpreting it.
+type ProfileSlot struct {
+	Owner uint32
+	Row   uint32
+}
+
 // Container is one resource principal. Containers are not safe for
 // concurrent use; like the rest of the simulation they live on a single
 // goroutine. (A kernel implementation would protect them with the
 // scheduler lock.)
 type Container struct {
-	id        uint64
-	name      string
-	class     Class
-	parent    *Container
-	children  []*Container
-	attrs     Attributes
-	usage     Usage
-	refs      int
+	id       uint64
+	name     string
+	class    Class
+	parent   *Container
+	children []*Container
+	attrs    Attributes
+	usage    Usage
+	// refs is an int32 so that refs, destroyed and Profile share one
+	// word-aligned block and the struct stays in its 256-byte size class.
+	refs      int32
 	destroyed bool
+
+	// Profile caches the container's row in a telemetry profile (see
+	// ProfileSlot).
+	Profile ProfileSlot
 
 	// SchedState is an opaque per-scheduler slot. The scheduler attaches
 	// its bookkeeping (decayed usage, budget) here so that the rc package
@@ -358,7 +377,7 @@ func (c *Container) Retain() error {
 }
 
 // Refs returns the current reference count.
-func (c *Container) Refs() int { return c.refs }
+func (c *Container) Refs() int { return int(c.refs) }
 
 // Release drops one reference. When the last reference goes away the
 // container is destroyed: it is detached from its parent and its children

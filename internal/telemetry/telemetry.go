@@ -20,8 +20,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"rescon/internal/metrics"
+	"rescon/internal/rc"
 	"rescon/internal/sim"
 	"rescon/internal/trace"
 )
@@ -76,10 +78,33 @@ type ProfileRow struct {
 	CPU       sim.Duration
 }
 
-type stageKey struct {
-	principal string
-	stage     trace.Stage
+// Row indexes one principal's row in a collector's profile table. Rows
+// are stable for the collector's lifetime; a Row is meaningful only to
+// the collector that issued it.
+type Row uint32
+
+// numStages sizes a row's per-stage cells: every trace.Stage up to
+// StageDisk, StageNone included.
+const numStages = int(trace.StageDisk) + 1
+
+// pageRows is the number of rows per profile page. Rows live in
+// fixed-size pages so growing the table never copies or moves a row.
+const (
+	pageShift = 9
+	pageRows  = 1 << pageShift
+)
+
+// profRow is one principal's line of the profile: its CPU per stage and
+// its dispatch count. Principals with the same name share a row.
+type profRow struct {
+	name       string
+	cpu        [numStages]sim.Duration
+	dispatches uint64
 }
+
+// collectorIDs hands out collector identities for rc.ProfileSlot owners;
+// zero is reserved for an unassigned slot.
+var collectorIDs atomic.Uint32
 
 // Collector accumulates trace events, timeline samples and the
 // virtual-CPU profile for one kernel. It is not safe for concurrent use;
@@ -93,8 +118,14 @@ type Collector struct {
 	next    int
 	full    bool
 
-	profile       map[stageKey]sim.Duration
-	dispatches    map[string]uint64
+	// The virtual-CPU profile: a dense table of principal rows in
+	// fixed-size pages, each distinct name interned once into index.
+	// Hot paths reach a row through a slot cached on the principal
+	// (Resolve), so they hash no strings.
+	id            uint32
+	pages         []*[pageRows]profRow
+	nrows         int
+	index         map[string]Row
 	totalDispatch uint64
 
 	// sampleHooks run after the kernel records a full round of timeline
@@ -119,11 +150,11 @@ func New(cfg Config) *Collector {
 		cfg.SampleInterval = DefaultSampleInterval
 	}
 	return &Collector{
-		cfg:        cfg,
-		tracer:     trace.New(cfg.TraceCapacity),
-		samples:    make([]Sample, cfg.TimelineCapacity),
-		profile:    make(map[stageKey]sim.Duration),
-		dispatches: make(map[string]uint64),
+		cfg:     cfg,
+		tracer:  trace.New(cfg.TraceCapacity),
+		samples: make([]Sample, cfg.TimelineCapacity),
+		id:      collectorIDs.Add(1),
+		index:   make(map[string]Row),
 	}
 }
 
@@ -136,8 +167,14 @@ func (c *Collector) Tracer() *trace.Tracer {
 	return c.tracer
 }
 
-// Interval returns the timeline sampling period.
-func (c *Collector) Interval() sim.Duration { return c.cfg.SampleInterval }
+// Interval returns the timeline sampling period (DefaultSampleInterval
+// for a nil collector).
+func (c *Collector) Interval() sim.Duration {
+	if c == nil {
+		return DefaultSampleInterval
+	}
+	return c.cfg.SampleInterval
+}
 
 // SetRun stamps the collector with the run's identity (engine seed and
 // kernel mode) for exporter headers. The kernel calls it on attach.
@@ -168,22 +205,90 @@ func (c *Collector) FireSampleHooks(at sim.Time) {
 	}
 }
 
-// ChargeStage attributes d of simulated CPU to (principal, stage) in the
+// Intern returns the principal's profile row, adding an empty row the
+// first time the name is seen. Nil-safe: a nil collector returns 0.
+func (c *Collector) Intern(principal string) Row {
+	if c == nil {
+		return 0
+	}
+	if r, ok := c.index[principal]; ok {
+		return r
+	}
+	r := Row(c.nrows)
+	if c.nrows%pageRows == 0 {
+		c.pages = append(c.pages, new([pageRows]profRow))
+	}
+	c.row(r).name = principal
+	c.index[principal] = r
+	c.nrows++
+	return r
+}
+
+// Resolve returns the row of the principal whose profile slot is slot,
+// interning name into the slot when it is unassigned or was filled by
+// another collector. Once resolved, the lookup is a compare and a load —
+// the kernel calls it on every slice, dispatch and classified packet.
+// Nil-safe.
+func (c *Collector) Resolve(slot *rc.ProfileSlot, name string) Row {
+	if c == nil {
+		return 0
+	}
+	if slot.Owner != c.id {
+		*slot = rc.ProfileSlot{Owner: c.id, Row: uint32(c.Intern(name))}
+	}
+	return Row(slot.Row)
+}
+
+// row returns the table entry for r.
+func (c *Collector) row(r Row) *profRow {
+	return &c.pages[r>>pageShift][r%pageRows]
+}
+
+// Charge attributes d of simulated CPU to (row, stage) in the
 // virtual-CPU profile. Nil-safe: a detached collector is a no-op.
+func (c *Collector) Charge(r Row, stage trace.Stage, d sim.Duration) {
+	if c == nil || d <= 0 {
+		return
+	}
+	c.row(r).cpu[stage] += d
+}
+
+// Dispatch counts one scheduler dispatch of the row's principal.
+// Nil-safe.
+func (c *Collector) Dispatch(r Row) {
+	if c == nil {
+		return
+	}
+	c.row(r).dispatches++
+	c.totalDispatch++
+}
+
+// RowDispatches returns the cumulative dispatch count of the row's
+// principal.
+func (c *Collector) RowDispatches(r Row) uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.row(r).dispatches
+}
+
+// ChargeStage attributes d of simulated CPU to (principal, stage) in the
+// virtual-CPU profile, looking the principal up by name. Nil-safe: a
+// detached collector is a no-op.
 func (c *Collector) ChargeStage(principal string, stage trace.Stage, d sim.Duration) {
 	if c == nil || d <= 0 {
 		return
 	}
-	c.profile[stageKey{principal, stage}] += d
+	c.Charge(c.Intern(principal), stage, d)
 }
 
-// CountDispatch counts one scheduler dispatch of the principal. Nil-safe.
+// CountDispatch counts one scheduler dispatch of the named principal.
+// Nil-safe.
 func (c *Collector) CountDispatch(principal string) {
 	if c == nil {
 		return
 	}
-	c.dispatches[principal]++
-	c.totalDispatch++
+	c.Dispatch(c.Intern(principal))
 }
 
 // TotalDispatches returns the cumulative dispatch count across all
@@ -200,7 +305,11 @@ func (c *Collector) Dispatches(principal string) uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.dispatches[principal]
+	r, ok := c.index[principal]
+	if !ok {
+		return 0
+	}
+	return c.row(r).dispatches
 }
 
 // Record appends a timeline sample, evicting the oldest when the ring is
@@ -238,17 +347,32 @@ func (c *Collector) StageCPU(principal string, stage trace.Stage) sim.Duration {
 	if c == nil {
 		return 0
 	}
-	return c.profile[stageKey{principal, stage}]
+	r, ok := c.index[principal]
+	if !ok {
+		return 0
+	}
+	return c.row(r).cpu[stage]
 }
 
-// TotalCPU sums the whole profile.
-func (c *Collector) TotalCPU() sim.Duration {
+// sumCPU sums every profile cell, skipping StageDisk when cpuOnly.
+func (c *Collector) sumCPU(cpuOnly bool) sim.Duration {
+	if c == nil {
+		return 0
+	}
 	var total sim.Duration
-	for _, d := range c.profile {
-		total += d
+	for i := 0; i < c.nrows; i++ {
+		for s, d := range c.row(Row(i)).cpu {
+			if cpuOnly && trace.Stage(s) == trace.StageDisk {
+				continue
+			}
+			total += d
+		}
 	}
 	return total
 }
+
+// TotalCPU sums the whole profile.
+func (c *Collector) TotalCPU() sim.Duration { return c.sumCPU(false) }
 
 // AttributedCPU sums the profile rows that represent processor time:
 // every stage except StageDisk, which records disk-device occupancy
@@ -256,31 +380,24 @@ func (c *Collector) TotalCPU() sim.Duration {
 // conservation invariant — it must equal the machine's thread busy time
 // plus interrupt time whenever a collector is attached, in every kernel
 // mode.
-func (c *Collector) AttributedCPU() sim.Duration {
-	if c == nil {
-		return 0
-	}
-	var total sim.Duration
-	for k, d := range c.profile {
-		if k.stage == trace.StageDisk {
-			continue
-		}
-		total += d
-	}
-	return total
-}
+func (c *Collector) AttributedCPU() sim.Duration { return c.sumCPU(true) }
 
-// ProfileRows returns the virtual-CPU profile sorted hottest-first: by
-// CPU descending, then principal, then stage — a total order, so the
-// rendering is identical across runs and across serial/parallel
-// execution.
+// ProfileRows returns the virtual-CPU profile's nonzero cells sorted
+// hottest-first: by CPU descending, then principal, then stage — a total
+// order, so the rendering is identical across runs and across
+// serial/parallel execution.
 func (c *Collector) ProfileRows() []ProfileRow {
 	if c == nil {
 		return nil
 	}
-	rows := make([]ProfileRow, 0, len(c.profile))
-	for k, d := range c.profile {
-		rows = append(rows, ProfileRow{Principal: k.principal, Stage: k.stage, CPU: d})
+	rows := make([]ProfileRow, 0, c.nrows)
+	for i := 0; i < c.nrows; i++ {
+		pr := c.row(Row(i))
+		for s, d := range pr.cpu {
+			if d > 0 {
+				rows = append(rows, ProfileRow{Principal: pr.name, Stage: trace.Stage(s), CPU: d})
+			}
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].CPU != rows[j].CPU {

@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"rescon/internal/rc"
 	"rescon/internal/sim"
 	"rescon/internal/trace"
 )
@@ -40,6 +42,23 @@ func TestNilCollectorSafe(t *testing.T) {
 	}
 	if err := c.WriteChromeTrace(&strings.Builder{}); err != nil {
 		t.Errorf("nil WriteChromeTrace: %v", err)
+	}
+	if c.TotalCPU() != 0 || c.AttributedCPU() != 0 {
+		t.Error("nil collector should report zero CPU")
+	}
+	if c.Interval() != DefaultSampleInterval {
+		t.Errorf("nil Interval = %v, want %v", c.Interval(), DefaultSampleInterval)
+	}
+	var b strings.Builder
+	c.WriteProfile(&b, 0)
+	if !strings.Contains(b.String(), "TOTAL") {
+		t.Errorf("nil WriteProfile should render an empty table:\n%s", b.String())
+	}
+	var slot rc.ProfileSlot
+	c.Charge(c.Resolve(&slot, "x"), trace.StageUser, sim.Millisecond)
+	c.Dispatch(c.Intern("x"))
+	if slot != (rc.ProfileSlot{}) || c.RowDispatches(0) != 0 {
+		t.Error("nil collector should leave slots unassigned and count nothing")
 	}
 }
 
@@ -103,6 +122,98 @@ func TestDispatchCounters(t *testing.T) {
 	if c.Dispatches("a") != 2 || c.Dispatches("b") != 1 || c.Dispatches("c") != 0 {
 		t.Errorf("per-principal dispatches wrong: a=%d b=%d c=%d",
 			c.Dispatches("a"), c.Dispatches("b"), c.Dispatches("c"))
+	}
+}
+
+// Principals are identified by name: two containers with the same name
+// share one profile row, and their dispatches sum.
+func TestSameNamePrincipalsMerge(t *testing.T) {
+	c := New(Config{})
+	a := rc.MustNew(nil, rc.TimeShare, "cgi-req", rc.Attributes{Priority: 1})
+	b := rc.MustNew(nil, rc.TimeShare, "cgi-req", rc.Attributes{Priority: 1})
+	ra, rb := c.Resolve(&a.Profile, a.Name()), c.Resolve(&b.Profile, b.Name())
+	if ra != rb {
+		t.Fatalf("same-name containers got rows %d and %d, want one row", ra, rb)
+	}
+	c.Charge(ra, trace.StageUser, 10)
+	c.Charge(rb, trace.StageUser, 5)
+	c.Dispatch(ra)
+	c.Dispatch(rb)
+	c.CountDispatch("cgi-req")
+	if got := c.Dispatches("cgi-req"); got != 3 {
+		t.Errorf("Dispatches(cgi-req) = %d, want 3", got)
+	}
+	rows := c.ProfileRows()
+	if want := []ProfileRow{{"cgi-req", trace.StageUser, 15}}; len(rows) != 1 || rows[0] != want[0] {
+		t.Errorf("ProfileRows = %+v, want %+v", rows, want)
+	}
+}
+
+// Rows live in fixed-size pages; growing past a page must keep every
+// earlier row (and the slots that point at them) intact.
+func TestProfileRowsCrossPages(t *testing.T) {
+	c := New(Config{})
+	n := 2*pageRows + 3
+	slots := make([]rc.ProfileSlot, n)
+	for i := range slots {
+		r := c.Resolve(&slots[i], fmt.Sprintf("p%04d", i))
+		c.Charge(r, trace.StageSocket, sim.Duration(i+1))
+		c.Dispatch(r)
+	}
+	if len(c.pages) != 3 {
+		t.Fatalf("%d pages for %d rows, want 3", len(c.pages), n)
+	}
+	// Charge again through the cached slots, after the table has grown.
+	for i := range slots {
+		c.Charge(c.Resolve(&slots[i], "ignored: slot already resolved"), trace.StageSocket, sim.Duration(i+1))
+	}
+	var want sim.Duration
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("p%04d", i)
+		if got := c.StageCPU(name, trace.StageSocket); got != sim.Duration(2*(i+1)) {
+			t.Fatalf("StageCPU(%s) = %v, want %v", name, got, 2*(i+1))
+		}
+		if got := c.Dispatches(name); got != 1 {
+			t.Fatalf("Dispatches(%s) = %d, want 1", name, got)
+		}
+		want += sim.Duration(2 * (i + 1))
+	}
+	if got := c.TotalCPU(); got != want {
+		t.Errorf("TotalCPU = %v, want %v", got, want)
+	}
+	if rows := c.ProfileRows(); len(rows) != n || rows[0].Principal != fmt.Sprintf("p%04d", n-1) {
+		t.Errorf("ProfileRows: %d rows, hottest %+v; want %d rows, hottest p%04d", len(rows), rows[0], n, n-1)
+	}
+	if c.TotalDispatches() != uint64(n) {
+		t.Errorf("TotalDispatches = %d, want %d", c.TotalDispatches(), n)
+	}
+}
+
+// A container charged by two collectors lands in each collector's own
+// row: its slot is re-resolved whenever the other collector charged it
+// last, never reused across collectors.
+func TestContainerChargedByTwoCollectors(t *testing.T) {
+	c1, c2 := New(Config{}), New(Config{})
+	// Give c2 a different row layout so a stale row index would land on
+	// the wrong principal.
+	c2.Intern("other")
+	ct := rc.MustNew(nil, rc.TimeShare, "shared", rc.Attributes{Priority: 1})
+	for i := 0; i < 3; i++ {
+		c1.Charge(c1.Resolve(&ct.Profile, ct.Name()), trace.StageUser, 10)
+		c2.Charge(c2.Resolve(&ct.Profile, ct.Name()), trace.StageUser, 1)
+	}
+	c1.Dispatch(c1.Resolve(&ct.Profile, ct.Name()))
+	if got := c1.StageCPU("shared", trace.StageUser); got != 30 {
+		t.Errorf("collector 1: shared = %v, want 30", got)
+	}
+	if got := c2.StageCPU("shared", trace.StageUser); got != 3 {
+		t.Errorf("collector 2: shared = %v, want 3", got)
+	}
+	if got := c2.StageCPU("other", trace.StageUser); got != 0 {
+		t.Errorf("collector 2: other = %v, want 0 (charged through a stale slot)", got)
+	}
+	if c1.Dispatches("shared") != 1 || c2.Dispatches("shared") != 0 {
+		t.Errorf("dispatches: c1 %d, c2 %d; want 1, 0", c1.Dispatches("shared"), c2.Dispatches("shared"))
 	}
 }
 

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"rescon/internal/alert"
 	"rescon/internal/experiments"
@@ -180,14 +179,9 @@ func Run(sc Scenario) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		check.MustWatchCheck("rebalance-conservation", latch(ctrl.AuditConservation))
-		check.MustWatchCheck("rebalance-starvation", latch(ctrl.AuditFloors))
-		check.MustWatchCheck("rebalance-oscillation", latch(func() string {
-			if v := ctrl.AuditOscillation(); v != "" {
-				return v
-			}
-			return ctrl.AuditRestore()
-		}))
+		for _, a := range rebalanceAudits(ctrl) {
+			check.MustWatchCheck(a.class, a.fn)
+		}
 	}
 
 	if sc.Faults != (fault.Config{}) {
@@ -502,16 +496,7 @@ func hashRun(tel *telemetry.Collector, mon *alert.Monitor, ctrl *rebalance.Contr
 		res.PolicedDrops, res.Crashes, res.Restarts, res.Completed,
 		res.AlertEvents, res.AlertFlaps,
 		res.RebalanceSteps, res.RebalanceFreezes, res.RebalanceDisarms)
-	// Violations are hashed in sorted order: a couple of kernel-internal
-	// collections are maps, so when one bad tick trips several queue
-	// checks at once their relative order is not guaranteed, and the
-	// digest should not flag that as nondeterminism.
-	sorted := append([]string(nil), res.Violations...)
-	sort.Strings(sorted)
-	for _, v := range sorted {
-		fmt.Fprintln(h, v)
-	}
-	return h.Sum64()
+	return res.Violations.digest(h)
 }
 
 // RunChecked runs the scenario twice from scratch and adds a

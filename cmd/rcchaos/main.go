@@ -103,9 +103,9 @@ Exit status:
 
 	if *repro != "" {
 		if *live {
-			return replayLive(*repro, stdout, stderr)
+			return replay(liveFamily(), *repro, stdout, stderr)
 		}
-		return replay(*repro, stdout, stderr)
+		return replay(simFamily(), *repro, stdout, stderr)
 	}
 
 	if *runs < 1 {
@@ -121,56 +121,96 @@ Exit status:
 		return exitUsage
 	}
 	if *live {
-		return liveSweep(*runs, *seed, *out, *workers, *verbose, stdout, stderr)
+		return sweep(liveFamily(), *runs, *seed, *out, *workers, *verbose, stdout, stderr)
 	}
-	return sweep(*runs, *seed, *out, *workers, *verbose, stdout, stderr)
+	return sweep(simFamily(), *runs, *seed, *out, *workers, *verbose, stdout, stderr)
 }
 
-// replayLive loads and re-runs a live repro file, printing its outcome.
-func replayLive(path string, stdout, stderr io.Writer) int {
-	sc, err := chaos.LoadLiveScenario(path)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return exitUsage
+// scenario is what the shared paths need of a scenario type.
+type scenario interface{ WriteFile(path string) error }
+
+// family is one scenario family the command drives: the simulated
+// kernel, or the real runtime with -live. Replay, sweep and repro
+// writing are shared; a family supplies its runners and its wording.
+type family[S scenario, R any] struct {
+	tag     string                // "live " for the real runtime
+	classes bool                  // FAIL lines list the failure classes
+	gen     func(seed uint64) []S // one seed's cells
+	load    func(path string) (S, error)
+	run     func(S) (R, error) // the determinism double-run
+	shrink  func(S, string) S
+	verdict func(R) (chaos.Violations, uint64)
+	label   func(S) string        // names a cell: "seed 1 mode rc"
+	ok      func(R) string        // a clean cell's verbose detail
+	repro   func(S) string        // a failing cell's repro file name
+	shrunk  func(S) string        // what a shrunk repro holds
+	total   func(runs int) string // what a sweep covered
+}
+
+// simFamily drives chaos.Scenario under every kernel mode. It reads the
+// test seams when called, so a stub installed before run takes effect.
+func simFamily() family[chaos.Scenario, *chaos.Result] {
+	return family[chaos.Scenario, *chaos.Result]{
+		classes: true,
+		gen:     chaos.GenerateModes,
+		load:    chaos.LoadScenario,
+		run:     runChecked,
+		shrink:  shrinkFn,
+		verdict: func(r *chaos.Result) (chaos.Violations, uint64) { return r.Violations, r.Hash },
+		label:   func(sc chaos.Scenario) string { return fmt.Sprintf("seed %d mode %s", sc.Seed, sc.Mode) },
+		ok: func(r *chaos.Result) string {
+			return fmt.Sprintf("%d conns, %d completed", r.Established, r.Completed)
+		},
+		repro: func(sc chaos.Scenario) string { return fmt.Sprintf("chaos-repro-%d-%s.json", sc.Seed, sc.Mode) },
+		shrunk: func(sc chaos.Scenario) string {
+			return fmt.Sprintf("%d container(s), %d workload(s)", len(sc.Containers), len(sc.Workloads))
+		},
+		total: func(runs int) string { return fmt.Sprintf("%d scenario(s) × %d mode(s)", runs, len(chaos.ModeNames)) },
 	}
-	r, err := runLiveChecked(sc)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return exitUsage
+}
+
+// liveFamily drives chaos.LiveScenario on the governed middleware stack.
+func liveFamily() family[chaos.LiveScenario, *chaos.LiveResult] {
+	return family[chaos.LiveScenario, *chaos.LiveResult]{
+		tag:     "live ",
+		gen:     func(seed uint64) []chaos.LiveScenario { return []chaos.LiveScenario{chaos.GenerateLive(seed)} },
+		load:    chaos.LoadLiveScenario,
+		run:     runLiveChecked,
+		shrink:  shrinkLiveFn,
+		verdict: func(r *chaos.LiveResult) (chaos.Violations, uint64) { return r.Violations, r.Hash },
+		label:   func(sc chaos.LiveScenario) string { return fmt.Sprintf("live seed %d", sc.Seed) },
+		ok: func(r *chaos.LiveResult) string {
+			return fmt.Sprintf("served %d, shed %d, wd %d/%d", r.Served, r.Shed, r.Engagements, r.Restores)
+		},
+		repro: func(sc chaos.LiveScenario) string { return fmt.Sprintf("live-repro-%d.json", sc.Seed) },
+		shrunk: func(sc chaos.LiveScenario) string {
+			return fmt.Sprintf("%d tenant(s), %d+%d round(s)", len(sc.Tenants), sc.HostileRounds, sc.CalmRounds)
+		},
+		total: func(runs int) string { return fmt.Sprintf("%d live scenario(s)", runs) },
 	}
-	fmt.Fprintf(stdout, "live seed %d: hash %016x, %d violation(s)\n",
-		sc.Seed, r.Hash, len(r.Violations))
-	for _, v := range r.Violations {
-		fmt.Fprintln(stdout, "  "+v)
-	}
-	if r.Failed() {
-		return exitViolation
-	}
-	fmt.Fprintln(stdout, "live repro ran clean (the failure it reproduced is fixed)")
-	return exitOK
 }
 
 // replay loads and re-runs a repro file, printing its outcome.
-func replay(path string, stdout, stderr io.Writer) int {
-	sc, err := chaos.LoadScenario(path)
+func replay[S scenario, R any](f family[S, R], path string, stdout, stderr io.Writer) int {
+	sc, err := f.load(path)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
-	r, err := runChecked(sc)
+	r, err := f.run(sc)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
-	fmt.Fprintf(stdout, "seed %d mode %s: hash %016x, %d violation(s)\n",
-		sc.Seed, sc.Mode, r.Hash, len(r.Violations))
-	for _, v := range r.Violations {
+	vs, hash := f.verdict(r)
+	fmt.Fprintf(stdout, "%s: hash %016x, %d violation(s)\n", f.label(sc), hash, len(vs))
+	for _, v := range vs {
 		fmt.Fprintln(stdout, "  "+v)
 	}
-	if r.Failed() {
+	if vs.Failed() {
 		return exitViolation
 	}
-	fmt.Fprintln(stdout, "repro ran clean (the failure it reproduced is fixed)")
+	fmt.Fprintln(stdout, f.tag+"repro ran clean (the failure it reproduced is fixed)")
 	return exitOK
 }
 
@@ -203,104 +243,55 @@ func runCells[S, R any](cells []cell[S, R], workers int, run func(S) (R, error))
 	wg.Wait()
 }
 
-// sweep runs scenarios seed..seed+runs-1 under every kernel mode,
-// fanning cells across workers. Every cell is an independent engine;
-// reporting stays in deterministic (seed, mode) order. Each failure is
-// shrunk and written as a repro.
-func sweep(runs int, seed uint64, out string, workers int, verbose bool, stdout, stderr io.Writer) int {
-	cells := make([]cell[chaos.Scenario, *chaos.Result], runs*len(chaos.ModeNames))
+// sweep runs the cells of seeds seed..seed+runs-1, fanning them across
+// workers. Every cell is independent; reporting stays in deterministic
+// cell order. Each failure is shrunk and written as a repro.
+func sweep[S scenario, R any](f family[S, R], runs int, seed uint64, out string, workers int, verbose bool, stdout, stderr io.Writer) int {
+	var cells []cell[S, R]
 	for i := 0; i < runs; i++ {
-		sc := chaos.Generate(seed + uint64(i))
-		for m, mode := range chaos.ModeNames {
-			sc.Mode = mode
-			cells[i*len(chaos.ModeNames)+m].sc = sc
+		for _, sc := range f.gen(seed + uint64(i)) {
+			cells = append(cells, cell[S, R]{sc: sc})
 		}
 	}
-	runCells(cells, workers, runChecked)
+	runCells(cells, workers, f.run)
 
 	failures := 0
 	for _, c := range cells {
+		if c.err != nil {
+			failures++
+			fmt.Fprintf(stderr, "%s: ERROR: %v\n", f.label(c.sc), c.err)
+			continue
+		}
+		vs, hash := f.verdict(c.res)
 		switch {
-		case c.err != nil:
+		case vs.Failed():
 			failures++
-			fmt.Fprintf(stderr, "seed %d mode %s: ERROR: %v\n", c.sc.Seed, c.sc.Mode, c.err)
-		case c.res.Failed():
-			failures++
-			fmt.Fprintf(stdout, "seed %d mode %s: FAIL (%d violation(s), classes %v)\n",
-				c.sc.Seed, c.sc.Mode, len(c.res.Violations), c.res.Classes())
-			fmt.Fprintln(stdout, "  "+c.res.Violations[0])
-			writeRepro(c, out, stdout, stderr)
+			if f.classes {
+				fmt.Fprintf(stdout, "%s: FAIL (%d violation(s), classes %v)\n", f.label(c.sc), len(vs), vs.Classes())
+			} else {
+				fmt.Fprintf(stdout, "%s: FAIL (%d violation(s))\n", f.label(c.sc), len(vs))
+			}
+			fmt.Fprintln(stdout, "  "+vs[0])
+			writeRepro(f, c.sc, vs.Classes()[0], out, stdout, stderr)
 		case verbose:
-			fmt.Fprintf(stdout, "seed %d mode %s: ok (hash %016x, %d conns, %d completed)\n",
-				c.sc.Seed, c.sc.Mode, c.res.Hash, c.res.Established, c.res.Completed)
+			fmt.Fprintf(stdout, "%s: ok (hash %016x, %s)\n", f.label(c.sc), hash, f.ok(c.res))
 		}
 	}
-	fmt.Fprintf(stdout, "chaos: %d scenario(s) × %d mode(s): %d failure(s)\n",
-		runs, len(chaos.ModeNames), failures)
+	fmt.Fprintf(stdout, "chaos: %s: %d failure(s)\n", f.total(runs), failures)
 	if failures > 0 {
 		return exitViolation
 	}
 	return exitOK
 }
 
-// liveSweep runs live scenarios seed..seed+runs-1, fanning cells across
-// workers. Each cell is an isolated runtime on its own virtual clock;
-// reporting stays in seed order. Each failure is shrunk and written as
-// a live repro.
-func liveSweep(runs int, seed uint64, out string, workers int, verbose bool, stdout, stderr io.Writer) int {
-	cells := make([]cell[chaos.LiveScenario, *chaos.LiveResult], runs)
-	for i := range cells {
-		cells[i].sc = chaos.GenerateLive(seed + uint64(i))
-	}
-	runCells(cells, workers, runLiveChecked)
-
-	failures := 0
-	for _, c := range cells {
-		switch {
-		case c.err != nil:
-			failures++
-			fmt.Fprintf(stderr, "live seed %d: ERROR: %v\n", c.sc.Seed, c.err)
-		case c.res.Failed():
-			failures++
-			fmt.Fprintf(stdout, "live seed %d: FAIL (%d violation(s))\n", c.sc.Seed, len(c.res.Violations))
-			fmt.Fprintln(stdout, "  "+c.res.Violations[0])
-			writeLiveRepro(c, out, stdout, stderr)
-		case verbose:
-			fmt.Fprintf(stdout, "live seed %d: ok (hash %016x, served %d, shed %d, wd %d/%d)\n",
-				c.sc.Seed, c.res.Hash, c.res.Served, c.res.Shed, c.res.Engagements, c.res.Restores)
-		}
-	}
-	fmt.Fprintf(stdout, "chaos: %d live scenario(s): %d failure(s)\n", runs, failures)
-	if failures > 0 {
-		return exitViolation
-	}
-	return exitOK
-}
-
-// writeLiveRepro shrinks a failing live cell and writes the minimal
-// scenario as an indented JSON repro file.
-func writeLiveRepro(c cell[chaos.LiveScenario, *chaos.LiveResult], out string, stdout, stderr io.Writer) {
-	class := chaos.Classify(c.res.Violations[0])
-	shrunk := shrinkLiveFn(c.sc, class)
-	path := filepath.Join(out, fmt.Sprintf("live-repro-%d.json", c.sc.Seed))
+// writeRepro shrinks a failing scenario, preserving its failure class,
+// and writes the minimal scenario as an indented JSON repro file.
+func writeRepro[S scenario, R any](f family[S, R], sc S, class, out string, stdout, stderr io.Writer) {
+	shrunk := f.shrink(sc, class)
+	path := filepath.Join(out, f.repro(sc))
 	if err := shrunk.WriteFile(path); err != nil {
 		fmt.Fprintf(stderr, "  writing repro: %v\n", err)
 		return
 	}
-	fmt.Fprintf(stdout, "  shrunk to %d tenant(s), %d+%d round(s); repro: %s\n",
-		len(shrunk.Tenants), shrunk.HostileRounds, shrunk.CalmRounds, path)
-}
-
-// writeRepro shrinks a failing cell and writes the minimal scenario as
-// an indented JSON repro file.
-func writeRepro(c cell[chaos.Scenario, *chaos.Result], out string, stdout, stderr io.Writer) {
-	class := c.res.Classes()[0]
-	shrunk := shrinkFn(c.sc, class)
-	path := filepath.Join(out, fmt.Sprintf("chaos-repro-%d-%s.json", c.sc.Seed, c.sc.Mode))
-	if err := shrunk.WriteFile(path); err != nil {
-		fmt.Fprintf(stderr, "  writing repro: %v\n", err)
-		return
-	}
-	fmt.Fprintf(stdout, "  shrunk to %d container(s), %d workload(s); repro: %s\n",
-		len(shrunk.Containers), len(shrunk.Workloads), path)
+	fmt.Fprintf(stdout, "  shrunk to %s; repro: %s\n", f.shrunk(shrunk), path)
 }

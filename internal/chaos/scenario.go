@@ -208,6 +208,18 @@ const (
 	labelRebalance = 8 // 5-7 are the live-scenario labels (live.go)
 )
 
+// GenerateModes returns Generate(seed) once per kernel mode, in
+// ModeNames order: the cells a sweep or smoke run executes per seed.
+func GenerateModes(seed uint64) []Scenario {
+	sc := Generate(seed)
+	cells := make([]Scenario, len(ModeNames))
+	for m, mode := range ModeNames {
+		sc.Mode = mode
+		cells[m] = sc
+	}
+	return cells
+}
+
 // Generate derives a complete Scenario from a single seed. The same
 // seed always yields the same scenario; nearby seeds yield unrelated
 // ones. Generated scenarios always pass Validate and always build (the

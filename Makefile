@@ -12,12 +12,13 @@ vet:
 
 # Lint: vet, formatting, and doc coverage of the public surfaces (every
 # exported symbol of the root rescon facade, the rcruntime bridge, the
-# shared alert/watchdog core, the chaos harness, and the telemetry, rc
-# and kernel packages must carry a doc comment).
+# shared alert/watchdog core, the chaos harness, the experiments and
+# their governed-live rig, and the telemetry, rc and kernel packages
+# must carry a doc comment).
 lint: vet
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
-	$(GO) run ./cmd/checkdocs . ./internal/rcruntime ./internal/alert ./internal/chaos ./internal/telemetry ./internal/rc ./internal/kernel
+	$(GO) run ./cmd/checkdocs . ./internal/rcruntime ./internal/alert ./internal/chaos ./internal/telemetry ./internal/rc ./internal/kernel ./internal/experiments
 
 # Fast suite: -short skips the long experiment sweeps but keeps the
 # runtime invariant checker on (the experiments test Options enable it).

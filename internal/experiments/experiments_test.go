@@ -110,6 +110,10 @@ func TestFig11Shape(t *testing.T) {
 
 func TestFig12And13Shape(t *testing.T) {
 	res := Fig12(quick)
+	var sb strings.Builder
+	metrics.RenderSeries(&sb, "Fig 12", "n", res.Throughput...)
+	metrics.RenderSeries(&sb, "Fig 13", "n", res.CGIShare...)
+	checkGolden(t, "fig12_quick.txt", sb.String())
 	if len(res.Throughput) != 4 || len(res.CGIShare) != 4 {
 		t.Fatal("want four systems")
 	}
@@ -182,6 +186,7 @@ func TestVServersIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "vservers_quick.txt", tab.String())
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
@@ -298,6 +303,7 @@ func TestSMPScalingShape(t *testing.T) {
 	// Extension experiment: the multi-threaded server exploits added
 	// processors; the single-threaded event-driven server cannot (§2).
 	tab := SMP(quick)
+	checkGolden(t, "smp_quick.txt", tab.String())
 	var ev1, ev4, mt1, mt2 float64
 	mustParse(t, tab.Rows[0][1], &ev1)
 	mustParse(t, tab.Rows[2][1], &ev4)

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"rescon/internal/rc"
 	"rescon/internal/sim"
@@ -54,5 +55,15 @@ func TestDecayPickNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("DecayScheduler.Pick allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// There is one cstate per container, so one per connection under
+// per-connection containers: past 64 bytes it moves to a larger size
+// class and every connection pays for it. The chain flags sit in
+// cacheValid's padding to stay within it.
+func TestCStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(cstate{}); got > 64 {
+		t.Fatalf("cstate is %d bytes, want at most 64", got)
 	}
 }

@@ -54,12 +54,14 @@ func (s *ContainerScheduler) lotteryPick(cands []*Entity, tickets []float64) *En
 func (s *ContainerScheduler) tickets(e *Entity, now sim.Time) float64 {
 	best := 0.0
 	consider := func(c *rc.Container) {
-		if c == nil || c.Destroyed() || s.throttled(c) {
+		if c == nil || c.Destroyed() {
 			return
 		}
-		if w := weight(c); w > best {
-			best = w
+		st := s.attrs(c)
+		if st.chainCapped && s.throttled(c) {
+			return
 		}
+		best = max(best, st.weight)
 	}
 	if e.DynamicBinding != nil {
 		for _, c := range e.DynamicBinding() {

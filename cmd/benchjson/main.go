@@ -115,6 +115,7 @@ var hotPaths = []struct{ pkg, name string }{
 	{"rescon/internal/rc", "BenchmarkChargeCPUDepth3"},
 	{"rescon/internal/rc", "BenchmarkSetAttributesChurn"},
 	{"rescon/internal/sched", "BenchmarkPick8Entities"},
+	{"rescon/internal/sched", "BenchmarkPickEventServer"},
 	{"rescon/internal/sim", "BenchmarkEventCancelFarFuture"},
 	{"rescon/internal/sim", "BenchmarkWheelChurn1MPending"},
 	{"rescon/internal/kernel", "BenchmarkConnCycle100kOpen"},

@@ -1,7 +1,7 @@
 // Real-server usage (no simulation): resource containers applied to a
 // live net/http server via cooperative enforcement — the userspace
 // approximation of the paper's kernel mechanism. Handlers bracket their
-// work with the rcruntime Enforcer: consumption is accounted into a
+// work with the rescon Enforcer: consumption is accounted into a
 // container hierarchy, and the batch endpoint's subtree is held to a 25%
 // CPU limit (the §5.6 sandbox, cooperatively).
 package main
@@ -15,8 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rescon/internal/rc"
-	"rescon/internal/rcruntime"
+	"rescon"
 )
 
 // spin burns roughly d of CPU.
@@ -26,13 +25,23 @@ func spin(d time.Duration) {
 	}
 }
 
-func main() {
-	root := rc.MustNew(nil, rc.FixedShare, "httpd", rc.Attributes{})
-	premium := rc.MustNew(root, rc.FixedShare, "premium", rc.Attributes{})
-	batch := rc.MustNew(root, rc.FixedShare, "batch", rc.Attributes{Limit: 0.25})
-	enf := rcruntime.New(nil, 50*time.Millisecond)
+// fixedShare creates a fixed-share container, panicking on a bad
+// configuration (the hierarchy below is known-good).
+func fixedShare(parent *rescon.Container, name string, attrs rescon.Attributes) *rescon.Container {
+	c, err := rescon.NewContainer(parent, rescon.FixedShare, name, attrs)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
 
-	handler := func(c *rc.Container, work time.Duration) http.HandlerFunc {
+func main() {
+	root := fixedShare(nil, "httpd", rescon.Attributes{})
+	premium := fixedShare(root, "premium", rescon.Attributes{})
+	batch := fixedShare(root, "batch", rescon.Attributes{Limit: 0.25})
+	enf := rescon.NewEnforcer(50 * time.Millisecond)
+
+	handler := func(c *rescon.Container, work time.Duration) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			charge := enf.Acquire(c)
 			start := time.Now()

@@ -67,13 +67,6 @@ type CostModel struct {
 	// 100 Mb/s switched Ethernet of §5.2.
 	WireDelay sim.Duration
 
-	// Migration is the cache-affinity penalty a thread pays when it is
-	// dispatched on a different processor than it last ran on (cold
-	// caches, TLB refill). It is charged only when per-CPU run queues are
-	// enabled (Kernel.EnablePerCPUSched) and defaults to zero, so the
-	// classic shared-queue configurations are unaffected.
-	Migration sim.Duration
-
 	// Container primitive costs (Table 1), charged when the application
 	// invokes the corresponding syscall in simulation. The defaults are
 	// the paper's measured values, so the §5.4 overhead experiment

@@ -64,10 +64,6 @@ type running struct {
 	ev      sim.Event
 	// slice is the CPU time the slice was granted.
 	slice sim.Duration
-	// mig is the cache-affinity migration penalty prepended to this
-	// slice (per-CPU scheduling): charged like slice time, but it makes
-	// no progress on the item's cost.
-	mig sim.Duration
 }
 
 // CPU models one processor: one thread slice at a time, preempted (on
@@ -151,12 +147,7 @@ func (c *CPU) preemptCurrent() {
 	r.ev.Cancel()
 	if elapsed > 0 {
 		c.chargeSlice(r.th, r.item, elapsed, now)
-		// Only time past the migration penalty advanced the item.
-		progress := elapsed - r.mig
-		if progress < 0 {
-			progress = 0
-		}
-		r.item.Cost -= progress
+		r.item.Cost -= elapsed
 	}
 	// The item stays as the thread's current work and resumes later.
 }
@@ -262,7 +253,7 @@ func (c *CPU) dispatch() {
 		}
 	}()
 	for {
-		e := c.pick(now)
+		e := c.k.sch.Pick(now)
 		if e == nil {
 			if next, ok := c.k.sch.NextRelease(now); ok {
 				c.scheduleRetry(next)
@@ -293,15 +284,6 @@ func (c *CPU) dispatch() {
 		c.start(th, now)
 		return
 	}
-}
-
-// pick selects the next entity for this CPU: the per-CPU scheduler when
-// sharded run queues are enabled, else the shared global Pick.
-func (c *CPU) pick(now sim.Time) *sched.Entity {
-	if c.k.perCPU != nil {
-		return c.k.perCPU.PickFor(c.id, now)
-	}
-	return c.k.sch.Pick(now)
 }
 
 // start begins a slice of the thread's current item.
@@ -338,17 +320,10 @@ func (c *CPU) start(th *Thread, now sim.Time) {
 			Principal: telPrincipal(th, item), Cost: slice, Detail: item.Label,
 		})
 	}
-	var mig sim.Duration
-	if c.k.perCPU != nil {
-		if last := th.ent.LastCPU(); last >= 0 && last != c.id {
-			mig = c.k.costs.Migration
-		}
-		th.ent.NoteRanOn(c.id)
-	}
 	th.ent.SetOnCPU(true)
-	c.slot = running{th: th, item: item, started: now, slice: slice, mig: mig}
+	c.slot = running{th: th, item: item, started: now, slice: slice}
 	c.cur = &c.slot
-	c.slot.ev = c.k.eng.After(mig+slice, c.sliceDone)
+	c.slot.ev = c.k.eng.After(slice, c.sliceDone)
 }
 
 // completeSlice finishes the running slice: accounting, completion
@@ -360,9 +335,7 @@ func (c *CPU) completeSlice() {
 	now := c.k.Now()
 	c.cur = nil
 	r.th.ent.SetOnCPU(false)
-	// The migration penalty burns CPU (and is charged) but makes no
-	// progress on the item itself — cold caches, not useful work.
-	c.chargeSlice(r.th, r.item, slice+r.mig, now)
+	c.chargeSlice(r.th, r.item, slice, now)
 	r.item.Cost -= slice
 	var done func()
 	if r.item.Cost <= 0 {

@@ -106,10 +106,6 @@ type Kernel struct {
 	// set it before the first Listen call.
 	ImplicitNetBinding bool
 
-	// perCPU, when non-nil, routes dispatch through per-CPU run queues
-	// with deterministic work stealing; see EnablePerCPUSched.
-	perCPU sched.PerCPUScheduler
-
 	// stats
 	interruptTime sim.Duration
 	startTime     sim.Time
@@ -191,29 +187,6 @@ func NewSMP(eng *sim.Engine, mode Mode, costs CostModel, ncpus int) *Kernel {
 
 // NumCPUs returns the number of processors.
 func (k *Kernel) NumCPUs() int { return len(k.cpus) }
-
-// EnablePerCPUSched partitions the scheduler into one run queue per
-// processor with deterministic work stealing: each CPU picks from its
-// own queue and, when empty, probes the others in a seeded fixed
-// permutation, migrating the stolen thread's home. With CostModel.
-// Migration set, a thread dispatched on a different processor than it
-// last ran on is charged the cache-affinity penalty. Sharding is a pure
-// function of (ncpus, engine seed), so runs stay bit-for-bit
-// deterministic. It reports whether the active scheduler supports
-// per-CPU queues; the shared-queue default is unchanged until this is
-// called.
-func (k *Kernel) EnablePerCPUSched() bool {
-	ps, ok := k.sch.(sched.PerCPUScheduler)
-	if !ok {
-		return false
-	}
-	ps.EnablePerCPU(len(k.cpus), k.eng.Rand().Fork(0x5CEDC9))
-	k.perCPU = ps
-	return true
-}
-
-// PerCPUSched reports whether per-CPU run queues are active.
-func (k *Kernel) PerCPUSched() bool { return k.perCPU != nil }
 
 // BusyTime sums thread-level CPU time consumed across all processors.
 func (k *Kernel) BusyTime() sim.Duration {

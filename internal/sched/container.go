@@ -386,25 +386,12 @@ func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (sche
 func (s *ContainerScheduler) Pick(now sim.Time) *Entity {
 	s.rollWindow(now)
 	s.sawThrottled = false
-	best, bestClass := s.pickIn(s.set.runnable, now)
-	if best != nil && bestClass == classNormal && s.policy == PolicyLottery {
-		best = s.lotteryNormal(now)
-	}
-	if best != nil {
-		best.lastRun = now
-	}
-	return best
-}
-
-// pickIn finds the best eligible entity in one seq-ordered runnable list
-// (the shared list, or a per-CPU shard). Candidate order matters: the
-// near-equal-key tie-break is not transitive, so both paths must iterate
-// in the same seq order a full-set scan would.
-func (s *ContainerScheduler) pickIn(list []*Entity, now sim.Time) (*Entity, schedClass) {
+	// Candidate order matters: the near-equal-key tie-break is not
+	// transitive, so the scan runs in registration (seq) order.
 	var best *Entity
 	bestClass := classNone
 	var bestKey float64
-	for _, e := range list {
+	for _, e := range s.set.runnable {
 		if e.onCPU {
 			continue
 		}
@@ -417,7 +404,13 @@ func (s *ContainerScheduler) pickIn(list []*Entity, now sim.Time) (*Entity, sche
 			best, bestClass, bestKey = e, cls, key
 		}
 	}
-	return best, bestClass
+	if best != nil && bestClass == classNormal && s.policy == PolicyLottery {
+		best = s.lotteryNormal(now)
+	}
+	if best != nil {
+		best.lastRun = now
+	}
+	return best
 }
 
 // lotteryNormal re-selects among all normal-class candidates by lottery.
@@ -428,7 +421,7 @@ func (s *ContainerScheduler) lotteryNormal(now sim.Time) *Entity {
 		if e.onCPU {
 			continue
 		}
-		// pickIn pruned every binding at this now already.
+		// Pick pruned every binding at this now already.
 		cls, _ := s.evaluate(e, now, false)
 		if cls != classNormal {
 			continue

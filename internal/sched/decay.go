@@ -64,19 +64,9 @@ func (p *ProcPrincipal) key(now sim.Time) float64 {
 // principal key runs; ties break round-robin by least-recently-run, then
 // by registration order (deterministic).
 func (s *DecayScheduler) Pick(now sim.Time) *Entity {
-	best := s.pickIn(s.set.runnable, now)
-	if best != nil {
-		best.lastRun = now
-	}
-	return best
-}
-
-// pickIn finds the least-key candidate in one seq-ordered runnable list
-// (the shared list, or a per-CPU shard).
-func (s *DecayScheduler) pickIn(list []*Entity, now sim.Time) *Entity {
 	var best *Entity
 	var bestKey float64
-	for _, e := range list {
+	for _, e := range s.set.runnable {
 		if e.onCPU {
 			continue
 		}
@@ -84,6 +74,9 @@ func (s *DecayScheduler) pickIn(list []*Entity, now sim.Time) *Entity {
 		if best == nil || less(k, e, bestKey, best) {
 			best, bestKey = e, k
 		}
+	}
+	if best != nil {
+		best.lastRun = now
 	}
 	return best
 }

@@ -74,13 +74,6 @@ type Entity struct {
 	lastRun sim.Time
 	seq     uint64 // registration order, deterministic tie-break
 	setIdx  int    // position in entitySet.entities; -1 when unregistered
-	// home is the entity's per-CPU run queue when sharding is enabled
-	// (see entitySet.enablePerCPU); work stealing migrates it.
-	home int
-	// lastCPU is the processor the entity last ran on (-1 before its
-	// first slice); the kernel uses it to charge the cache-affinity
-	// migration cost under per-CPU scheduling.
-	lastCPU int
 
 	// binding is the scheduler binding (§4.3): the containers the thread
 	// has recently had a resource binding to, with last-bound times.
@@ -95,7 +88,7 @@ type bindingEntry struct {
 // Runnable reports whether the entity is currently runnable.
 func (e *Entity) Runnable() bool { return e.runnable }
 
-// SetOnCPU marks the entity as (not) executing; the kernel's per-CPU
+// SetOnCPU marks the entity as (not) executing; each simulated CPU's
 // dispatch loop maintains it.
 func (e *Entity) SetOnCPU(v bool) { e.onCPU = v }
 
@@ -122,18 +115,6 @@ func (e *Entity) Binding() []*rc.Container {
 	}
 	return out
 }
-
-// LastCPU returns the processor the entity last ran on, or -1 if it has
-// never run.
-func (e *Entity) LastCPU() int { return e.lastCPU }
-
-// NoteRanOn records the processor about to run the entity; the kernel's
-// dispatch path maintains it.
-func (e *Entity) NoteRanOn(cpu int) { e.lastCPU = cpu }
-
-// Home returns the entity's per-CPU run-queue assignment (meaningful
-// only when per-CPU scheduling is enabled).
-func (e *Entity) Home() int { return e.home }
 
 // String identifies the entity for diagnostics.
 func (e *Entity) String() string { return fmt.Sprintf("entity(%d %s)", e.ID, e.Name) }
@@ -201,99 +182,15 @@ type entitySet struct {
 	entities []*Entity
 	runnable []*Entity // runnable entities, ascending by seq
 	nextSeq  uint64
-
-	// Per-CPU sharding (enablePerCPU): each shard mirrors the subset of
-	// the runnable list homed on that CPU, in the same seq order. The
-	// global list stays authoritative — RunnableCount and the shared
-	// Pick path read it — while PickFor scans only one shard.
-	shards   [][]*Entity
-	steal    [][]int // per-CPU victim order, a seeded permutation
-	nextHome int
 }
 
 // runnableCount returns the size of the runnable subset.
 func (s *entitySet) runnableCount() int { return len(s.runnable) }
 
-// perCPU reports whether per-CPU sharding is enabled.
-func (s *entitySet) perCPU() bool { return len(s.shards) > 0 }
-
-// insertSeq places e into a seq-ordered list; removeSeq takes it out.
-func insertSeq(list []*Entity, e *Entity) []*Entity {
-	i := sort.Search(len(list), func(i int) bool { return list[i].seq >= e.seq })
-	list = append(list, nil)
-	copy(list[i+1:], list[i:])
-	list[i] = e
-	return list
-}
-
-func removeSeq(list []*Entity, e *Entity) []*Entity {
-	i := sort.Search(len(list), func(i int) bool { return list[i].seq >= e.seq })
-	if i < len(list) && list[i] == e {
-		copy(list[i:], list[i+1:])
-		list[len(list)-1] = nil
-		list = list[:len(list)-1]
-	}
-	return list
-}
-
-// enablePerCPU splits the runnable set into ncpus run queues. Homes are
-// assigned round-robin in registration order (existing entities are
-// re-homed by their registration seq, so enabling is deterministic no
-// matter when it happens), and each CPU gets a seeded random victim
-// order for work stealing — a fixed permutation, so steals are
-// deterministic too.
-func (s *entitySet) enablePerCPU(ncpus int, rng *sim.RNG) {
-	if ncpus < 1 {
-		ncpus = 1
-	}
-	s.shards = make([][]*Entity, ncpus)
-	s.steal = make([][]int, ncpus)
-	for c := 0; c < ncpus; c++ {
-		order := make([]int, 0, ncpus-1)
-		for v := 0; v < ncpus; v++ {
-			if v != c {
-				order = append(order, v)
-			}
-		}
-		// Fisher–Yates with the seeded stream: every CPU probes victims
-		// in its own fixed order, spreading contention instead of having
-		// all thieves hammer CPU 0 first.
-		for i := len(order) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			order[i], order[j] = order[j], order[i]
-		}
-		s.steal[c] = order
-	}
-	for _, e := range s.entities {
-		e.home = int(e.seq % uint64(ncpus))
-	}
-	s.nextHome = int(s.nextSeq % uint64(ncpus))
-	for _, e := range s.runnable {
-		s.shards[e.home] = insertSeq(s.shards[e.home], e)
-	}
-}
-
-// migrate moves a stolen entity's home queue to the thief CPU.
-func (s *entitySet) migrate(e *Entity, to int) {
-	if !s.perCPU() || e.home == to {
-		return
-	}
-	if e.runnable && s.contains(e) {
-		s.shards[e.home] = removeSeq(s.shards[e.home], e)
-		s.shards[to] = insertSeq(s.shards[to], e)
-	}
-	e.home = to
-}
-
 func (s *entitySet) register(e *Entity) {
 	e.seq = s.nextSeq
 	s.nextSeq++
 	e.setIdx = len(s.entities)
-	e.lastCPU = -1
-	if s.perCPU() {
-		e.home = s.nextHome
-		s.nextHome = (s.nextHome + 1) % len(s.shards)
-	}
 	s.entities = append(s.entities, e)
 	if e.runnable {
 		e.runnable = false
@@ -335,15 +232,16 @@ func (s *entitySet) setRunnable(e *Entity, v bool) {
 	if !s.contains(e) {
 		return
 	}
+	i := sort.Search(len(s.runnable), func(i int) bool { return s.runnable[i].seq >= e.seq })
 	if v {
-		s.runnable = insertSeq(s.runnable, e)
-		if s.perCPU() {
-			s.shards[e.home] = insertSeq(s.shards[e.home], e)
-		}
+		s.runnable = append(s.runnable, nil)
+		copy(s.runnable[i+1:], s.runnable[i:])
+		s.runnable[i] = e
 		return
 	}
-	s.runnable = removeSeq(s.runnable, e)
-	if s.perCPU() {
-		s.shards[e.home] = removeSeq(s.shards[e.home], e)
+	if i < len(s.runnable) && s.runnable[i] == e {
+		copy(s.runnable[i:], s.runnable[i+1:])
+		s.runnable[len(s.runnable)-1] = nil
+		s.runnable = s.runnable[:len(s.runnable)-1]
 	}
 }

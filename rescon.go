@@ -5,22 +5,22 @@
 // The package re-exports the core abstractions so that applications deal
 // with a single import:
 //
-//   - Container / Attributes / Usage — the resource principal (§4.1–§4.6)
-//   - Kernel / Process / Thread — the simulated monolithic kernel with
-//     three execution models (unmodified, LRP, resource containers)
-//   - Server / MTServer — the event-driven and multi-threaded HTTP server
-//     models of §2
+//   - Container / Attributes — the resource principal (§4.1–§4.6)
+//   - Kernel — the simulated monolithic kernel with three execution
+//     models (unmodified, LRP, resource containers)
+//   - Server — the event-driven HTTP server model of §2
 //   - Client / Population / Flooder — workload generators (§5.2)
 //   - Telemetry — structured tracing, usage timelines and the
 //     virtual-CPU profile (attach with WithTelemetry)
 //   - AlertMonitor / Watchdog — sockstat-style overload detection on the
 //     telemetry stream and the closed-loop reaction (attach with
-//     WithAlerts, or AttachAlerts + AttachWatchdog)
+//     WithWatchdog, or AttachRuntimeMonitor + AttachRuntimeWatchdog on
+//     the real runtime)
 //   - Rebalancer — the closed-loop adaptive share controller: shifts
 //     container attributes between pool members in proportion to
 //     demand, with starvation floors, damping and a self-disarming
 //     oscillation detector (attach with WithRebalancer, or
-//     AttachRebalancer / AttachRuntimeRebalancer)
+//     AttachRuntimeRebalancer)
 //   - Runtime / Binder / AcceptPolicy — the real-runtime bridge: govern
 //     a live net/http server with containers (NewRuntime, cmd/rcserve,
 //     `rcbench -exp live`)
@@ -55,25 +55,19 @@
 // The facade follows one convention throughout: New* constructors are
 // passive — they build a value (and may register callbacks) but schedule
 // no engine work, so virtual time can pass without them doing anything
-// (NewSim, NewContainer, NewServer, NewMTServer, NewFaultInjector,
+// (NewSim, NewContainer, NewServer, NewFaultInjector,
 // NewInvariantChecker, NewEnforcer, NewTelemetry). Start* constructors
 // put work on the engine before returning — the returned object is
 // already acting and will consume virtual time as soon as the simulation
-// runs (StartClient, StartPopulation, StartFlood, StartCrasher,
-// StartSlowLoris). A Server is New* because it only reacts to kernel
-// upcalls; a Client is Start* because its request loop begins
-// immediately.
+// runs (StartPopulation, StartFlood, StartCrasher, StartSlowLoris). A
+// Server is New* because it only reacts to kernel upcalls; a Population
+// is Start* because its request loops begin immediately.
 //
-// # Deprecation and removal schedule
+// # Scope
 //
-// Facade symbols are never removed silently. A symbol slated for
-// removal first gains a Deprecated notice naming its replacement, stays
-// for two further tagged releases so downstream callers can migrate at
-// their own pace, and is then deleted. The first full cycle of that
-// schedule has now run: NewSimWithCosts and NewSMPSim carried their
-// notices for two tagged releases and have been removed — use NewSim
-// with the WithCosts / WithCPUs options instead. No facade symbol is
-// currently deprecated.
+// The facade exports exactly what its consumers use — the examples/
+// programs, example_test.go, perfbench/, README.md and docs/TUTORIAL.md —
+// and TestFacadeExportsHaveConsumers fails on any other export.
 //
 // See the examples/ directory for complete programs and cmd/rcbench for
 // the harness that regenerates every table and figure of the paper.
@@ -84,7 +78,6 @@ import (
 	"time"
 
 	"rescon/internal/alert"
-	"rescon/internal/chaos"
 	"rescon/internal/fault"
 	"rescon/internal/httpsim"
 	"rescon/internal/kernel"
@@ -104,18 +97,14 @@ type (
 	Container = rc.Container
 	// Attributes hold a container's scheduling parameters and limits.
 	Attributes = rc.Attributes
-	// ContainerUsage is the resource consumption charged to a container.
-	ContainerUsage = rc.Usage
 	// Class distinguishes fixed-share from time-share containers.
 	Class = rc.Class
-	// Desc is a per-process container descriptor.
-	Desc = rc.Desc
 )
 
 // Container classes.
 const (
-	TimeShare  = rc.TimeShare
-	FixedShare = rc.FixedShare
+	TimeShare  Class = rc.TimeShare
+	FixedShare Class = rc.FixedShare
 )
 
 // NewContainer creates a resource container; see rc.New.
@@ -129,16 +118,6 @@ type (
 	Kernel = kernel.Kernel
 	// Mode selects the resource-management model.
 	Mode = kernel.Mode
-	// Process is a protection domain in the simulated kernel.
-	Process = kernel.Process
-	// Thread is a kernel-schedulable thread.
-	Thread = kernel.Thread
-	// Conn is an established connection.
-	Conn = kernel.Conn
-	// ListenSocket is a (possibly filtered) listening socket.
-	ListenSocket = kernel.ListenSocket
-	// ListenConfig configures a listening socket.
-	ListenConfig = kernel.ListenConfig
 	// CostModel holds the calibrated CPU costs of every processing stage.
 	CostModel = kernel.CostModel
 	// Address is a transport endpoint.
@@ -151,17 +130,14 @@ type (
 
 // Kernel execution models.
 const (
-	ModeUnmodified = kernel.ModeUnmodified
-	ModeLRP        = kernel.ModeLRP
-	ModeRC         = kernel.ModeRC
+	ModeUnmodified Mode = kernel.ModeUnmodified
+	ModeLRP        Mode = kernel.ModeLRP
+	ModeRC         Mode = kernel.ModeRC
 )
 
 // DefaultPriority is the container priority used when none is specified;
 // priority 0 is the idle class.
 const DefaultPriority = kernel.DefaultPriority
-
-// NoParent passes "no parent" to container syscalls.
-const NoParent = kernel.NoParent
 
 // Addr builds an endpoint from a dotted-quad IP string and port.
 func Addr(ip string, port uint16) Address { return kernel.Addr(ip, port) }
@@ -178,18 +154,14 @@ type (
 	Server = httpsim.Server
 	// ServerConfig configures an event-driven server.
 	ServerConfig = httpsim.Config
-	// MTServer is the single-process multi-threaded server (Fig. 3/9).
-	MTServer = httpsim.MTServer
-	// Request is one HTTP request payload.
-	Request = httpsim.Request
 	// API selects select() vs the scalable event API.
 	API = httpsim.API
 )
 
 // Event APIs.
 const (
-	SelectAPI = httpsim.SelectAPI
-	EventAPI  = httpsim.EventAPI
+	SelectAPI API = httpsim.SelectAPI
+	EventAPI  API = httpsim.EventAPI
 )
 
 // Request kinds.
@@ -200,11 +172,6 @@ const (
 
 // NewServer starts an event-driven server; see httpsim.NewServer.
 func NewServer(cfg ServerConfig) (*Server, error) { return httpsim.NewServer(cfg) }
-
-// NewMTServer starts a multi-threaded server with the given pool size.
-func NewMTServer(cfg ServerConfig, threads int) (*MTServer, error) {
-	return httpsim.NewMTServer(cfg, threads)
-}
 
 // Workload types (internal/workload).
 type (
@@ -218,18 +185,15 @@ type (
 	Flooder = workload.Flooder
 )
 
-// StartClient validates the configuration and launches one closed-loop
-// client.
-func StartClient(cfg ClientConfig) (*Client, error) { return workload.StartClient(cfg) }
-
 // StartPopulation validates the configuration and launches n clients
 // with consecutive source addresses.
 func StartPopulation(n int, cfg ClientConfig) (*Population, error) {
 	return workload.StartPopulation(n, cfg)
 }
 
-// MustStartClient is StartClient that panics on an invalid configuration;
-// convenient for examples and tests with known-good configs.
+// MustStartClient launches one closed-loop client and panics on an
+// invalid configuration; convenient for examples and tests with
+// known-good configs.
 func MustStartClient(cfg ClientConfig) *Client { return workload.MustStartClient(cfg) }
 
 // MustStartPopulation is StartPopulation that panics on an invalid
@@ -258,10 +222,8 @@ type (
 
 // Duration units.
 const (
-	Nanosecond  = sim.Nanosecond
-	Microsecond = sim.Microsecond
-	Millisecond = sim.Millisecond
-	Second      = sim.Second
+	Millisecond Duration = sim.Millisecond
+	Second      Duration = sim.Second
 )
 
 // Fault injection and resilience (internal/fault, internal/workload).
@@ -273,8 +235,6 @@ type (
 	// FaultInjector draws seed-stable wire and disk fault schedules;
 	// assign it to Kernel.Faults and Kernel.Disk().Faults.
 	FaultInjector = fault.Injector
-	// FaultStats counts injected faults by class.
-	FaultStats = fault.Stats
 	// InvariantChecker periodically asserts CPU-charge conservation,
 	// virtual-clock monotonicity and queue bounds at runtime; wire a
 	// kernel in with Kernel.WatchInvariants.
@@ -311,41 +271,6 @@ func StartCrasher(eng *Engine, plan CrashPlan, crash, restart func()) (*Crasher,
 // workload.StartSlowLoris.
 func StartSlowLoris(cfg SlowLorisConfig) *SlowLoris { return workload.StartSlowLoris(cfg) }
 
-// Deterministic chaos harness (internal/chaos): seed-generated
-// scenarios, an invariant battery, and auto-shrinking repros. See
-// DESIGN.md §9 and cmd/rcchaos.
-type (
-	// ChaosScenario is a fully serializable description of one chaos
-	// run: container hierarchy, workload mix, fault schedule, crash
-	// plan, kernel mode and machine shape — a pure function of its seed.
-	ChaosScenario = chaos.Scenario
-	// ChaosResult reports one chaos run: violations, the determinism
-	// hash, and the end-of-run resource counters.
-	ChaosResult = chaos.Result
-)
-
-// GenerateChaosScenario derives a random-but-valid scenario from the
-// seed; the same seed always yields the same scenario.
-func GenerateChaosScenario(seed uint64) ChaosScenario { return chaos.Generate(seed) }
-
-// RunChaos runs a scenario twice on fresh engines with the full
-// invariant battery and adds a violation if the two run hashes differ;
-// see chaos.RunChecked.
-func RunChaos(sc ChaosScenario) (*ChaosResult, error) { return chaos.RunChecked(sc) }
-
-// ShrinkChaosScenario greedily minimizes a failing scenario while it
-// still fails with the same violation class (see chaos.Classify).
-func ShrinkChaosScenario(sc ChaosScenario, class string) ChaosScenario {
-	return chaos.Shrink(sc, class)
-}
-
-// LoadChaosScenario reads and validates a scenario (repro) JSON file.
-func LoadChaosScenario(path string) (ChaosScenario, error) { return chaos.LoadScenario(path) }
-
-// ChaosSmoke generates `runs` scenarios starting at seed and runs each
-// under all three kernel modes, returning the first failure.
-func ChaosSmoke(runs int, seed uint64) error { return chaos.Smoke(runs, seed) }
-
 // Enforcer applies container CPU limits and accounting to real
 // (non-simulated) Go programs via cooperative bracketing — the userspace
 // approximation of the paper's kernel mechanism. See
@@ -371,20 +296,15 @@ type (
 	// RuntimeConfig configures a Runtime; validate with its Validate
 	// method, or let NewRuntime do it.
 	RuntimeConfig = rcruntime.Config
-	// RuntimeOption is a functional option for NewRuntime (WithClock,
-	// WithWindow, WithBinder, WithTelemetrySink).
+	// RuntimeOption is a functional option for NewRuntime (WithBinder,
+	// WithTelemetrySink, WithBreakers).
 	RuntimeOption = rcruntime.Option
 	// RuntimeStats is a snapshot of a Runtime's request and connection
 	// counters.
 	RuntimeStats = rcruntime.Stats
-	// RuntimeClock abstracts time for the Runtime so tests and the live
-	// experiment can inject a deterministic clock.
-	RuntimeClock = rcruntime.Clock
 	// Binder resolves an incoming request to the Container that pays for
 	// it (§4.2 dynamic binding).
 	Binder = rcruntime.Binder
-	// BinderFunc adapts a function to a Binder.
-	BinderFunc = rcruntime.BinderFunc
 	// AcceptPolicy configures connection shedding at accept — the real
 	// analogue of the simulated kernel's Policing.
 	AcceptPolicy = rcruntime.AcceptPolicy
@@ -393,14 +313,6 @@ type (
 	// TelemetrySink receives RequestEvents from a Runtime.
 	TelemetrySink = rcruntime.TelemetrySink
 )
-
-// NoDelay, as a RuntimeConfig.MaxDelay, makes admission try-once: an
-// over-budget request is shed immediately instead of waiting for the
-// window to roll.
-const NoDelay = rcruntime.NoDelay
-
-// ErrBadConfig is wrapped by every RuntimeConfig validation failure.
-var ErrBadConfig = rcruntime.ErrBadConfig
 
 // NewRuntime validates cfg, applies opts, and returns a Runtime
 // governing real HTTP load with the configured container hierarchy.
@@ -413,13 +325,6 @@ func NewRuntime(cfg RuntimeConfig, opts ...RuntimeOption) (*Runtime, error) {
 func MustNewRuntime(cfg RuntimeConfig, opts ...RuntimeOption) *Runtime {
 	return rcruntime.MustNewRuntime(cfg, opts...)
 }
-
-// WithClock injects the Runtime's time source (nil keeps the wall
-// clock).
-func WithClock(c RuntimeClock) RuntimeOption { return rcruntime.WithClock(c) }
-
-// WithWindow overrides the enforcement window.
-func WithWindow(w time.Duration) RuntimeOption { return rcruntime.WithWindow(w) }
 
 // WithBinder sets how requests resolve to containers (nil keeps
 // bind-to-root).
@@ -440,10 +345,6 @@ func HeaderBinder(header string, tenants map[string]*Container, def *Container) 
 // to c. It reports false if the request carries no binding or c is
 // unusable.
 func RebindRequest(ctx context.Context, c *Container) bool { return rcruntime.Rebind(ctx, c) }
-
-// BoundContainer returns the container an in-flight request is
-// currently charged to, or nil outside a governed request.
-func BoundContainer(ctx context.Context) *Container { return rcruntime.Bound(ctx) }
 
 // Survivability surface: graceful degradation and closed-loop
 // governance for the real runtime — per-tenant circuit breakers,
@@ -481,7 +382,7 @@ type (
 
 // NewAlertMonitor returns an empty alert monitor, ready for a check
 // battery — the runtime path registers one via AttachRuntimeMonitor
-// (the simulated kernel's AttachAlerts builds its own).
+// (WithWatchdog builds the simulated kernel's own).
 func NewAlertMonitor() *AlertMonitor { return alert.New() }
 
 // WithBreakers enables per-tenant circuit breakers on a Runtime:
@@ -501,79 +402,7 @@ func AttachRuntimeWatchdog(m *RuntimeMonitor, cfg RuntimeWatchdogConfig) *Runtim
 	return rcruntime.AttachWatchdog(m, cfg)
 }
 
-// Request-outcome causes recorded in RequestEvent.Cause by a governed
-// Runtime (served requests carry an empty cause).
-const (
-	// CauseShed marks a 429: the subtree's window budget stayed
-	// exhausted past the request's admission patience.
-	CauseShed = rcruntime.CauseShed
-	// CauseBreaker marks a 503 from an open per-tenant circuit breaker.
-	CauseBreaker = rcruntime.CauseBreaker
-	// CauseDrain marks a 503 issued while the runtime is draining.
-	CauseDrain = rcruntime.CauseDrain
-	// CausePanic marks a request whose handler panicked; the partial
-	// work is still charged.
-	CausePanic = rcruntime.CausePanic
-)
-
-// Live fault injection (internal/fault): deterministic connection
-// resets, read stalls, handler stalls and panics for a real net/http
-// server — the chaos layer behind `rcbench -exp livechaos`.
-type (
-	// LiveFaultConfig sets the per-event probabilities and durations of
-	// the injected faults.
-	LiveFaultConfig = fault.LiveConfig
-	// LiveFaultInjector wraps a listener and an http.Handler with
-	// seeded fault injection and tallies what it injected.
-	LiveFaultInjector = fault.LiveInjector
-	// LiveFaultStats counts the faults actually injected in a run.
-	LiveFaultStats = fault.LiveStats
-)
-
-// NewLiveFaultInjector returns a deterministic injector for the seed;
-// sleeper nil uses real time (tests pass the runtime's clock).
-func NewLiveFaultInjector(seed int64, cfg LiveFaultConfig, sleeper fault.Sleeper) *LiveFaultInjector {
-	return fault.NewLive(seed, cfg, sleeper)
-}
-
-// Live chaos harness (internal/chaos): seed-generated scenarios fuzzing
-// the breaker/watchdog closed loop on the real middleware stack, with
-// auto-shrinking repros. See cmd/rcchaos -live.
-type (
-	// LiveChaosScenario describes one live chaos run — tenants, fault
-	// rates, breaker and watchdog settings — as a pure function of its
-	// seed.
-	LiveChaosScenario = chaos.LiveScenario
-	// LiveChaosResult reports one live run: violations, the determinism
-	// hash, watchdog cycle counts, and per-tenant request ledgers.
-	LiveChaosResult = chaos.LiveResult
-)
-
-// GenerateLiveChaosScenario derives a random-but-valid live scenario
-// from the seed.
-func GenerateLiveChaosScenario(seed uint64) LiveChaosScenario { return chaos.GenerateLive(seed) }
-
-// RunLiveChaos runs a live scenario twice on fresh runtimes with the
-// live invariant battery and adds a violation if the run hashes differ.
-func RunLiveChaos(sc LiveChaosScenario) (*LiveChaosResult, error) { return chaos.RunLiveChecked(sc) }
-
-// ShrinkLiveChaosScenario greedily minimizes a failing live scenario
-// while it still fails with the same violation class.
-func ShrinkLiveChaosScenario(sc LiveChaosScenario, class string) LiveChaosScenario {
-	return chaos.ShrinkLive(sc, class)
-}
-
-// LoadLiveChaosScenario reads and validates a live scenario (repro)
-// JSON file.
-func LoadLiveChaosScenario(path string) (LiveChaosScenario, error) {
-	return chaos.LoadLiveScenario(path)
-}
-
-// LiveChaosSmoke generates `runs` live scenarios starting at seed and
-// runs each with the checker, returning the first failure.
-func LiveChaosSmoke(runs int, seed uint64) error { return chaos.LiveSmoke(runs, seed) }
-
-// Telemetry and structured tracing (internal/telemetry, internal/trace).
+// Telemetry (internal/telemetry, internal/trace).
 type (
 	// Telemetry collects structured trace events, per-principal usage
 	// timelines and the virtual-CPU profile for one kernel.
@@ -581,29 +410,18 @@ type (
 	// TelemetryConfig sizes a Telemetry collector (zero values take
 	// defaults).
 	TelemetryConfig = telemetry.Config
-	// TelemetrySample is one usage-timeline row.
-	TelemetrySample = telemetry.Sample
-	// ProfileRow is one (principal × stage) cell of the virtual-CPU
-	// profile.
-	ProfileRow = telemetry.ProfileRow
-	// Tracer is the bounded structured event ring.
-	Tracer = trace.Tracer
-	// TraceEvent is one structured trace record.
-	TraceEvent = trace.Event
-	// TraceKind classifies trace events.
-	TraceKind = trace.Kind
 	// Stage is the kernel execution stage CPU time is attributed to.
 	Stage = trace.Stage
 )
 
 // Kernel execution stages of the virtual-CPU profile.
 const (
-	StageInterrupt = trace.StageInterrupt
-	StageIP        = trace.StageIP
-	StageSocket    = trace.StageSocket
-	StageSyscall   = trace.StageSyscall
-	StageUser      = trace.StageUser
-	StageDisk      = trace.StageDisk
+	StageInterrupt Stage = trace.StageInterrupt
+	StageIP        Stage = trace.StageIP
+	StageSocket    Stage = trace.StageSocket
+	StageSyscall   Stage = trace.StageSyscall
+	StageUser      Stage = trace.StageUser
+	StageDisk      Stage = trace.StageDisk
 )
 
 // NewTelemetry returns a detached telemetry collector; attach it with
@@ -612,22 +430,12 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry { return telemetry.New(cfg) }
 
 // Alerting and the closed-loop overload watchdog (internal/alert). The
 // monitor consumes the telemetry sampling tick, so the kernel must have
-// a collector attached first (WithAlerts takes care of that).
+// a collector attached first (WithWatchdog takes care of that).
 type (
 	// AlertMonitor evaluates a registered check battery on every
 	// telemetry sampling tick and publishes a deterministic,
 	// hysteresis-filtered event stream (JSONL via WriteJSONL).
 	AlertMonitor = alert.Monitor
-	// AlertConfig tunes the built-in check battery: disable built-ins by
-	// name, append extra checks.
-	AlertConfig = alert.Config
-	// AlertCheck is one pluggable detector: thresholds, hysteresis
-	// windows and an Observe callback.
-	AlertCheck = alert.Check
-	// AlertObservation is one (target, value) reading of a check.
-	AlertObservation = alert.Observation
-	// AlertEvent is one published alert-state transition.
-	AlertEvent = alert.Event
 	// AlertLevel is an alert severity (ok, warning, critical).
 	AlertLevel = alert.Level
 	// Watchdog is the closed loop on the alert stream, one state machine
@@ -643,23 +451,10 @@ type (
 
 // Alert severities.
 const (
-	AlertOk       = alert.LevelOk
-	AlertWarning  = alert.LevelWarning
-	AlertCritical = alert.LevelCritical
+	AlertOk       AlertLevel = alert.LevelOk
+	AlertWarning  AlertLevel = alert.LevelWarning
+	AlertCritical AlertLevel = alert.LevelCritical
 )
-
-// AttachAlerts builds an AlertMonitor with the built-in check battery
-// over k and subscribes it to the telemetry sampling tick; see
-// alert.Attach. The kernel must already have a telemetry collector.
-func AttachAlerts(k *Kernel, cfg AlertConfig) (*AlertMonitor, error) {
-	return alert.Attach(k, cfg)
-}
-
-// AttachWatchdog wires the closed-loop watchdog to a monitor's event
-// stream; call after AttachAlerts, before running load.
-func AttachWatchdog(m *AlertMonitor, k *Kernel, cfg WatchdogConfig) *Watchdog {
-	return alert.AttachWatchdog(m, k, cfg)
-}
 
 // Closed-loop adaptive rebalancing (internal/rebalance). The controller
 // watches per-member demand counters on the telemetry sampling tick and
@@ -688,30 +483,14 @@ type (
 	// RebalanceResource selects which attribute a pool trades between
 	// members: CPU share, CPU limit or memory quota.
 	RebalanceResource = rebalance.Resource
-	// RebalanceFreezer is an actuator the controller yields to: while
-	// Engaged returns true the controller freezes, and it resyncs its
-	// view of member attributes before resuming. Watchdog implements
-	// it in both worlds.
-	RebalanceFreezer = rebalance.Freezer
 )
 
 // Rebalanceable resources.
 const (
-	RebalanceCPUShare = rebalance.CPUShare
-	RebalanceCPULimit = rebalance.CPULimit
-	RebalanceMemQuota = rebalance.MemQuota
+	RebalanceCPUShare RebalanceResource = rebalance.CPUShare
+	RebalanceCPULimit RebalanceResource = rebalance.CPULimit
+	RebalanceMemQuota RebalanceResource = rebalance.MemQuota
 )
-
-// AttachRebalancer builds a rebalance controller and drives it from the
-// telemetry sampling tick; see rebalance.Attach. Attach it after
-// AttachAlerts / AttachWatchdog so a watchdog listed in cfg.Freeze has
-// updated its state by the time the controller runs (sample hooks run
-// in registration order); WithRebalancer orders this automatically.
-// Pools are added afterwards with AddPool, once the governed containers
-// exist.
-func AttachRebalancer(tel *Telemetry, cfg RebalanceConfig) (*Rebalancer, error) {
-	return rebalance.Attach(tel, cfg)
-}
 
 // AttachRuntimeRebalancer drives a rebalance controller from a live
 // runtime monitor's enforcement tick, serialized against the enforcer's
@@ -729,7 +508,7 @@ type Sim struct {
 	// Telemetry is the attached collector, nil unless WithTelemetry was
 	// used (or a collector was attached to the kernel afterwards).
 	Telemetry *Telemetry
-	// Alerts is the attached alert monitor, nil unless WithAlerts or
+	// Alerts is the alert monitor the watchdog reacts to, nil unless
 	// WithWatchdog was used.
 	Alerts *AlertMonitor
 	// Watchdog is the attached closed loop, nil unless WithWatchdog was
@@ -745,12 +524,11 @@ type Sim struct {
 type SimOption func(*simOptions)
 
 type simOptions struct {
-	costs  CostModel
-	ncpus  int
-	tel    *telemetry.Collector
-	alerts *alert.Config
-	wd     *alert.WatchdogConfig
-	reb    *rebalance.Config
+	costs CostModel
+	ncpus int
+	tel   *telemetry.Collector
+	wd    *alert.WatchdogConfig
+	reb   *rebalance.Config
 }
 
 // WithCosts replaces the default (paper-calibrated) cost model.
@@ -772,20 +550,11 @@ func WithTelemetry(cfg TelemetryConfig) SimOption {
 	return func(o *simOptions) { o.tel = telemetry.New(cfg) }
 }
 
-// WithAlerts attaches the built-in alert battery on the telemetry
-// sampling tick; the monitor is reachable as Sim.Alerts. A telemetry
-// collector is attached implicitly (with default sizing) if WithTelemetry
-// is not also given. NewSim panics if cfg is invalid — an Extra check
-// reusing a registered name — since that is a programming error, not a
-// runtime condition.
-func WithAlerts(cfg AlertConfig) SimOption {
-	return func(o *simOptions) { o.alerts = &cfg }
-}
-
-// WithWatchdog attaches the alert battery (as WithAlerts, with a default
-// AlertConfig unless WithAlerts is also given) plus the closed-loop
-// overload watchdog reacting to it; the loop is reachable as
-// Sim.Watchdog.
+// WithWatchdog attaches the built-in alert battery on the telemetry
+// sampling tick (reachable as Sim.Alerts) plus the closed-loop overload
+// watchdog reacting to it (reachable as Sim.Watchdog). A telemetry
+// collector is attached implicitly (with default sizing) if
+// WithTelemetry is not also given.
 func WithWatchdog(cfg WatchdogConfig) SimOption {
 	return func(o *simOptions) { o.wd = &cfg }
 }
@@ -804,7 +573,8 @@ func WithRebalancer(cfg RebalanceConfig) SimOption {
 }
 
 // NewSim creates a deterministic simulation in the given kernel mode,
-// customized by functional options: WithCosts, WithCPUs, WithTelemetry.
+// customized by functional options: WithCosts, WithCPUs, WithTelemetry,
+// WithWatchdog, WithRebalancer.
 func NewSim(mode Mode, seed int64, opts ...SimOption) *Sim {
 	o := simOptions{costs: kernel.DefaultCosts(), ncpus: 1}
 	for _, opt := range opts {
@@ -813,26 +583,20 @@ func NewSim(mode Mode, seed int64, opts ...SimOption) *Sim {
 	eng := sim.NewEngine(seed)
 	k := kernel.NewSMP(eng, mode, o.costs, o.ncpus)
 	s := &Sim{Engine: eng, Kernel: k}
-	if o.tel == nil && (o.alerts != nil || o.wd != nil || o.reb != nil) {
+	if o.tel == nil && (o.wd != nil || o.reb != nil) {
 		o.tel = telemetry.New(telemetry.Config{})
 	}
 	if o.tel != nil {
 		k.AttachTelemetry(o.tel)
 		s.Telemetry = o.tel
 	}
-	if o.alerts != nil || o.wd != nil {
-		acfg := alert.Config{}
-		if o.alerts != nil {
-			acfg = *o.alerts
-		}
-		m, err := alert.Attach(k, acfg)
+	if o.wd != nil {
+		m, err := alert.Attach(k, alert.Config{})
 		if err != nil {
-			panic("rescon: WithAlerts: " + err.Error())
+			panic("rescon: WithWatchdog: " + err.Error())
 		}
 		s.Alerts = m
-		if o.wd != nil {
-			s.Watchdog = alert.AttachWatchdog(m, k, *o.wd)
-		}
+		s.Watchdog = alert.AttachWatchdog(m, k, *o.wd)
 	}
 	if o.reb != nil {
 		rcfg := *o.reb

@@ -14,11 +14,15 @@ vet:
 # exported symbol of the root rescon facade, the rcruntime bridge, the
 # shared alert/watchdog core, the chaos harness, the experiments and
 # their governed-live rig, and the telemetry, rc and kernel packages
-# must carry a doc comment).
+# must carry a doc comment). perfbench/ is a separate module that
+# `go build ./...` never compiles, so it is vetted and tested here: a
+# facade change that breaks the benchmark fails lint, not the benchmark
+# run.
 lint: vet
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) run ./cmd/checkdocs . ./internal/rcruntime ./internal/alert ./internal/chaos ./internal/telemetry ./internal/rc ./internal/kernel ./internal/experiments
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Fast suite: -short skips the long experiment sweeps but keeps the
 # runtime invariant checker on (the experiments test Options enable it).

@@ -119,6 +119,9 @@ func run(argv []string, out, errOut io.Writer) error {
 	if *grace < 0 {
 		return fmt.Errorf("negative -grace %v", *grace)
 	}
+	if *maxConns < 0 {
+		return fmt.Errorf("negative -maxconns %d", *maxConns)
+	}
 
 	root := rc.MustNew(nil, rc.FixedShare, "rcserve", rc.Attributes{})
 	bound := map[string]*rc.Container{}

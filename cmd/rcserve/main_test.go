@@ -33,6 +33,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-tenant", "broken"},
 		{"-window", "-1s"},
 		{"-grace", "-1s"},
+		{"-maxconns", "-1", "-demo"},
 		{"-addr", "127.0.0.1:not-a-port", "-demo"},
 	} {
 		if err := run(argv, &strings.Builder{}, &strings.Builder{}); err == nil {

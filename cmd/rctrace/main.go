@@ -121,7 +121,7 @@ func main() {
 func run(cfg config, stdout io.Writer) error {
 	eng := sim.NewEngine(cfg.seed)
 	k := kernel.New(eng, cfg.mode, kernel.DefaultCosts())
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	k.AttachTelemetry(tel)
 	tr := tel.Tracer()
 	if cfg.kinds != "" {

@@ -87,7 +87,7 @@ func ExampleServer_AddListener() {
 // (principal × kernel stage).
 func ExampleWithTelemetry() {
 	s := rescon.NewSim(rescon.ModeRC, 42,
-		rescon.WithTelemetry(rescon.TelemetryConfig{}))
+		rescon.WithTelemetry())
 	_, err := rescon.NewServer(rescon.ServerConfig{
 		Kernel: s.Kernel, Name: "httpd",
 		Addr: rescon.Addr("10.0.0.1", 80),

@@ -17,7 +17,7 @@ func main() {
 	// WithCPUs(4) for SMP, WithCosts for a custom cost model; here,
 	// WithTelemetry attaches structured tracing and CPU profiling.
 	s := rescon.NewSim(rescon.ModeRC, 42,
-		rescon.WithTelemetry(rescon.TelemetryConfig{}))
+		rescon.WithTelemetry())
 
 	// An event-driven Web server (the thttpd-like server of §5.2) that
 	// creates one resource container per connection. Clients from the

@@ -13,7 +13,7 @@ import (
 	"rescon/internal/sim"
 )
 
-// Built-in check names, also the keys accepted by Config.Disable.
+// Built-in check names.
 const (
 	CheckSynDrops      = "syn-drops"
 	CheckAcceptQueue   = "accept-queue"
@@ -27,7 +27,7 @@ const (
 )
 
 // Default thresholds for the battery. Delta checks are per sampling
-// tick (DefaultSampleInterval = 1ms of virtual time); level checks on
+// tick (telemetry.SampleInterval = 1ms of virtual time); level checks on
 // queues are occupancy fractions of the queue's bound.
 const (
 	// SYN drops: any drop in a tick is warning-worthy (it is refused
@@ -73,28 +73,11 @@ const (
 	StarvationRaiseTicks = 8
 )
 
-// Config tunes Attach's built-in battery.
-type Config struct {
-	// Disable lists built-in check names (the Check* constants) to omit.
-	Disable []string
-	// Extra checks are registered after the built-ins, in order.
-	Extra []Check
-}
-
-func (cfg Config) disabled(name string) bool {
-	for _, d := range cfg.Disable {
-		if d == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Attach builds a Monitor with the built-in check battery over k and
 // subscribes it to the telemetry sampling tick. The kernel must already
 // have a telemetry collector attached — the alert layer is a consumer
 // of that stream, not a second sampler.
-func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
+func Attach(k *kernel.Kernel) (*Monitor, error) {
 	tel := k.Telemetry()
 	if tel == nil {
 		return nil, fmt.Errorf("alert: kernel has no telemetry collector attached")
@@ -102,17 +85,11 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	m := New()
 	m.SetRun(k.Engine().Seed(), k.Mode().String(), tel.Interval())
 
-	reg := func(c Check) {
-		if !cfg.disabled(c.Name) {
-			m.MustRegister(c)
-		}
-	}
-
 	// syn-drops: per-listener delta of the SYN/accept drop counter. The
 	// counter is monotonic; the first observation baselines it, like
 	// sockstat's first gather.
 	prevSyn := make(map[string]uint64)
-	reg(Check{
+	m.MustRegister(Check{
 		Name: CheckSynDrops, Warn: DefaultSynDropsWarn, Crit: DefaultSynDropsCrit,
 		Observe: reuse(func(obs []Observation) []Observation {
 			for _, ls := range k.ListenSockets() {
@@ -139,7 +116,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	})
 
 	// accept-queue: occupancy of each listener's accept queue.
-	reg(Check{
+	m.MustRegister(Check{
 		Name: CheckAcceptQueue, Warn: DefaultAcceptQueueWarn, Crit: DefaultAcceptQueueCrit,
 		Observe: reuse(func(obs []Observation) []Observation {
 			for _, ls := range k.ListenSockets() {
@@ -160,7 +137,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	// embryonic: half-open connections held per listener. Policed
 	// kernels shed SYNs before they become embryonic, so a high count
 	// means un-admission-controlled flood traffic.
-	reg(Check{
+	m.MustRegister(Check{
 		Name: CheckEmbryonic, Warn: DefaultEmbryonicWarn, Crit: DefaultEmbryonicCrit,
 		Observe: reuse(func(obs []Observation) []Observation {
 			for _, ls := range k.ListenSockets() {
@@ -182,7 +159,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	// livelock on the unmodified kernel, where packets are consumed at
 	// interrupt level and every downstream queue stays calm.
 	var prevIntr sim.Duration
-	reg(Check{
+	m.MustRegister(Check{
 		Name: CheckInterruptLoad, Warn: DefaultInterruptWarn, Crit: DefaultInterruptCrit,
 		Observe: reuse(func(obs []Observation) []Observation {
 			cur := k.InterruptTime()
@@ -199,7 +176,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	// backlog-pressure: occupancy of each process's protocol backlog
 	// (LRP/RC modes; unmodified kernels have no per-process queue and
 	// show up on runqueue/syn-drops instead).
-	reg(Check{
+	m.MustRegister(Check{
 		Name: CheckBacklog, Warn: DefaultBacklogWarn, Crit: DefaultBacklogCrit,
 		Observe: reuse(func(obs []Observation) []Observation {
 			for _, p := range k.Processes() {
@@ -221,7 +198,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	// GrowthWindowTicks. Catches a queue filling fast even before
 	// occupancy is high, without alerting on fill/drain oscillation.
 	histBacklog := make(map[string][]int)
-	reg(Check{
+	m.MustRegister(Check{
 		Name: CheckBacklogGrowth, Warn: DefaultBacklogGrowthWarn, Crit: DefaultBacklogGrowthCrit,
 		Observe: reuse(func(obs []Observation) []Observation {
 			for _, p := range k.Processes() {
@@ -253,7 +230,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 
 	// runqueue: scheduler run-queue depth — the "everything runnable,
 	// nothing finishing" stall signal.
-	reg(Check{
+	m.MustRegister(Check{
 		Name: CheckRunQueue, Warn: DefaultRunQueueWarn, Crit: DefaultRunQueueCrit,
 		Observe: reuse(func(obs []Observation) []Observation {
 			return append(obs, Observation{
@@ -263,7 +240,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	})
 
 	// disk-queue: occupancy of the disk request queue.
-	reg(Check{
+	m.MustRegister(Check{
 		Name: CheckDiskQueue, Warn: DefaultDiskQueueWarn, Crit: DefaultDiskQueueCrit,
 		Observe: reuse(func(obs []Observation) []Observation {
 			n := k.Disk().QueueLen()
@@ -280,7 +257,7 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 	// zero CPU across a busy tick is being starved despite its
 	// reservation — exactly the guarantee §4 of the paper exists to
 	// protect.
-	if k.Mode() == kernel.ModeRC && !cfg.disabled(CheckStarvation) {
+	if k.Mode() == kernel.ModeRC {
 		interval := tel.Interval()
 		type starvePrev struct {
 			cpu  sim.Duration
@@ -315,12 +292,6 @@ func Attach(k *kernel.Kernel, cfg Config) (*Monitor, error) {
 				return obs
 			}),
 		})
-	}
-
-	for _, c := range cfg.Extra {
-		if err := m.Register(c); err != nil {
-			return nil, err
-		}
 	}
 
 	tel.AddSampleHook(m.Tick)

@@ -35,8 +35,8 @@ func floodScene(t *testing.T, mode kernel.Mode, seed int64, withWatchdog, hog bo
 	}
 	eng := sim.NewEngine(seed)
 	k := kernel.New(eng, mode, kernel.DefaultCosts())
-	k.AttachTelemetry(telemetry.New(telemetry.Config{}))
-	mon, err := Attach(k, Config{})
+	k.AttachTelemetry(telemetry.New())
+	mon, err := Attach(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestQuietBaselineStaysOk(t *testing.T) {
 	for _, mode := range []kernel.Mode{kernel.ModeUnmodified, kernel.ModeLRP, kernel.ModeRC} {
 		eng := sim.NewEngine(7)
 		k := kernel.New(eng, mode, kernel.DefaultCosts())
-		k.AttachTelemetry(telemetry.New(telemetry.Config{}))
-		mon, err := Attach(k, Config{})
+		k.AttachTelemetry(telemetry.New())
+		mon, err := Attach(k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,9 +50,11 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -164,15 +166,21 @@ func writeRepro(path string, sc any) error {
 }
 
 // loadRepro reads and validates a JSON repro file; kind names the file
-// in errors.
+// in errors. Unknown fields are rejected: a misspelled or retired knob
+// would otherwise be dropped silently and run a different scenario.
 func loadRepro[S interface{ Validate() error }](path, kind string) (S, error) {
 	var sc, zero S
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return zero, fmt.Errorf("chaos: reading %s: %w", kind, err)
 	}
-	if err := json.Unmarshal(data, &sc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
 		return zero, fmt.Errorf("chaos: parsing %s %s: %w", kind, path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return zero, fmt.Errorf("chaos: parsing %s %s: data after the JSON value", kind, path)
 	}
 	if err := sc.Validate(); err != nil {
 		return zero, fmt.Errorf("chaos: %s %s: %w", kind, path, err)

@@ -117,6 +117,53 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadReproRejectsUnknownFields: a hand-edited repro with a
+// misspelled or retired field must fail to load rather than silently
+// run a different scenario, while every committed repro still loads.
+func TestLoadReproRejectsUnknownFields(t *testing.T) {
+	load := func(path string) error {
+		if strings.Contains(path, "live") {
+			_, err := LoadLiveScenario(path)
+			return err
+		}
+		_, err := LoadScenario(path)
+		return err
+	}
+	committed, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("no committed repros: %v", err)
+	}
+	for _, path := range committed {
+		if err := load(path); err != nil {
+			t.Errorf("committed repro %s: %v", path, err)
+		}
+	}
+
+	dir := t.TempDir()
+	for _, tc := range []struct{ file, old, new, want string }{
+		{"shrink_rebalance.json", `"rebalance": {}`, `"rebalance": {"cooldown_tick": 3}`, `unknown field "cooldown_tick"`},
+		{"shrink_live_rebalance.json", `"mutation": "no-disarm"`, `"mutation": "no-disarm", "calm_ticks": 2`, `unknown field "calm_ticks"`},
+		{"shrink_live_clean.json", `"seed"`, `"sed": 1, "seed"`, `unknown field "sed"`},
+		{"shrink_phantom_cpu.json", "}\n", "}\n{}\n", "data after the JSON value"},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := strings.Replace(string(data), tc.old, tc.new, 1)
+		if edited == string(data) {
+			t.Fatalf("%s: %q not found", tc.file, tc.old)
+		}
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := load(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s edited (%s): load error %v, want %q", tc.file, tc.new, err, tc.want)
+		}
+	}
+}
+
 // TestMutationCaughtAndShrinks is the harness's self-test: a planted
 // accounting bug (CPU charged to a ghost principal) must be caught by
 // the CPU-conservation invariant, and because the bug is independent of

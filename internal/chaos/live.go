@@ -67,21 +67,6 @@ const (
 	liveShrinkMinCalm    = 8
 )
 
-// LiveTenantSpec is one tenant population of a live scenario. Calm
-// tenants issue in every round (they are the victims the defenses must
-// protect); hostile tenants issue only during the hostile phase.
-type LiveTenantSpec struct {
-	Name string `json:"name"`
-	// Limit is the tenant's CPU limit as a fraction of the window
-	// (0 = unlimited; unlimited hogs are what the watchdog must clamp).
-	Limit float64 `json:"limit,omitempty"`
-	// Requests per round and the virtual CPU cost of each.
-	Requests int          `json:"requests"`
-	Cost     sim.Duration `json:"cost"`
-	// Calm marks the well-behaved population.
-	Calm bool `json:"calm,omitempty"`
-}
-
 // LiveFaultSpec is the request-level slice of fault.LiveConfig — the
 // classes that exist without a real socket. Connection resets and read
 // stalls need the wire; the in-process driver draws only fates that
@@ -106,7 +91,6 @@ type LiveBreakerSpec struct {
 type LiveRebalanceSpec struct {
 	CooldownTicks int    `json:"cooldown_ticks,omitempty"`
 	OscMaxFlips   int    `json:"osc_max_flips,omitempty"`
-	CalmTicks     int    `json:"calm_ticks,omitempty"`
 	Mutation      string `json:"mutation,omitempty"`
 }
 
@@ -127,17 +111,17 @@ type LiveWatchdogSpec struct {
 // middleware stack under a tenant mix, fault schedule and defense
 // configuration, all drawn from Seed.
 type LiveScenario struct {
-	Seed          uint64             `json:"seed"`
-	Window        sim.Duration       `json:"window"`
-	HostileRounds int                `json:"hostile_rounds"`
-	CalmRounds    int                `json:"calm_rounds"`
-	Think         sim.Duration       `json:"think"`
-	Grace         sim.Duration       `json:"grace"`
-	Tenants       []LiveTenantSpec   `json:"tenants"`
-	Faults        LiveFaultSpec      `json:"faults"`
-	Breakers      *LiveBreakerSpec   `json:"breakers,omitempty"`
-	Watchdog      *LiveWatchdogSpec  `json:"watchdog,omitempty"`
-	Rebalance     *LiveRebalanceSpec `json:"rebalance,omitempty"`
+	Seed          uint64                   `json:"seed"`
+	Window        sim.Duration             `json:"window"`
+	HostileRounds int                      `json:"hostile_rounds"`
+	CalmRounds    int                      `json:"calm_rounds"`
+	Think         sim.Duration             `json:"think"`
+	Grace         sim.Duration             `json:"grace"`
+	Tenants       []experiments.LiveTenant `json:"tenants"`
+	Faults        LiveFaultSpec            `json:"faults"`
+	Breakers      *LiveBreakerSpec         `json:"breakers,omitempty"`
+	Watchdog      *LiveWatchdogSpec        `json:"watchdog,omitempty"`
+	Rebalance     *LiveRebalanceSpec       `json:"rebalance,omitempty"`
 }
 
 // Validate rejects specs the runner cannot build.
@@ -215,18 +199,18 @@ func GenerateLive(seed uint64) LiveScenario {
 		Think:         rt.Uniform(sim.Millisecond/2, 2*sim.Millisecond),
 		Grace:         sim.Second,
 	}
-	sc.Tenants = append(sc.Tenants, LiveTenantSpec{
+	sc.Tenants = append(sc.Tenants, experiments.LiveTenant{
 		Name:     "good",
 		Requests: 2 + rt.Intn(5),
-		Cost:     rt.Uniform(sim.Millisecond, 3*sim.Millisecond),
+		Cost:     time.Duration(rt.Uniform(sim.Millisecond, 3*sim.Millisecond)),
 		Calm:     true,
 	})
 	hogReqs := 0
 	for i, n := 0, 1+rt.Intn(3); i < n; i++ {
-		t := LiveTenantSpec{
+		t := experiments.LiveTenant{
 			Name:     fmt.Sprintf("hog%d", i),
 			Requests: 4 + rt.Intn(13),
-			Cost:     rt.Uniform(4*sim.Millisecond, 15*sim.Millisecond),
+			Cost:     time.Duration(rt.Uniform(4*sim.Millisecond, 15*sim.Millisecond)),
 		}
 		if rt.Float64() < 0.3 {
 			// A pre-limited hog: the enforcer sheds it without watchdog help.
@@ -315,12 +299,7 @@ func RunLive(sc LiveScenario) (*LiveResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	tenants := make([]experiments.LiveTenant, len(sc.Tenants))
-	for i, t := range sc.Tenants {
-		tenants[i] = experiments.LiveTenant{Name: t.Name, Limit: t.Limit,
-			Requests: t.Requests, Cost: time.Duration(t.Cost), Calm: t.Calm}
-	}
-	rig, err := experiments.NewLiveRig("livefuzz", tenants)
+	rig, err := experiments.NewLiveRig("livefuzz", sc.Tenants)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
@@ -377,7 +356,6 @@ func RunLive(sc LiveScenario) (*LiveResult, error) {
 		cfg := rebalance.Config{
 			CooldownTicks: spec.CooldownTicks,
 			OscMaxFlips:   spec.OscMaxFlips,
-			CalmTicks:     spec.CalmTicks,
 		}
 		thrash := mutateRebalance(&cfg, "rebalance-"+spec.Mutation)
 		if spec.Mutation == "leak" {

@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"testing"
+	"time"
 
+	"rescon/internal/experiments"
 	"rescon/internal/sim"
 )
 
@@ -17,10 +19,10 @@ func liveRebalanceScenario() LiveScenario {
 		CalmRounds:    44,
 		Think:         sim.Millisecond,
 		Grace:         sim.Second,
-		Tenants: []LiveTenantSpec{
-			{Name: "good", Requests: 3, Cost: 2 * sim.Millisecond, Calm: true},
-			{Name: "hog0", Requests: 8, Cost: 8 * sim.Millisecond, Limit: 0.35},
-			{Name: "hog1", Requests: 6, Cost: 6 * sim.Millisecond, Limit: 0.3},
+		Tenants: []experiments.LiveTenant{
+			{Name: "good", Requests: 3, Cost: 2 * time.Millisecond, Calm: true},
+			{Name: "hog0", Requests: 8, Cost: 8 * time.Millisecond, Limit: 0.35},
+			{Name: "hog1", Requests: 6, Cost: 6 * time.Millisecond, Limit: 0.3},
 		},
 		Rebalance: &LiveRebalanceSpec{},
 	}
@@ -90,8 +92,8 @@ func TestLiveRebalanceFailureShrinks(t *testing.T) {
 	sc := liveRebalanceScenario()
 	sc.Rebalance.Mutation = "no-disarm"
 	sc.Tenants = append(sc.Tenants,
-		LiveTenantSpec{Name: "hog2", Requests: 10, Cost: 9 * sim.Millisecond, Limit: 0.2},
-		LiveTenantSpec{Name: "hog3", Requests: 12, Cost: 5 * sim.Millisecond})
+		experiments.LiveTenant{Name: "hog2", Requests: 10, Cost: 9 * time.Millisecond, Limit: 0.2},
+		experiments.LiveTenant{Name: "hog3", Requests: 12, Cost: 5 * time.Millisecond})
 	sc.Faults = LiveFaultSpec{StallRate: 0.1, StallFor: 10 * sim.Millisecond, PanicRate: 0.05}
 
 	shrunk := ShrinkLive(sc, "rebalance-oscillation")

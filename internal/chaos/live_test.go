@@ -3,6 +3,7 @@ package chaos
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -44,7 +45,7 @@ func TestLiveScenarioValidate(t *testing.T) {
 	}
 	for i, mutate := range bad {
 		sc := GenerateLive(1)
-		sc.Tenants = append([]LiveTenantSpec(nil), good.Tenants...)
+		sc.Tenants = slices.Clone(good.Tenants)
 		mutate(&sc)
 		if err := sc.Validate(); err == nil {
 			t.Errorf("mutation %d: Validate accepted a broken scenario", i)

@@ -42,13 +42,8 @@ func attachRebalance(sc Scenario, k *kernel.Kernel, tel *telemetry.Collector,
 	mon *alert.Monitor, built []*rc.Container) (*rebalance.Controller, *alert.Watchdog, error) {
 	spec := sc.Rebalance
 	cfg := rebalance.Config{
-		StepFrac:       spec.StepFrac,
-		FloorFrac:      spec.FloorFrac,
-		CooldownTicks:  spec.CooldownTicks,
-		DeadbandFrac:   spec.DeadbandFrac,
-		OscWindowTicks: spec.OscWindowTicks,
-		OscMaxFlips:    spec.OscMaxFlips,
-		CalmTicks:      spec.CalmTicks,
+		CooldownTicks: spec.CooldownTicks,
+		OscMaxFlips:   spec.OscMaxFlips,
 	}
 	thrash := mutateRebalance(&cfg, sc.Mutation)
 

@@ -82,7 +82,7 @@ func Run(sc Scenario) (*Result, error) {
 	}
 	eng := sim.NewEngine(int64(sc.Seed))
 	k := kernel.NewSMP(eng, mode, kernel.DefaultCosts(), sc.CPUs)
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	k.AttachTelemetry(tel)
 	tel.SetRun(int64(sc.Seed), sc.Mode)
 	k.Police.Enabled = sc.Policing
@@ -94,7 +94,7 @@ func Run(sc Scenario) (*Result, error) {
 	// flap, and a sustained overload must never go unreported
 	// (SelfCheck). A RebalanceSpec later arms the full closed loop
 	// (watchdog + adaptive rebalancer) on top of this monitor.
-	mon, err := alert.Attach(k, alert.Config{})
+	mon, err := alert.Attach(k)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +306,7 @@ func Run(sc Scenario) (*Result, error) {
 
 	if sc.Mutation == MutationPhantomCPU {
 		eng.Every(50*sim.Millisecond, func() {
-			tel.ChargeStage("(ghost)", trace.StageUser, 200*sim.Microsecond)
+			tel.Charge(tel.Intern("(ghost)"), trace.StageUser, 200*sim.Microsecond)
 		})
 	}
 

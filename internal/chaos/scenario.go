@@ -141,15 +141,11 @@ const (
 // rebalance.Controller governing the generated hierarchy — a CPU-share
 // pool over the top-level fixed containers and a memory-quota pool over
 // the MemLimit-carrying containers, where at least two qualify. Zero
-// fields take the rebalance package defaults.
+// fields, and every damping knob not listed here, take the rebalance
+// package defaults.
 type RebalanceSpec struct {
-	StepFrac       float64 `json:"step_frac,omitempty"`
-	FloorFrac      float64 `json:"floor_frac,omitempty"`
-	CooldownTicks  int     `json:"cooldown_ticks,omitempty"`
-	DeadbandFrac   float64 `json:"deadband_frac,omitempty"`
-	OscWindowTicks int     `json:"osc_window_ticks,omitempty"`
-	OscMaxFlips    int     `json:"osc_max_flips,omitempty"`
-	CalmTicks      int     `json:"calm_ticks,omitempty"`
+	CooldownTicks int `json:"cooldown_ticks,omitempty"`
+	OscMaxFlips   int `json:"osc_max_flips,omitempty"`
 }
 
 // Validate reports whether the scenario is structurally runnable:

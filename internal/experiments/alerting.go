@@ -114,9 +114,9 @@ func Alerting(opt Options) (*AlertingResult, error) {
 func alertingPoint(opt Options, mode kernel.Mode, withWatchdog bool) (AlertingRow, error) {
 	row := AlertingRow{Mode: mode, Watchdog: withWatchdog, FirstCritical: -1, Knee: -1}
 	e := newEnv(mode, opt)
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	e.k.AttachTelemetry(tel)
-	mon, err := alert.Attach(e.k, alert.Config{})
+	mon, err := alert.Attach(e.k)
 	if err != nil {
 		return row, err
 	}

@@ -54,12 +54,15 @@ type LiveRig struct {
 // only in hostile rounds, alternating their keep-alive connection (shed
 // at the middleware) with a fresh connection per request (refused at
 // accept while policed).
+//
+// The JSON form is the tenant entry of a live chaos repro; Cost
+// marshals as integer nanoseconds.
 type LiveTenant struct {
-	Name     string  // container name and X-RC-Tenant value
-	Limit    float64 // container CPU limit (0 = unlimited)
-	Requests int     // per round, each burning Cost of virtual CPU
-	Cost     time.Duration
-	Calm     bool
+	Name     string        `json:"name"`            // container name and X-RC-Tenant value
+	Limit    float64       `json:"limit,omitempty"` // container CPU limit (0 = unlimited)
+	Requests int           `json:"requests"`        // per round, each burning Cost of virtual CPU
+	Cost     time.Duration `json:"cost"`
+	Calm     bool          `json:"calm,omitempty"`
 }
 
 // LiveBoot configures LiveRig.Start. The rig itself sets the runtime's

@@ -210,7 +210,7 @@ func rebalancePoint(shift string, mode kernel.Mode, policy string, opt Options) 
 	cell := RebalanceCell{Shift: shift, Mode: mode, Policy: policy}
 	e := newEnv(mode, opt)
 	e.k.FileCache().SetCapacity(rebalanceCacheCap)
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	e.k.AttachTelemetry(tel)
 
 	mkGuest := func(name string, port uint16) (*rc.Container, netsim.Addr, error) {

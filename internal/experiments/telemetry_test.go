@@ -24,7 +24,7 @@ func telemetryScene(t *testing.T, mode kernel.Mode, seed int64, floodRate sim.Ra
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	k := kernel.New(eng, mode, kernel.DefaultCosts())
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	k.AttachTelemetry(tel)
 
 	srv, err := httpsim.NewServer(httpsim.Config{

@@ -58,9 +58,8 @@ func NewForkServer(cfg Config, n int) (*ForkServer, error) {
 		})
 	}
 	_, err := s.k.Listen(s.master, kernel.ListenConfig{
-		Local:         cfg.Addr,
-		AcceptBacklog: cfg.AcceptBacklog,
-		OnAcceptable:  func(ls *kernel.ListenSocket) { s.accept(ls) },
+		Local:        cfg.Addr,
+		OnAcceptable: func(ls *kernel.ListenSocket) { s.accept(ls) },
 	})
 	if err != nil {
 		return nil, err

@@ -44,9 +44,8 @@ func NewMTServer(cfg Config, threads int) (*MTServer, error) {
 	}
 	var err error
 	s.ls, err = s.k.Listen(s.proc, kernel.ListenConfig{
-		Local:         cfg.Addr,
-		AcceptBacklog: cfg.AcceptBacklog,
-		OnAcceptable:  func(ls *kernel.ListenSocket) { s.accept(ls) },
+		Local:        cfg.Addr,
+		OnAcceptable: func(ls *kernel.ListenSocket) { s.accept(ls) },
 	})
 	if err != nil {
 		return nil, err

@@ -74,8 +74,6 @@ type Config struct {
 	// a connection request because of queue overflow — the modified
 	// kernel's SYN-flood signal (§5.7).
 	OnSynDrop func(src netsim.Addr)
-	// Listeners other than the default can be added with AddListener.
-	AcceptBacklog int
 }
 
 // Validate reports whether the configuration can produce a working
@@ -152,7 +150,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.proc = s.k.NewProcess(cfg.Name)
 	s.thread = s.proc.NewThread("main")
 	var err error
-	s.ls, err = s.listen(cfg.Addr, netsim.Wildcard, nil, cfg.AcceptBacklog)
+	s.ls, err = s.listen(netsim.Wildcard, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -168,17 +166,16 @@ func (s *Server) ListenSocket() *kernel.ListenSocket { return s.ls }
 // AddListener binds an additional (typically filtered) listening socket
 // with its own container — the §4.8/§5.7 mechanism.
 func (s *Server) AddListener(filter netsim.Filter, cont *rc.Container) (*kernel.ListenSocket, error) {
-	return s.listen(s.cfg.Addr, filter, cont, s.cfg.AcceptBacklog)
+	return s.listen(filter, cont)
 }
 
-func (s *Server) listen(addr netsim.Addr, filter netsim.Filter, cont *rc.Container, backlog int) (*kernel.ListenSocket, error) {
+func (s *Server) listen(filter netsim.Filter, cont *rc.Container) (*kernel.ListenSocket, error) {
 	ls, err := s.k.Listen(s.proc, kernel.ListenConfig{
-		Local:         addr,
-		Filter:        filter,
-		Container:     cont,
-		AcceptBacklog: backlog,
-		OnAcceptable:  func(ls *kernel.ListenSocket) { s.post(&event{ls: ls, fd: 0}) },
-		OnSynDrop:     s.cfg.OnSynDrop,
+		Local:        s.cfg.Addr,
+		Filter:       filter,
+		Container:    cont,
+		OnAcceptable: func(ls *kernel.ListenSocket) { s.post(&event{ls: ls, fd: 0}) },
+		OnSynDrop:    s.cfg.OnSynDrop,
 	})
 	if err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ type floodRig struct {
 func newFloodRig(tb testing.TB) *floodRig {
 	tb.Helper()
 	eng, k := newKernel(ModeRC)
-	k.AttachTelemetry(telemetry.New(telemetry.Config{}))
+	k.AttachTelemetry(telemetry.New())
 	p := k.NewProcess("httpd")
 	server := rc.MustNew(nil, rc.TimeShare, "server", rc.Attributes{Priority: DefaultPriority})
 	p.NewThread("busy").PostFunc("spin", 1000*sim.Second, rc.UserCPU, server, nil)
@@ -102,7 +102,7 @@ const profiledConns = 10_000
 func newProfileRig(tb testing.TB) *profileRig {
 	tb.Helper()
 	_, k := newKernel(ModeRC)
-	k.AttachTelemetry(telemetry.New(telemetry.Config{}))
+	k.AttachTelemetry(telemetry.New())
 	r := &profileRig{k: k, th: k.NewProcess("httpd").NewThread("worker")}
 	r.item = WorkItem{Label: "serve", Kind: rc.UserCPU, Stage: trace.StageUser}
 	for i := 0; i < profiledConns; i++ {

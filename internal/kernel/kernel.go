@@ -129,9 +129,10 @@ const DefaultSYNPoliceFrac = 1.0 / 16
 // load-shedding policy of the resilience experiments). With the policy
 // enabled, a packet whose destination container's pending-protocol
 // backlog exceeds frac×DefaultNetBacklog is discarded at demultiplexing,
-// for the cost of the packet filter alone. SYNs (new work) and data/FIN
-// (in-progress work) have separate thresholds, so overload sheds new
-// connections while letting accepted ones finish.
+// for the cost of the packet filter alone. Only SYNs (new work) are
+// policed; data and FIN (in-progress work) flow until the hard queue
+// bound, so overload sheds new connections while letting accepted ones
+// finish.
 //
 // ModeUnmodified has no per-process protocol backlog to key on, so there
 // the policy degrades to an emergency interrupt-level SYN throttle: once
@@ -145,10 +146,6 @@ type Policing struct {
 	// SYNFrac is the backlog fraction beyond which connection requests
 	// are refused. 0 means DefaultSYNPoliceFrac; >= 1 disables.
 	SYNFrac float64
-	// DataFrac is the backlog fraction beyond which established-
-	// connection traffic is refused. 0 or >= 1 disables (the hard queue
-	// bound still applies).
-	DataFrac float64
 }
 
 // PolicedDrops returns how many packets the admission-control policy has

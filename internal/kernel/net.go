@@ -174,6 +174,15 @@ func (ls *ListenSocket) SetContainer(c *rc.Container) { ls.container = c }
 // SynDrops returns how many SYNs the socket has dropped.
 func (ls *ListenSocket) SynDrops() uint64 { return ls.synDrops }
 
+// dropSYN counts a connection request from src as dropped and notifies
+// the application (§5.7's SYN-flood signal).
+func (ls *ListenSocket) dropSYN(src netsim.Addr) {
+	ls.synDrops++
+	if ls.cfg.OnSynDrop != nil {
+		ls.cfg.OnSynDrop(src)
+	}
+}
+
 // expireSyns releases embryonic slots whose retransmit timer has expired.
 func (ls *ListenSocket) expireSyns(now sim.Time) {
 	for {
@@ -494,10 +503,7 @@ func (k *Kernel) earlyDemux(pkt *netsim.Packet) {
 		if cont != nil {
 			cont.ChargeDrop()
 		}
-		ls.synDrops++
-		if ls.cfg.OnSynDrop != nil {
-			ls.cfg.OnSynDrop(pkt.Src)
-		}
+		ls.dropSYN(pkt.Src)
 		return
 	}
 	if pkt.Kind == netsim.SYN && ls != nil && !pkt.Bogus {
@@ -509,10 +515,7 @@ func (k *Kernel) earlyDemux(pkt *netsim.Packet) {
 			cont.ChargeDrop()
 		}
 		if pkt.Kind == netsim.SYN && ls != nil {
-			ls.synDrops++
-			if ls.cfg.OnSynDrop != nil {
-				ls.cfg.OnSynDrop(pkt.Src)
-			}
+			ls.dropSYN(pkt.Src)
 		}
 		return
 	}
@@ -547,10 +550,7 @@ func (k *Kernel) throttleSYN(pkt *netsim.Packet) {
 			if cont != nil {
 				cont.ChargeDrop()
 			}
-			ls.synDrops++
-			if ls.cfg.OnSynDrop != nil {
-				ls.cfg.OnSynDrop(pkt.Src)
-			}
+			ls.dropSYN(pkt.Src)
 			return
 		}
 	}
@@ -573,17 +573,14 @@ func (k *Kernel) throttleSYN(pkt *netsim.Packet) {
 // backlog — early discard of excess load (§3.2) before any protocol
 // effort is invested. It reports whether the packet was discarded.
 func (k *Kernel) policeDemux(pkt *netsim.Packet, proc *Process, cont *rc.Container, ls *ListenSocket) bool {
-	if !k.Police.Enabled || proc.netQ == nil {
+	if !k.Police.Enabled || proc.netQ == nil || pkt.Kind != netsim.SYN {
 		return false
 	}
-	frac := k.Police.DataFrac
-	if pkt.Kind == netsim.SYN {
-		frac = k.Police.SYNFrac
-		if frac <= 0 {
-			frac = DefaultSYNPoliceFrac
-		}
+	frac := k.Police.SYNFrac
+	if frac <= 0 {
+		frac = DefaultSYNPoliceFrac
 	}
-	if frac <= 0 || frac >= 1 {
+	if frac >= 1 {
 		return false
 	}
 	limit := int(frac * float64(proc.netQ.backlog))
@@ -598,11 +595,8 @@ func (k *Kernel) policeDemux(pkt *netsim.Packet, proc *Process, cont *rc.Contain
 	if cont != nil {
 		cont.ChargeDrop()
 	}
-	if pkt.Kind == netsim.SYN && ls != nil {
-		ls.synDrops++
-		if ls.cfg.OnSynDrop != nil {
-			ls.cfg.OnSynDrop(pkt.Src)
-		}
+	if ls != nil {
+		ls.dropSYN(pkt.Src)
 	}
 	return true
 }
@@ -675,10 +669,7 @@ func (k *Kernel) handleSYN(pkt *netsim.Packet, ls *ListenSocket) {
 		ls.expireSyns(k.Now())
 		if ls.synQ.Full() {
 			k.emitPkt(trace.KindDrop, ls.container, pkt, "SYN queue full: %s")
-			ls.synDrops++
-			if ls.cfg.OnSynDrop != nil {
-				ls.cfg.OnSynDrop(pkt.Src)
-			}
+			ls.dropSYN(pkt.Src)
 			return
 		}
 		ls.synQ.Push(k.Now().Add(BogusSynTimeout))
@@ -686,10 +677,7 @@ func (k *Kernel) handleSYN(pkt *netsim.Packet, ls *ListenSocket) {
 	}
 	if ls.acceptQ.Full() {
 		k.emitPkt(trace.KindDrop, ls.container, pkt, "accept queue full: %s")
-		ls.synDrops++
-		if ls.cfg.OnSynDrop != nil {
-			ls.cfg.OnSynDrop(pkt.Src)
-		}
+		ls.dropSYN(pkt.Src)
 		return
 	}
 	// Admission control on kernel memory (§4.4): socket buffers are
@@ -703,11 +691,8 @@ func (k *Kernel) handleSYN(pkt *netsim.Packet, ls *ListenSocket) {
 				e.Detail = fmt.Sprintf("memory limit: %s (%v)", pkt, err)
 				k.Tracer.Emit(e)
 			}
-			ls.synDrops++
 			ls.container.ChargeDrop()
-			if ls.cfg.OnSynDrop != nil {
-				ls.cfg.OnSynDrop(pkt.Src)
-			}
+			ls.dropSYN(pkt.Src)
 			return
 		}
 		memHolder = ls.container

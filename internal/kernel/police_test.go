@@ -28,33 +28,30 @@ func fillBacklog(t *testing.T, p *Process, cont *rc.Container, n int) {
 func TestPoliceDemuxThresholdTable(t *testing.T) {
 	// DefaultNetBacklog = 1024; DefaultSYNPoliceFrac = 1/16 → limit 64.
 	cases := []struct {
-		name     string
-		mode     Mode
-		syn      bool // SYN (new work) vs data (in-progress work)
-		synFrac  float64
-		dataFrac float64
-		backlog  int
-		policed  bool
+		name    string
+		mode    Mode
+		syn     bool // SYN (new work) vs data (in-progress work)
+		synFrac float64
+		backlog int
+		policed bool
 	}{
-		{"zero-length backlog never policed", ModeRC, true, 1.0 / 16, 0, 0, false},
-		{"one below default SYN limit admits", ModeRC, true, 0, 0, 63, false},
-		{"exactly at default SYN limit refuses", ModeRC, true, 0, 0, 64, true},
-		{"explicit frac, one below limit", ModeRC, true, 0.5, 0, 511, false},
-		{"explicit frac, limit==occupancy refuses", ModeRC, true, 0.5, 0, 512, true},
-		{"frac 1 disables even when full-ish", ModeRC, true, 1, 0, 1023, false},
-		{"frac beyond 1 disables", ModeRC, true, 1.5, 0, 1023, false},
-		{"vanishing frac clamps limit to 1: empty admits", ModeRC, true, 1e-9, 0, 0, false},
-		{"vanishing frac clamps limit to 1: one pending refuses", ModeRC, true, 1e-9, 0, 1, true},
-		{"data unpoliced by default at high occupancy", ModeRC, false, 0, 0, 1000, false},
-		{"data frac refuses at its own limit", ModeRC, false, 0, 0.5, 512, true},
-		{"data frac admits below its limit", ModeRC, false, 0, 0.5, 511, false},
-		{"LRP keys on the process-wide queue", ModeLRP, true, 0, 0, 64, true},
-		{"LRP below limit admits", ModeLRP, true, 0, 0, 63, false},
+		{"zero-length backlog never policed", ModeRC, true, 1.0 / 16, 0, false},
+		{"one below default SYN limit admits", ModeRC, true, 0, 63, false},
+		{"exactly at default SYN limit refuses", ModeRC, true, 0, 64, true},
+		{"explicit frac, one below limit", ModeRC, true, 0.5, 511, false},
+		{"explicit frac, limit==occupancy refuses", ModeRC, true, 0.5, 512, true},
+		{"frac 1 disables even when full-ish", ModeRC, true, 1, 1023, false},
+		{"frac beyond 1 disables", ModeRC, true, 1.5, 1023, false},
+		{"vanishing frac clamps limit to 1: empty admits", ModeRC, true, 1e-9, 0, false},
+		{"vanishing frac clamps limit to 1: one pending refuses", ModeRC, true, 1e-9, 1, true},
+		{"data unpoliced by default at high occupancy", ModeRC, false, 0, 1000, false},
+		{"LRP keys on the process-wide queue", ModeLRP, true, 0, 64, true},
+		{"LRP below limit admits", ModeLRP, true, 0, 63, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, k := newKernel(tc.mode)
-			k.Police = Policing{Enabled: true, SYNFrac: tc.synFrac, DataFrac: tc.dataFrac}
+			k.Police = Policing{Enabled: true, SYNFrac: tc.synFrac}
 			p := k.NewProcess("httpd")
 			var cont *rc.Container
 			if tc.mode == ModeRC {

@@ -18,61 +18,36 @@ import (
 	"rescon/internal/rc"
 )
 
-// Breaker defaults, used for zero BreakerConfig fields.
+// Breaker parameters.
 const (
 	// DefaultBreakerOpenAfter is how many consecutive budget sheds open
-	// a tenant's breaker.
+	// a tenant's breaker when BreakerConfig.OpenAfter is zero.
 	DefaultBreakerOpenAfter = 4
-	// DefaultBreakerOpenFactor sets the default open duration as a
-	// multiple of the enforcement window (budgets restore on window
-	// rolls, so probing faster than a roll cannot succeed).
-	DefaultBreakerOpenFactor = 2
-	// DefaultBreakerMaxFactor bounds the exponential open-duration
-	// backoff, as a multiple of the initial open duration.
-	DefaultBreakerMaxFactor = 8
+	// BreakerOpenFactor sets the open duration as a multiple of the
+	// enforcement window (budgets restore on window rolls, so probing
+	// faster than a roll cannot succeed).
+	BreakerOpenFactor = 2
+	// BreakerMaxFactor bounds the exponential open-duration backoff, as
+	// a multiple of the initial open duration.
+	BreakerMaxFactor = 8
 )
 
 // BreakerConfig tunes the per-tenant circuit breakers enabled with
-// WithBreakers. Zero values take the defaults above.
+// WithBreakers.
 type BreakerConfig struct {
 	// OpenAfter is the number of consecutive sheds (429s) that open a
-	// tenant's breaker.
+	// tenant's breaker; zero means DefaultBreakerOpenAfter. While open,
+	// the tenant's requests are rejected with 503 without touching the
+	// enforcer.
 	OpenAfter int
-	// OpenFor is the initial open duration; while open, the tenant's
-	// requests are rejected with 503 without touching the enforcer.
-	// Zero means DefaultBreakerOpenFactor × the runtime window.
-	OpenFor time.Duration
-	// MaxOpenFor caps the exponential backoff of the open duration when
-	// half-open probes keep failing. Zero means
-	// DefaultBreakerMaxFactor × OpenFor.
-	MaxOpenFor time.Duration
-}
-
-func (c BreakerConfig) withDefaults(window time.Duration) BreakerConfig {
-	if c.OpenAfter <= 0 {
-		c.OpenAfter = DefaultBreakerOpenAfter
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = DefaultBreakerOpenFactor * window
-	}
-	if c.MaxOpenFor <= 0 {
-		c.MaxOpenFor = DefaultBreakerMaxFactor * c.OpenFor
-	}
-	if c.MaxOpenFor < c.OpenFor {
-		c.MaxOpenFor = c.OpenFor
-	}
-	return c
 }
 
 // WithBreakers enables per-tenant circuit breakers on the Middleware:
 // after cfg.OpenAfter consecutive sheds a container's requests are
 // rejected with 503 (and a Retry-After of the remaining open time)
-// until a half-open probe is admitted again. Zero cfg fields take the
-// Breaker defaults.
+// until a half-open probe is admitted again.
 func WithBreakers(cfg BreakerConfig) Option {
-	return func(rt *Runtime) {
-		rt.breakers = &breakerSet{cfg: cfg, m: make(map[*rc.Container]*breaker)}
-	}
+	return func(rt *Runtime) { rt.breakerCfg = &cfg }
 }
 
 // breaker state machine values.
@@ -93,32 +68,36 @@ type breaker struct {
 	lastCause string
 }
 
-// breakerSet owns the per-container breakers. Config defaults are
-// resolved lazily against the runtime window on first use.
+// breakerSet owns the per-container breakers.
 type breakerSet struct {
-	cfg      BreakerConfig
-	resolved bool
+	openAfter           int
+	openFor, maxOpenFor time.Duration
 
 	mu sync.Mutex
 	m  map[*rc.Container]*breaker
 }
 
-func (s *breakerSet) config(window time.Duration) BreakerConfig {
-	if !s.resolved {
-		s.cfg = s.cfg.withDefaults(window)
-		s.resolved = true
+// newBreakerSet resolves cfg against the runtime's enforcement window.
+func newBreakerSet(cfg BreakerConfig, window time.Duration) *breakerSet {
+	s := &breakerSet{
+		openAfter: cfg.OpenAfter,
+		openFor:   BreakerOpenFactor * window,
+		m:         make(map[*rc.Container]*breaker),
 	}
-	return s.cfg
+	if s.openAfter <= 0 {
+		s.openAfter = DefaultBreakerOpenAfter
+	}
+	s.maxOpenFor = BreakerMaxFactor * s.openFor
+	return s
 }
 
 // admit decides the request's fate under the container's breaker:
 // allowed==true lets it proceed to admission control (possibly as a
 // half-open probe); otherwise wait is how long the client should back
 // off. The caller must report the admission outcome via onShed/onAdmit.
-func (s *breakerSet) admit(c *rc.Container, now time.Time, window time.Duration) (wait time.Duration, allowed bool) {
+func (s *breakerSet) admit(c *rc.Container, now time.Time) (wait time.Duration, allowed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.config(window) // resolve defaults before any state is built
 	b := s.m[c]
 	if b == nil {
 		return 0, true
@@ -143,21 +122,20 @@ func (s *breakerSet) admit(c *rc.Container, now time.Time, window time.Duration)
 // onShed records a shed (429) outcome: while closed it advances the
 // consecutive-shed streak and opens the breaker at the threshold; a
 // shed half-open probe reopens with exponential backoff.
-func (s *breakerSet) onShed(c *rc.Container, now time.Time, window time.Duration) {
+func (s *breakerSet) onShed(c *rc.Container, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cfg := s.config(window)
 	b := s.m[c]
 	if b == nil {
-		b = &breaker{openFor: cfg.OpenFor}
+		b = &breaker{openFor: s.openFor}
 		s.m[c] = b
 	}
 	switch b.state {
 	case breakerClosed:
 		b.sheds++
-		if b.sheds >= cfg.OpenAfter {
+		if b.sheds >= s.openAfter {
 			b.state = breakerOpen
-			b.openFor = cfg.OpenFor
+			b.openFor = s.openFor
 			b.until = now.Add(b.openFor)
 			b.opens++
 		}
@@ -165,8 +143,8 @@ func (s *breakerSet) onShed(c *rc.Container, now time.Time, window time.Duration
 		// The probe was shed: the budget has not recovered. Reopen with
 		// a doubled (bounded) open duration.
 		b.openFor *= 2
-		if b.openFor > cfg.MaxOpenFor {
-			b.openFor = cfg.MaxOpenFor
+		if b.openFor > s.maxOpenFor {
+			b.openFor = s.maxOpenFor
 		}
 		b.state = breakerOpen
 		b.until = now.Add(b.openFor)
@@ -186,7 +164,7 @@ func (s *breakerSet) onAdmit(c *rc.Container) {
 	b.sheds = 0
 	if b.state == breakerHalfOpen {
 		b.state = breakerClosed
-		b.openFor = s.cfg.OpenFor
+		b.openFor = s.openFor
 	}
 }
 

@@ -77,7 +77,7 @@ func TestBreakerProbeShedReopens(t *testing.T) {
 	root, t1, _, binder := breakerTree(t)
 	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
 		WithBinder(binder),
-		WithBreakers(BreakerConfig{OpenAfter: 1, OpenFor: 20 * time.Millisecond}))
+		WithBreakers(BreakerConfig{OpenAfter: 1})) // open for 2 windows: 20 ms
 
 	// Trip t1's breaker with one shed.
 	get(h, "t1", "5ms")
@@ -132,19 +132,17 @@ func TestBreakerDisabledByDefault(t *testing.T) {
 }
 
 func TestBreakerConfigDefaults(t *testing.T) {
-	cfg := BreakerConfig{}.withDefaults(10 * time.Millisecond)
-	if cfg.OpenAfter != DefaultBreakerOpenAfter {
-		t.Fatalf("OpenAfter = %d", cfg.OpenAfter)
+	s := newBreakerSet(BreakerConfig{}, 10*time.Millisecond)
+	if s.openAfter != DefaultBreakerOpenAfter {
+		t.Fatalf("openAfter = %d", s.openAfter)
 	}
-	if cfg.OpenFor != DefaultBreakerOpenFactor*10*time.Millisecond {
-		t.Fatalf("OpenFor = %v", cfg.OpenFor)
+	if s.openFor != BreakerOpenFactor*10*time.Millisecond {
+		t.Fatalf("openFor = %v", s.openFor)
 	}
-	if cfg.MaxOpenFor != DefaultBreakerMaxFactor*cfg.OpenFor {
-		t.Fatalf("MaxOpenFor = %v", cfg.MaxOpenFor)
+	if s.maxOpenFor != BreakerMaxFactor*s.openFor {
+		t.Fatalf("maxOpenFor = %v", s.maxOpenFor)
 	}
-	// An explicit MaxOpenFor below OpenFor is raised to OpenFor.
-	cfg = BreakerConfig{OpenFor: time.Second, MaxOpenFor: time.Millisecond}.withDefaults(10 * time.Millisecond)
-	if cfg.MaxOpenFor != time.Second {
-		t.Fatalf("MaxOpenFor = %v, want clamped to OpenFor", cfg.MaxOpenFor)
+	if s = newBreakerSet(BreakerConfig{OpenAfter: 3}, time.Second); s.openAfter != 3 {
+		t.Fatalf("explicit openAfter = %d, want 3", s.openAfter)
 	}
 }

@@ -23,7 +23,7 @@ func TestEnforcerPruneSweepsDestroyed(t *testing.T) {
 	for i := 0; i < 70; i++ {
 		c := rc.MustNew(root, rc.FixedShare, "tenant", rc.Attributes{Limit: 0.01})
 		doomed = append(doomed, c)
-		if _, ok := e.AcquireFor(c, 0); !ok {
+		if _, ok := e.admit(c, 0); !ok {
 			t.Fatalf("fresh leaf %d not admitted", i)
 		}
 	}
@@ -39,7 +39,7 @@ func TestEnforcerPruneSweepsDestroyed(t *testing.T) {
 	// grows, so force it for determinism) and trigger it with one
 	// ordinary admission.
 	e.Sync(func() { e.pruneAt = len(e.snapshots) })
-	if _, ok := e.AcquireFor(keeper, 0); !ok {
+	if _, ok := e.admit(keeper, 0); !ok {
 		t.Fatal("keeper not admitted")
 	}
 
@@ -84,8 +84,8 @@ func TestEnforcerChurnRace(t *testing.T) {
 				e.Sync(func() {
 					leaf = rc.MustNew(capped, rc.TimeShare, "churn", rc.Attributes{Priority: 1})
 				})
-				if charge, ok := e.AcquireFor(leaf, time.Millisecond); ok {
-					charge(20 * time.Microsecond)
+				if _, ok := e.admit(leaf, time.Millisecond); ok {
+					e.Charge(leaf, 20*time.Microsecond)
 				}
 				e.Sync(func() { _ = leaf.Release() })
 				// A charge landing after destruction must be ignored, not
@@ -100,8 +100,8 @@ func TestEnforcerChurnRace(t *testing.T) {
 		go func(c *rc.Container) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if charge, ok := e.AcquireFor(c, 500*time.Microsecond); ok {
-					charge(10 * time.Microsecond)
+				if _, ok := e.admit(c, 500*time.Microsecond); ok {
+					e.Charge(c, 10*time.Microsecond)
 				}
 				_ = e.OverBudget(c)
 				_ = e.WindowRemaining()

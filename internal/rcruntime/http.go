@@ -211,7 +211,7 @@ func (rt *Runtime) Middleware(next http.Handler) http.Handler {
 			return
 		}
 		if rt.breakers != nil {
-			if wait, allowed := rt.breakers.admit(c, rt.clock.Now(), rt.window); !allowed {
+			if wait, allowed := rt.breakers.admit(c, rt.clock.Now()); !allowed {
 				rt.breakerShed.Add(1)
 				setRetryAfter(w, wait)
 				http.Error(w, "tenant circuit breaker open", http.StatusServiceUnavailable)
@@ -225,9 +225,9 @@ func (rt *Runtime) Middleware(next http.Handler) http.Handler {
 			}
 		}
 		t0 := rt.clock.Now()
-		// The charge closure is unused: segments charge through the
-		// binding so mid-request Rebind splits the bill correctly.
-		_, waited, ok := rt.enf.acquire(c, rt.maxDelay)
+		// No charge closure: segments charge through the binding so
+		// mid-request Rebind splits the bill correctly.
+		waited, ok := rt.enf.admit(c, rt.maxDelay)
 		delay := rt.clock.Now().Sub(t0)
 		if !waited {
 			delay = 0 // admitted on the first check: clock noise, not a wait
@@ -235,7 +235,7 @@ func (rt *Runtime) Middleware(next http.Handler) http.Handler {
 		if !ok {
 			rt.shed.Add(1)
 			if rt.breakers != nil {
-				rt.breakers.onShed(c, rt.clock.Now(), rt.window)
+				rt.breakers.onShed(c, rt.clock.Now())
 			}
 			setRetryAfter(w, rt.enf.WindowRemaining())
 			http.Error(w, "resource container budget exhausted", http.StatusTooManyRequests)

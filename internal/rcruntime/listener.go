@@ -17,13 +17,8 @@ type AcceptPolicy struct {
 	// Enabled is the master switch; a zero policy refuses nothing.
 	Enabled bool
 	// MaxConns caps concurrent governed connections: a new connection is
-	// refused while Frac×MaxConns are already open. 0 disables the cap.
+	// refused while MaxConns are already open. 0 disables the cap.
 	MaxConns int
-	// Frac is the fraction of MaxConns beyond which new connections are
-	// refused, in (0, 1]; 0 means 1.0 (refuse only at the full cap).
-	// Mirrors Policing.SYNFrac: shed before the hard bound so in-progress
-	// work keeps headroom.
-	Frac float64
 	// OverBudgetOf, when non-nil, refuses new connections while this
 	// container's subtree is over its window budget. Point it at a known
 	// abuser (or the whole root under brownout) to shed that load at
@@ -35,9 +30,6 @@ type AcceptPolicy struct {
 func (p AcceptPolicy) validate() error {
 	if p.MaxConns < 0 {
 		return fmt.Errorf("%w: negative Policy.MaxConns %d", ErrBadConfig, p.MaxConns)
-	}
-	if p.Frac < 0 || p.Frac > 1 {
-		return fmt.Errorf("%w: Policy.Frac %v outside [0,1]", ErrBadConfig, p.Frac)
 	}
 	if p.Enabled && p.MaxConns == 0 && p.OverBudgetOf == nil {
 		return fmt.Errorf("%w: enabled Policy needs MaxConns or OverBudgetOf", ErrBadConfig)
@@ -56,14 +48,8 @@ func (rt *Runtime) refuseAccept() bool {
 	if !p.Enabled {
 		return false
 	}
-	if p.MaxConns > 0 {
-		frac := p.Frac
-		if frac <= 0 {
-			frac = 1
-		}
-		if rt.inflight.Load() >= int64(frac*float64(p.MaxConns)) {
-			return true
-		}
+	if p.MaxConns > 0 && rt.inflight.Load() >= int64(p.MaxConns) {
+		return true
 	}
 	if p.OverBudgetOf != nil && rt.enf.OverBudget(p.OverBudgetOf) {
 		return true

@@ -95,36 +95,6 @@ func TestListenerMaxConns(t *testing.T) {
 	}
 }
 
-// TestListenerFrac: with Frac 0.5 of MaxConns 4, the cap bites at two
-// inflight connections — shed before the hard bound, like the kernel's
-// SYNFrac.
-func TestListenerFrac(t *testing.T) {
-	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
-	rt := MustNewRuntime(Config{
-		Root:   root,
-		Policy: AcceptPolicy{Enabled: true, MaxConns: 4, Frac: 0.5},
-	})
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inner.Close()
-	conns := acceptLoop(t, rt.Listener(inner))
-	addr := inner.Addr().String()
-
-	c1, c2 := dial(t, addr), dial(t, addr)
-	defer c1.Close()
-	defer c2.Close()
-	s1, s2 := <-conns, <-conns
-	defer s1.Close()
-	defer s2.Close()
-	c3 := dial(t, addr)
-	defer c3.Close()
-	if !refusedByPeer(c3) {
-		t.Fatal("connection beyond Frac×MaxConns was not refused")
-	}
-}
-
 // TestListenerOverBudget: with OverBudgetOf pointed at a capped subtree,
 // new connections are refused exactly while that subtree is over its
 // window budget — and admitted again after the roll. The fake clock

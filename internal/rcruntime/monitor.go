@@ -40,74 +40,53 @@ const (
 	CheckBreakerOpen = "rt-breaker-open"
 )
 
-// Monitor check-threshold defaults (per tick where the check is a rate).
+// Monitor check thresholds (per tick where the check is a rate).
+// MonitorConfig can override only the shed pair.
 const (
 	// DefaultShedWarn / DefaultShedCrit bound budget sheds per tick.
 	DefaultShedWarn = 4
 	DefaultShedCrit = 16
-	// DefaultRefuseWarn / DefaultRefuseCrit bound accept refusals per tick.
-	DefaultRefuseWarn = 8
-	DefaultRefuseCrit = 32
-	// DefaultInflightWarn / DefaultInflightCrit bound the in-handler gauge.
-	DefaultInflightWarn = 64
-	DefaultInflightCrit = 256
-	// DefaultPanicWarn / DefaultPanicCrit bound recovered panics per tick.
-	DefaultPanicWarn = 1
-	DefaultPanicCrit = 4
-	// DefaultTenantCPUWarn / DefaultTenantCPUCrit bound one tenant's share
-	// of the watched tenants' CPU this tick.
-	DefaultTenantCPUWarn = 0.5
-	DefaultTenantCPUCrit = 0.75
-	// DefaultBreakerWarn is the open-breaker count that warns. The
-	// critical level is disabled by default: open breakers are the
-	// defense working, not the overload itself.
-	DefaultBreakerWarn = 1
+	// RefuseWarn / RefuseCrit bound accept refusals per tick.
+	RefuseWarn = 8
+	RefuseCrit = 32
+	// InflightWarn / InflightCrit bound the in-handler gauge.
+	InflightWarn = 64
+	InflightCrit = 256
+	// PanicWarn / PanicCrit bound recovered panics per tick.
+	PanicWarn = 1
+	PanicCrit = 4
+	// TenantCPUWarn / TenantCPUCrit bound one tenant's share of the
+	// watched tenants' CPU this tick.
+	TenantCPUWarn = 0.5
+	TenantCPUCrit = 0.75
+	// BreakerWarn is the open-breaker count that warns. The check has
+	// no critical level: open breakers are the defense working, not the
+	// overload itself.
+	BreakerWarn = 1
 )
 
-// MonitorConfig tunes the runtime check battery; zero thresholds take
-// the defaults above. Tenants lists the containers watched per-tenant by
-// CheckTenantCPU (and typically matches the watchdog's Clampable set).
+// MonitorConfig tunes the runtime check battery; zero shed thresholds
+// take the defaults above. Tenants lists the containers watched
+// per-tenant by CheckTenantCPU (and typically matches the watchdog's
+// Clampable set).
 type MonitorConfig struct {
 	// ShedWarn / ShedCrit threshold budget sheds (429s) per tick.
 	ShedWarn, ShedCrit float64
-	// RefuseWarn / RefuseCrit threshold accept refusals per tick.
-	RefuseWarn, RefuseCrit float64
-	// InflightWarn / InflightCrit threshold the in-handler request gauge.
-	InflightWarn, InflightCrit float64
-	// PanicWarn / PanicCrit threshold recovered panics per tick.
-	PanicWarn, PanicCrit float64
-	// TenantCPUWarn / TenantCPUCrit threshold a tenant's share of the
-	// hierarchy's CPU per tick, in [0,1].
-	TenantCPUWarn, TenantCPUCrit float64
-	// BreakerWarn / BreakerCrit threshold the open-breaker gauge.
-	// BreakerCrit zero leaves the check warning-only.
-	BreakerWarn, BreakerCrit float64
 	// Tenants are the containers CheckTenantCPU reports per-target
 	// observations for. Empty disables the check.
 	Tenants []*rc.Container
-	// Raise / Clear override the alert package's hysteresis defaults for
-	// every registered check when positive.
-	Raise, Clear int
+	// Clear overrides the alert package's clear hysteresis for every
+	// registered check when positive.
+	Clear int
 }
 
 func (c MonitorConfig) withDefaults() MonitorConfig {
-	def := func(v *float64, d float64) {
-		if *v <= 0 {
-			*v = d
-		}
+	if c.ShedWarn <= 0 {
+		c.ShedWarn = DefaultShedWarn
 	}
-	def(&c.ShedWarn, DefaultShedWarn)
-	def(&c.ShedCrit, DefaultShedCrit)
-	def(&c.RefuseWarn, DefaultRefuseWarn)
-	def(&c.RefuseCrit, DefaultRefuseCrit)
-	def(&c.InflightWarn, DefaultInflightWarn)
-	def(&c.InflightCrit, DefaultInflightCrit)
-	def(&c.PanicWarn, DefaultPanicWarn)
-	def(&c.PanicCrit, DefaultPanicCrit)
-	def(&c.TenantCPUWarn, DefaultTenantCPUWarn)
-	def(&c.TenantCPUCrit, DefaultTenantCPUCrit)
-	def(&c.BreakerWarn, DefaultBreakerWarn)
-	// BreakerCrit deliberately keeps its zero (critical disabled).
+	if c.ShedCrit <= 0 {
+		c.ShedCrit = DefaultShedCrit
+	}
 	return c
 }
 
@@ -167,20 +146,20 @@ func AttachMonitor(rt *Runtime, am *alert.Monitor, cfg MonitorConfig) (*Monitor,
 	}
 	checks := []alert.Check{
 		{Name: CheckShedRate, Warn: m.cfg.ShedWarn, Crit: m.cfg.ShedCrit,
-			Raise: m.cfg.Raise, Clear: m.cfg.Clear, Observe: gauge(&m.shedRate)},
-		{Name: CheckRefuseRate, Warn: m.cfg.RefuseWarn, Crit: m.cfg.RefuseCrit,
-			Raise: m.cfg.Raise, Clear: m.cfg.Clear, Observe: gauge(&m.refuseRate)},
-		{Name: CheckInflight, Warn: m.cfg.InflightWarn, Crit: m.cfg.InflightCrit,
-			Raise: m.cfg.Raise, Clear: m.cfg.Clear, Observe: gauge(&m.inflight)},
-		{Name: CheckPanics, Warn: m.cfg.PanicWarn, Crit: m.cfg.PanicCrit,
-			Raise: m.cfg.Raise, Clear: m.cfg.Clear, Observe: gauge(&m.panicRate)},
-		{Name: CheckBreakerOpen, Warn: m.cfg.BreakerWarn, Crit: m.cfg.BreakerCrit,
-			Raise: m.cfg.Raise, Clear: m.cfg.Clear, Observe: gauge(&m.breakers)},
+			Clear: m.cfg.Clear, Observe: gauge(&m.shedRate)},
+		{Name: CheckRefuseRate, Warn: RefuseWarn, Crit: RefuseCrit,
+			Clear: m.cfg.Clear, Observe: gauge(&m.refuseRate)},
+		{Name: CheckInflight, Warn: InflightWarn, Crit: InflightCrit,
+			Clear: m.cfg.Clear, Observe: gauge(&m.inflight)},
+		{Name: CheckPanics, Warn: PanicWarn, Crit: PanicCrit,
+			Clear: m.cfg.Clear, Observe: gauge(&m.panicRate)},
+		{Name: CheckBreakerOpen, Warn: BreakerWarn,
+			Clear: m.cfg.Clear, Observe: gauge(&m.breakers)},
 	}
 	if len(m.cfg.Tenants) > 0 {
 		checks = append(checks, alert.Check{
-			Name: CheckTenantCPU, Warn: m.cfg.TenantCPUWarn, Crit: m.cfg.TenantCPUCrit,
-			Raise: m.cfg.Raise, Clear: m.cfg.Clear,
+			Name: CheckTenantCPU, Warn: TenantCPUWarn, Crit: TenantCPUCrit,
+			Clear: m.cfg.Clear,
 			Observe: func() []alert.Observation {
 				obs := make([]alert.Observation, 0, len(m.cfg.Tenants))
 				for i, c := range m.cfg.Tenants {

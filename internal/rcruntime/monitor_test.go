@@ -18,17 +18,19 @@ func TestMonitorRaisesOnSheds(t *testing.T) {
 	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
 		WithBinder(binder))
 	am := alert.New()
-	mon, err := AttachMonitor(rt, am, MonitorConfig{ShedWarn: 1, ShedCrit: 2, Raise: 1})
+	mon, err := AttachMonitor(rt, am, MonitorConfig{ShedWarn: 1, ShedCrit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Tick 1: two sheds this tick — straight to critical with Raise=1.
+	// Two sheds in each of the raise-window ticks: critical.
 	get(h, "capped", "5ms")
-	get(h, "capped", "1ms")
-	get(h, "capped", "1ms")
-	fc.Sleep(time.Millisecond)
-	mon.Tick()
+	for i := 0; i < alert.DefaultRaiseTicks; i++ {
+		get(h, "capped", "1ms")
+		get(h, "capped", "1ms")
+		fc.Sleep(time.Millisecond)
+		mon.Tick()
+	}
 
 	var critical bool
 	for _, ev := range am.Events() {
@@ -57,18 +59,18 @@ func TestMonitorTenantShare(t *testing.T) {
 	binder := HeaderBinder("X-Tenant", map[string]*rc.Container{"hog": hog, "good": good}, nil)
 	rt, h := govern(t, fc, Config{Root: root, Window: 100 * time.Millisecond}, WithBinder(binder))
 	am := alert.New()
-	mon, err := AttachMonitor(rt, am, MonitorConfig{
-		TenantCPUWarn: 0.5, TenantCPUCrit: 0.8, Raise: 1,
-		Tenants: []*rc.Container{hog},
-	})
+	mon, err := AttachMonitor(rt, am, MonitorConfig{Tenants: []*rc.Container{hog}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Hog burns 9 ms of the 10 ms charged this tick: share 0.9, critical.
-	get(h, "hog", "9ms")
-	get(h, "good", "1ms")
-	mon.Tick()
+	// Hog burns 9 ms of the 10 ms charged each tick: share 0.9, critical
+	// once it holds for the raise window.
+	for i := 0; i < alert.DefaultRaiseTicks; i++ {
+		get(h, "hog", "9ms")
+		get(h, "good", "1ms")
+		mon.Tick()
+	}
 
 	var got float64
 	for _, ev := range am.Events() {
@@ -108,7 +110,7 @@ func TestMonitorTickDeterministic(t *testing.T) {
 		rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
 			WithBinder(binder))
 		am := alert.New()
-		mon, err := AttachMonitor(rt, am, MonitorConfig{ShedWarn: 1, ShedCrit: 2, Raise: 1})
+		mon, err := AttachMonitor(rt, am, MonitorConfig{ShedWarn: 1, ShedCrit: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@
 //
 // The package has two layers:
 //
-//   - Enforcer is the cooperative core: Acquire/Do bracket arbitrary
+//   - Enforcer is the cooperative core: Acquire brackets arbitrary
 //     sections of Go code with admission control and accounting.
 //   - Runtime is the production adapter for net/http servers: a
 //     Middleware that binds each request to a container (pluggable
@@ -215,23 +215,17 @@ func (e *Enforcer) maybePruneLocked() {
 // when done (typically via defer with a start timestamp). Work on
 // unlimited containers is admitted immediately.
 func (e *Enforcer) Acquire(c *rc.Container) (charge func(actual time.Duration)) {
-	charge, _, _ = e.acquire(c, -1)
-	return charge
+	e.admit(c, -1)
+	return func(actual time.Duration) { e.Charge(c, actual) }
 }
 
-// AcquireFor is Acquire with a bounded wait: it admits c within maxWait
-// of clock time, or gives up and reports ok=false with no charge
-// function. maxWait 0 is a try-acquire (shed immediately when over
-// budget); maxWait < 0 waits indefinitely, like Acquire.
-func (e *Enforcer) AcquireFor(c *rc.Container, maxWait time.Duration) (charge func(actual time.Duration), ok bool) {
-	charge, _, ok = e.acquire(c, maxWait)
-	return charge, ok
-}
-
-// acquire reports, besides the charge function and admission, whether
-// the caller actually blocked for budget (waited) — distinguishing a
-// genuinely delayed admission from clock noise between two Now reads.
-func (e *Enforcer) acquire(c *rc.Container, maxWait time.Duration) (charge func(actual time.Duration), waited, ok bool) {
+// admit waits until c's subtree has limit budget, for at most maxWait
+// of clock time: maxWait 0 is a try-acquire (give up at once when over
+// budget) and maxWait < 0 waits indefinitely. It reports whether c was
+// admitted, and whether the caller actually blocked for budget (waited)
+// — distinguishing a genuinely delayed admission from clock noise
+// between two Now reads.
+func (e *Enforcer) admit(c *rc.Container, maxWait time.Duration) (waited, ok bool) {
 	var start time.Time
 	started := false
 	for {
@@ -244,11 +238,11 @@ func (e *Enforcer) acquire(c *rc.Container, maxWait time.Duration) (charge func(
 		blocked := e.overLimitLocked(c, now)
 		if blocked == nil {
 			e.mu.Unlock()
-			break
+			return waited, true
 		}
 		if maxWait >= 0 && now.Sub(start) >= maxWait {
 			e.mu.Unlock()
-			return nil, waited, false
+			return waited, false
 		}
 		waited = true
 		ch := make(chan struct{})
@@ -267,7 +261,6 @@ func (e *Enforcer) acquire(c *rc.Container, maxWait time.Duration) (charge func(
 		case <-e.sleepCh(wait):
 		}
 	}
-	return func(actual time.Duration) { e.Charge(c, actual) }, waited, true
 }
 
 // Charge accounts actual CPU time to c and its ancestors under the
@@ -319,14 +312,6 @@ func (e *Enforcer) Sync(fn func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	fn()
-}
-
-// Do brackets fn with Acquire and actual-time charging.
-func (e *Enforcer) Do(c *rc.Container, fn func()) {
-	charge := e.Acquire(c)
-	start := e.clock.Now()
-	fn()
-	charge(e.clock.Now().Sub(start))
 }
 
 // sleepCh returns a channel closed after d via the enforcer's clock.

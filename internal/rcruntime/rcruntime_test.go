@@ -196,9 +196,12 @@ func TestDoBracketsAndCharges(t *testing.T) {
 	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)
 	c := rc.MustNew(nil, rc.TimeShare, "c", rc.Attributes{Priority: 1})
-	e.Do(c, func() { fc.Sleep(2 * time.Millisecond) })
+	charge := e.Acquire(c)
+	start := fc.Now()
+	fc.Sleep(2 * time.Millisecond)
+	charge(fc.Now().Sub(start))
 	if got := time.Duration(c.Usage().CPU()); got != 2*time.Millisecond {
-		t.Fatalf("Do charged %v, want 2ms", got)
+		t.Fatalf("bracketed section charged %v, want 2ms", got)
 	}
 }
 

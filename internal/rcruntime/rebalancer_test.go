@@ -43,7 +43,6 @@ func newRebalanceRig(t *testing.T, cfg rebalance.Config) *rebalanceRig {
 		WithBinder(binder))
 	am := alert.New()
 	mon, err := AttachMonitor(rt, am, MonitorConfig{
-		TenantCPUWarn: 0.5, TenantCPUCrit: 0.75,
 		Clear:   2,
 		Tenants: []*rc.Container{hog},
 	})

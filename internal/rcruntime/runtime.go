@@ -70,11 +70,6 @@ func WithClock(c Clock) Option {
 	}
 }
 
-// WithWindow overrides Config.Window.
-func WithWindow(d time.Duration) Option {
-	return func(rt *Runtime) { rt.window = d }
-}
-
 // WithBinder sets the request→container resolver. nil keeps the default
 // binder, which charges every request to Config.Root.
 func WithBinder(b Binder) Option {
@@ -231,7 +226,8 @@ type Runtime struct {
 	// the watchdog can tighten and restore it while the server runs.
 	policy atomic.Pointer[AcceptPolicy]
 
-	breakers *breakerSet // nil unless WithBreakers enabled them
+	breakerCfg *BreakerConfig // set by WithBreakers
+	breakers   *breakerSet    // built from breakerCfg; nil without it
 
 	draining atomic.Bool
 
@@ -250,9 +246,12 @@ type Runtime struct {
 	refused     atomic.Uint64
 }
 
-// NewRuntime validates cfg (with option overrides folded in) and returns
-// a runtime governing the hierarchy under cfg.Root.
+// NewRuntime validates cfg and returns a runtime governing the
+// hierarchy under cfg.Root.
 func NewRuntime(cfg Config, opts ...Option) (*Runtime, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	rt := &Runtime{
 		cfg:      cfg,
 		clock:    RealClock{},
@@ -262,12 +261,6 @@ func NewRuntime(cfg Config, opts ...Option) (*Runtime, error) {
 	}
 	for _, opt := range opts {
 		opt(rt)
-	}
-	resolved := cfg
-	resolved.Window = rt.window
-	resolved.MaxDelay = rt.maxDelay
-	if err := resolved.Validate(); err != nil {
-		return nil, err
 	}
 	if rt.window <= 0 {
 		rt.window = DefaultWindow
@@ -284,6 +277,9 @@ func NewRuntime(cfg Config, opts ...Option) (*Runtime, error) {
 	}
 	pol := cfg.Policy
 	rt.policy.Store(&pol)
+	if rt.breakerCfg != nil {
+		rt.breakers = newBreakerSet(*rt.breakerCfg, rt.window)
+	}
 	rt.enf = New(rt.clock, rt.window)
 	return rt, nil
 }

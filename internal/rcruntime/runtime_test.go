@@ -28,7 +28,6 @@ func TestConfigValidate(t *testing.T) {
 		{"destroyed root", Config{Root: dead}},
 		{"negative window", Config{Root: root, Window: -time.Second}},
 		{"negative maxdelay", Config{Root: root, MaxDelay: -2}},
-		{"policy frac out of range", Config{Root: root, Policy: AcceptPolicy{Enabled: true, MaxConns: 8, Frac: 1.5}}},
 		{"policy negative maxconns", Config{Root: root, Policy: AcceptPolicy{Enabled: true, MaxConns: -1}}},
 		{"enabled policy with no knobs", Config{Root: root, Policy: AcceptPolicy{Enabled: true}}},
 	}
@@ -60,20 +59,15 @@ func TestMustNewRuntimePanicsOnBadConfig(t *testing.T) {
 func TestOptionOverrides(t *testing.T) {
 	root, _ := testTree(t, 0.5)
 	fc := &VirtualClock{}
-	rt, err := NewRuntime(Config{Root: root, Window: 50 * time.Millisecond},
-		WithClock(fc), WithWindow(20*time.Millisecond))
+	rt, err := NewRuntime(Config{Root: root, Window: 50 * time.Millisecond}, WithClock(fc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Window() != 20*time.Millisecond {
-		t.Fatalf("WithWindow not applied: window %v", rt.Window())
+	if rt.Window() != 50*time.Millisecond {
+		t.Fatalf("Config.Window not applied: window %v", rt.Window())
 	}
 	if rt.Root() != root {
 		t.Fatal("Root() mismatch")
-	}
-	// Option overrides are validated like Config fields.
-	if _, err := NewRuntime(Config{Root: root}, WithWindow(-time.Second)); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("negative WithWindow accepted: %v", err)
 	}
 	// nil option values keep the defaults instead of crashing later.
 	rt2, err := NewRuntime(Config{Root: root}, WithClock(nil), WithBinder(nil), WithTelemetrySink(nil))
@@ -91,19 +85,18 @@ func TestAcquireForTryAcquire(t *testing.T) {
 	_, leaf := testTree(t, 0.5)
 	e.Acquire(leaf)(5 * time.Millisecond) // exhaust the window budget
 	before := fc.Now()
-	if _, ok := e.AcquireFor(leaf, 0); ok {
+	if _, ok := e.admit(leaf, 0); ok {
 		t.Fatal("try-acquire admitted over-budget work")
 	}
 	if !fc.Now().Equal(before) {
 		t.Fatal("try-acquire consumed time")
 	}
-	// Within budget, a try-acquire admits and returns a usable charge.
+	// Within budget, a try-acquire admits without waiting.
 	fc.Sleep(11 * time.Millisecond)
-	charge, ok := e.AcquireFor(leaf, 0)
-	if !ok {
-		t.Fatal("try-acquire refused in-budget work")
+	waited, ok := e.admit(leaf, 0)
+	if !ok || waited {
+		t.Fatalf("try-acquire of in-budget work: ok %t, waited %t", ok, waited)
 	}
-	charge(time.Millisecond)
 }
 
 func TestAcquireForBoundedWaitExpires(t *testing.T) {
@@ -112,7 +105,7 @@ func TestAcquireForBoundedWaitExpires(t *testing.T) {
 	_, leaf := testTree(t, 0.5)
 	e.Acquire(leaf)(5 * time.Millisecond)
 	before := fc.Now()
-	if _, ok := e.AcquireFor(leaf, 4*time.Millisecond); ok {
+	if _, ok := e.admit(leaf, 4*time.Millisecond); ok {
 		t.Fatal("admitted before the window rolled")
 	}
 	if waited := fc.Now().Sub(before); waited > 5*time.Millisecond {
@@ -125,11 +118,10 @@ func TestAcquireForWaitsAcrossRoll(t *testing.T) {
 	e := New(fc, 10*time.Millisecond)
 	_, leaf := testTree(t, 0.5)
 	e.Acquire(leaf)(5 * time.Millisecond)
-	charge, ok := e.AcquireFor(leaf, 30*time.Millisecond)
-	if !ok {
-		t.Fatal("bounded wait long enough for a roll was refused")
+	waited, ok := e.admit(leaf, 30*time.Millisecond)
+	if !ok || !waited {
+		t.Fatalf("bounded wait long enough for a roll: ok %t, waited %t", ok, waited)
 	}
-	charge(time.Millisecond)
 }
 
 func TestOverBudget(t *testing.T) {

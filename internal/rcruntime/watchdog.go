@@ -45,7 +45,7 @@ func (a *policyActuator) Wording() alert.Wording {
 // budget.
 func (a *policyActuator) Tighten(clamped *rc.Container) string {
 	a.saved = a.rt.Policy()
-	tight := AcceptPolicy{Enabled: true, MaxConns: a.saved.MaxConns, Frac: a.saved.Frac, OverBudgetOf: clamped}
+	tight := AcceptPolicy{Enabled: true, MaxConns: a.saved.MaxConns, OverBudgetOf: clamped}
 	if tight.MaxConns > 1 {
 		tight.MaxConns /= 2
 	}

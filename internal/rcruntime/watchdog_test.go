@@ -38,7 +38,6 @@ func newWatchdogRig(t *testing.T, cfg alert.WatchdogConfig) *watchdogRig {
 		WithBinder(binder))
 	am := alert.New()
 	mon, err := AttachMonitor(rt, am, MonitorConfig{
-		TenantCPUWarn: 0.5, TenantCPUCrit: 0.75,
 		Clear:   2,
 		Tenants: []*rc.Container{hog},
 	})

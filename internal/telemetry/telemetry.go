@@ -28,22 +28,15 @@ import (
 	"rescon/internal/trace"
 )
 
-// Defaults used by Config fields left zero.
+// Collector sizing.
 const (
-	DefaultTraceCapacity    = 4096
-	DefaultTimelineCapacity = 4096
-	DefaultSampleInterval   = sim.Millisecond
-)
-
-// Config sizes a Collector.
-type Config struct {
 	// TraceCapacity bounds the structured trace ring (events retained).
-	TraceCapacity int
+	TraceCapacity = 4096
 	// TimelineCapacity bounds the usage-timeline ring (samples retained).
-	TimelineCapacity int
+	TimelineCapacity = 4096
 	// SampleInterval is the virtual-time period between timeline samples.
-	SampleInterval sim.Duration
-}
+	SampleInterval = sim.Millisecond
+)
 
 // Sample is one usage-timeline row: the state of one principal at one
 // sampling instant. CPU, Drops and Dispatches are cumulative (consumers
@@ -110,7 +103,6 @@ var collectorIDs atomic.Uint32
 // virtual-CPU profile for one kernel. It is not safe for concurrent use;
 // like the rest of the simulation it lives on a single goroutine.
 type Collector struct {
-	cfg    Config
 	tracer *trace.Tracer
 
 	// timeline ring
@@ -137,22 +129,11 @@ type Collector struct {
 	mode string
 }
 
-// New returns a collector sized by cfg (zero fields take the package
-// defaults).
-func New(cfg Config) *Collector {
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = DefaultTraceCapacity
-	}
-	if cfg.TimelineCapacity <= 0 {
-		cfg.TimelineCapacity = DefaultTimelineCapacity
-	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = DefaultSampleInterval
-	}
+// New returns an empty collector.
+func New() *Collector {
 	return &Collector{
-		cfg:     cfg,
-		tracer:  trace.New(cfg.TraceCapacity),
-		samples: make([]Sample, cfg.TimelineCapacity),
+		tracer:  trace.New(TraceCapacity),
+		samples: make([]Sample, TimelineCapacity),
 		id:      collectorIDs.Add(1),
 		index:   make(map[string]Row),
 	}
@@ -167,14 +148,9 @@ func (c *Collector) Tracer() *trace.Tracer {
 	return c.tracer
 }
 
-// Interval returns the timeline sampling period (DefaultSampleInterval
+// Interval returns the timeline sampling period, SampleInterval (also
 // for a nil collector).
-func (c *Collector) Interval() sim.Duration {
-	if c == nil {
-		return DefaultSampleInterval
-	}
-	return c.cfg.SampleInterval
-}
+func (c *Collector) Interval() sim.Duration { return SampleInterval }
 
 // SetRun stamps the collector with the run's identity (engine seed and
 // kernel mode) for exporter headers. The kernel calls it on attach.
@@ -272,25 +248,6 @@ func (c *Collector) RowDispatches(r Row) uint64 {
 	return c.row(r).dispatches
 }
 
-// ChargeStage attributes d of simulated CPU to (principal, stage) in the
-// virtual-CPU profile, looking the principal up by name. Nil-safe: a
-// detached collector is a no-op.
-func (c *Collector) ChargeStage(principal string, stage trace.Stage, d sim.Duration) {
-	if c == nil || d <= 0 {
-		return
-	}
-	c.Charge(c.Intern(principal), stage, d)
-}
-
-// CountDispatch counts one scheduler dispatch of the named principal.
-// Nil-safe.
-func (c *Collector) CountDispatch(principal string) {
-	if c == nil {
-		return
-	}
-	c.Dispatch(c.Intern(principal))
-}
-
 // TotalDispatches returns the cumulative dispatch count across all
 // principals.
 func (c *Collector) TotalDispatches() uint64 {
@@ -298,18 +255,6 @@ func (c *Collector) TotalDispatches() uint64 {
 		return 0
 	}
 	return c.totalDispatch
-}
-
-// Dispatches returns the cumulative dispatch count for the principal.
-func (c *Collector) Dispatches(principal string) uint64 {
-	if c == nil {
-		return 0
-	}
-	r, ok := c.index[principal]
-	if !ok {
-		return 0
-	}
-	return c.row(r).dispatches
 }
 
 // Record appends a timeline sample, evicting the oldest when the ring is
@@ -449,7 +394,7 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, `{"type":"meta","seed":%d,"mode":%s,"interval_ns":%d,"events_total":%d}`+"\n",
-		c.seed, jstr(c.mode), int64(c.cfg.SampleInterval), c.tracer.Total())
+		c.seed, jstr(c.mode), int64(SampleInterval), c.tracer.Total())
 	for _, e := range c.tracer.Events() {
 		fmt.Fprintf(&b, `{"type":"event","at_ns":%d,"kind":%s,"cpu":%d,"stage":%s,"principal":%s,"conn":%d,"cost_ns":%d,"detail":%s}`+"\n",
 			int64(e.At), jstr(string(e.Kind)), e.CPU, jstr(e.Stage.String()),

@@ -11,15 +11,12 @@ import (
 )
 
 func TestConfigDefaults(t *testing.T) {
-	c := New(Config{})
-	if c.cfg.TraceCapacity != DefaultTraceCapacity {
-		t.Errorf("TraceCapacity = %d, want %d", c.cfg.TraceCapacity, DefaultTraceCapacity)
+	c := New()
+	if len(c.samples) != TimelineCapacity {
+		t.Errorf("timeline ring holds %d samples, want %d", len(c.samples), TimelineCapacity)
 	}
-	if c.cfg.TimelineCapacity != DefaultTimelineCapacity {
-		t.Errorf("TimelineCapacity = %d, want %d", c.cfg.TimelineCapacity, DefaultTimelineCapacity)
-	}
-	if c.Interval() != DefaultSampleInterval {
-		t.Errorf("Interval = %v, want %v", c.Interval(), DefaultSampleInterval)
+	if c.Interval() != SampleInterval {
+		t.Errorf("Interval = %v, want %v", c.Interval(), SampleInterval)
 	}
 	if c.Tracer() == nil {
 		t.Fatal("Tracer() = nil")
@@ -28,13 +25,11 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
-	c.ChargeStage("x", trace.StageUser, sim.Millisecond)
-	c.CountDispatch("x")
 	c.Record(Sample{})
 	if c.Tracer() != nil || c.Samples() != nil || c.ProfileRows() != nil {
 		t.Error("nil collector should return nil views")
 	}
-	if c.StageCPU("x", trace.StageUser) != 0 || c.TotalDispatches() != 0 || c.Dispatches("x") != 0 {
+	if c.StageCPU("x", trace.StageUser) != 0 || c.TotalDispatches() != 0 {
 		t.Error("nil collector should report zero counters")
 	}
 	if err := c.WriteJSONL(&strings.Builder{}); err != nil {
@@ -46,8 +41,8 @@ func TestNilCollectorSafe(t *testing.T) {
 	if c.TotalCPU() != 0 || c.AttributedCPU() != 0 {
 		t.Error("nil collector should report zero CPU")
 	}
-	if c.Interval() != DefaultSampleInterval {
-		t.Errorf("nil Interval = %v, want %v", c.Interval(), DefaultSampleInterval)
+	if c.Interval() != SampleInterval {
+		t.Errorf("nil Interval = %v, want %v", c.Interval(), SampleInterval)
 	}
 	var b strings.Builder
 	c.WriteProfile(&b, 0)
@@ -63,13 +58,13 @@ func TestNilCollectorSafe(t *testing.T) {
 }
 
 func TestTimelineRingEviction(t *testing.T) {
-	c := New(Config{TimelineCapacity: 4})
-	for i := 1; i <= 6; i++ {
+	c := New()
+	for i := 1; i <= TimelineCapacity+2; i++ {
 		c.Record(Sample{At: sim.Time(i), Principal: "p"})
 	}
 	got := c.Samples()
-	if len(got) != 4 {
-		t.Fatalf("retained %d samples, want 4", len(got))
+	if len(got) != TimelineCapacity {
+		t.Fatalf("retained %d samples, want %d", len(got), TimelineCapacity)
 	}
 	for i, s := range got {
 		if want := sim.Time(i + 3); s.At != want {
@@ -79,14 +74,14 @@ func TestTimelineRingEviction(t *testing.T) {
 }
 
 func TestProfileAccumulationAndSorting(t *testing.T) {
-	c := New(Config{})
-	c.ChargeStage("b", trace.StageUser, 10)
-	c.ChargeStage("b", trace.StageUser, 5) // accumulates into the same cell
-	c.ChargeStage("a", trace.StageSocket, 15)
-	c.ChargeStage("a", trace.StageInterrupt, 40)
-	c.ChargeStage("a", trace.StageIP, 15)
-	c.ChargeStage("zero", trace.StageDisk, 0) // ignored
-	c.ChargeStage("neg", trace.StageDisk, -3) // ignored
+	c := New()
+	c.Charge(c.Intern("b"), trace.StageUser, 10)
+	c.Charge(c.Intern("b"), trace.StageUser, 5) // accumulates into the same cell
+	c.Charge(c.Intern("a"), trace.StageSocket, 15)
+	c.Charge(c.Intern("a"), trace.StageInterrupt, 40)
+	c.Charge(c.Intern("a"), trace.StageIP, 15)
+	c.Charge(c.Intern("zero"), trace.StageDisk, 0) // ignored
+	c.Charge(c.Intern("neg"), trace.StageDisk, -3) // ignored
 	if got := c.StageCPU("b", trace.StageUser); got != 15 {
 		t.Errorf("StageCPU(b,user) = %v, want 15", got)
 	}
@@ -112,23 +107,24 @@ func TestProfileAccumulationAndSorting(t *testing.T) {
 }
 
 func TestDispatchCounters(t *testing.T) {
-	c := New(Config{})
-	c.CountDispatch("a")
-	c.CountDispatch("a")
-	c.CountDispatch("b")
+	c := New()
+	a, b, idle := c.Intern("a"), c.Intern("b"), c.Intern("c")
+	c.Dispatch(a)
+	c.Dispatch(a)
+	c.Dispatch(b)
 	if c.TotalDispatches() != 3 {
 		t.Errorf("TotalDispatches = %d, want 3", c.TotalDispatches())
 	}
-	if c.Dispatches("a") != 2 || c.Dispatches("b") != 1 || c.Dispatches("c") != 0 {
+	if c.RowDispatches(a) != 2 || c.RowDispatches(b) != 1 || c.RowDispatches(idle) != 0 {
 		t.Errorf("per-principal dispatches wrong: a=%d b=%d c=%d",
-			c.Dispatches("a"), c.Dispatches("b"), c.Dispatches("c"))
+			c.RowDispatches(a), c.RowDispatches(b), c.RowDispatches(idle))
 	}
 }
 
 // Principals are identified by name: two containers with the same name
 // share one profile row, and their dispatches sum.
 func TestSameNamePrincipalsMerge(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	a := rc.MustNew(nil, rc.TimeShare, "cgi-req", rc.Attributes{Priority: 1})
 	b := rc.MustNew(nil, rc.TimeShare, "cgi-req", rc.Attributes{Priority: 1})
 	ra, rb := c.Resolve(&a.Profile, a.Name()), c.Resolve(&b.Profile, b.Name())
@@ -139,8 +135,8 @@ func TestSameNamePrincipalsMerge(t *testing.T) {
 	c.Charge(rb, trace.StageUser, 5)
 	c.Dispatch(ra)
 	c.Dispatch(rb)
-	c.CountDispatch("cgi-req")
-	if got := c.Dispatches("cgi-req"); got != 3 {
+	c.Dispatch(c.Intern("cgi-req"))
+	if got := c.RowDispatches(c.Intern("cgi-req")); got != 3 {
 		t.Errorf("Dispatches(cgi-req) = %d, want 3", got)
 	}
 	rows := c.ProfileRows()
@@ -152,7 +148,7 @@ func TestSameNamePrincipalsMerge(t *testing.T) {
 // Rows live in fixed-size pages; growing past a page must keep every
 // earlier row (and the slots that point at them) intact.
 func TestProfileRowsCrossPages(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	n := 2*pageRows + 3
 	slots := make([]rc.ProfileSlot, n)
 	for i := range slots {
@@ -173,7 +169,7 @@ func TestProfileRowsCrossPages(t *testing.T) {
 		if got := c.StageCPU(name, trace.StageSocket); got != sim.Duration(2*(i+1)) {
 			t.Fatalf("StageCPU(%s) = %v, want %v", name, got, 2*(i+1))
 		}
-		if got := c.Dispatches(name); got != 1 {
+		if got := c.RowDispatches(c.Intern(name)); got != 1 {
 			t.Fatalf("Dispatches(%s) = %d, want 1", name, got)
 		}
 		want += sim.Duration(2 * (i + 1))
@@ -193,7 +189,7 @@ func TestProfileRowsCrossPages(t *testing.T) {
 // row: its slot is re-resolved whenever the other collector charged it
 // last, never reused across collectors.
 func TestContainerChargedByTwoCollectors(t *testing.T) {
-	c1, c2 := New(Config{}), New(Config{})
+	c1, c2 := New(), New()
 	// Give c2 a different row layout so a stale row index would land on
 	// the wrong principal.
 	c2.Intern("other")
@@ -212,8 +208,9 @@ func TestContainerChargedByTwoCollectors(t *testing.T) {
 	if got := c2.StageCPU("other", trace.StageUser); got != 0 {
 		t.Errorf("collector 2: other = %v, want 0 (charged through a stale slot)", got)
 	}
-	if c1.Dispatches("shared") != 1 || c2.Dispatches("shared") != 0 {
-		t.Errorf("dispatches: c1 %d, c2 %d; want 1, 0", c1.Dispatches("shared"), c2.Dispatches("shared"))
+	d1, d2 := c1.RowDispatches(c1.Intern("shared")), c2.RowDispatches(c2.Intern("shared"))
+	if d1 != 1 || d2 != 0 {
+		t.Errorf("dispatches: c1 %d, c2 %d; want 1, 0", d1, d2)
 	}
 }
 
@@ -230,13 +227,13 @@ func fill(c *Collector) {
 	})
 	c.Record(Sample{At: 1000, Principal: "httpd", CPU: 500, Backlog: 2,
 		BacklogHi: 3, ListenQ: 1, DiskQ: 0, Drops: 4, Dispatches: 9})
-	c.ChargeStage("httpd", trace.StageUser, 500)
-	c.ChargeStage("attackers", trace.StageInterrupt, 900)
-	c.CountDispatch("httpd")
+	c.Charge(c.Intern("httpd"), trace.StageUser, 500)
+	c.Charge(c.Intern("attackers"), trace.StageInterrupt, 900)
+	c.Dispatch(c.Intern("httpd"))
 }
 
 func TestWriteJSONL(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	fill(c)
 	var b strings.Builder
 	if err := c.WriteJSONL(&b); err != nil {
@@ -261,7 +258,7 @@ func TestWriteJSONL(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	fill(c)
 	var b strings.Builder
 	if err := c.WriteChromeTrace(&b); err != nil {
@@ -283,7 +280,7 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestWriteProfileTopTable(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	fill(c)
 	var b strings.Builder
 	c.WriteProfile(&b, 1)
@@ -306,7 +303,7 @@ func TestWriteProfileTopTable(t *testing.T) {
 // exporter emits byte-identical output.
 func TestExportersDeterministic(t *testing.T) {
 	render := func() (string, string, string) {
-		c := New(Config{})
+		c := New()
 		fill(c)
 		var j, ch, p strings.Builder
 		if err := c.WriteJSONL(&j); err != nil {

@@ -28,7 +28,7 @@
 // # Quick start
 //
 //	s := rescon.NewSim(rescon.ModeRC, 42,
-//	    rescon.WithTelemetry(rescon.TelemetryConfig{}))
+//	    rescon.WithTelemetry())
 //	srv, err := rescon.NewServer(rescon.ServerConfig{
 //	    Kernel: s.Kernel, Name: "httpd",
 //	    Addr:   rescon.Addr("10.0.0.1", 80),
@@ -358,12 +358,11 @@ type (
 	// long the drain waited.
 	DrainReport = rcruntime.DrainReport
 	// BreakerConfig tunes the per-tenant circuit breakers enabled by
-	// WithBreakers: consecutive sheds to open, the open duration, and
-	// its exponential-backoff bound.
+	// WithBreakers: the consecutive sheds that open a breaker.
 	BreakerConfig = rcruntime.BreakerConfig
-	// RuntimeMonitorConfig sets the thresholds of the runtime check
-	// battery (shed rate, refusal rate, inflight gauge, panics,
-	// per-tenant CPU share, open breakers).
+	// RuntimeMonitorConfig tunes the runtime check battery: the
+	// shed-rate thresholds, the clear hysteresis and the tenants whose
+	// CPU share is watched.
 	RuntimeMonitorConfig = rcruntime.MonitorConfig
 	// RuntimeMonitor samples a Runtime's counters into an AlertMonitor
 	// on every Tick — the adapter between the live runtime and the
@@ -407,9 +406,6 @@ type (
 	// Telemetry collects structured trace events, per-principal usage
 	// timelines and the virtual-CPU profile for one kernel.
 	Telemetry = telemetry.Collector
-	// TelemetryConfig sizes a Telemetry collector (zero values take
-	// defaults).
-	TelemetryConfig = telemetry.Config
 	// Stage is the kernel execution stage CPU time is attributed to.
 	Stage = trace.Stage
 )
@@ -424,9 +420,10 @@ const (
 	StageDisk      Stage = trace.StageDisk
 )
 
-// NewTelemetry returns a detached telemetry collector; attach it with
-// WithTelemetry (at construction) or Kernel.AttachTelemetry (later).
-func NewTelemetry(cfg TelemetryConfig) *Telemetry { return telemetry.New(cfg) }
+// NewTelemetry returns a detached telemetry collector; attach it to a
+// running sim with Kernel.AttachTelemetry (WithTelemetry builds and
+// attaches its own at construction).
+func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // Alerting and the closed-loop overload watchdog (internal/alert). The
 // monitor consumes the telemetry sampling tick, so the kernel must have
@@ -543,18 +540,17 @@ func WithCPUs(n int) SimOption {
 	return func(o *simOptions) { o.ncpus = n }
 }
 
-// WithTelemetry attaches a telemetry collector sized by cfg: structured
-// tracing, usage-timeline sampling and virtual-CPU profiling are active
-// from the first event. The collector is reachable as Sim.Telemetry.
-func WithTelemetry(cfg TelemetryConfig) SimOption {
-	return func(o *simOptions) { o.tel = telemetry.New(cfg) }
+// WithTelemetry attaches a telemetry collector: structured tracing,
+// usage-timeline sampling and virtual-CPU profiling are active from the
+// first event. The collector is reachable as Sim.Telemetry.
+func WithTelemetry() SimOption {
+	return func(o *simOptions) { o.tel = telemetry.New() }
 }
 
 // WithWatchdog attaches the built-in alert battery on the telemetry
 // sampling tick (reachable as Sim.Alerts) plus the closed-loop overload
 // watchdog reacting to it (reachable as Sim.Watchdog). A telemetry
-// collector is attached implicitly (with default sizing) if
-// WithTelemetry is not also given.
+// collector is attached implicitly if WithTelemetry is not also given.
 func WithWatchdog(cfg WatchdogConfig) SimOption {
 	return func(o *simOptions) { o.wd = &cfg }
 }
@@ -584,14 +580,14 @@ func NewSim(mode Mode, seed int64, opts ...SimOption) *Sim {
 	k := kernel.NewSMP(eng, mode, o.costs, o.ncpus)
 	s := &Sim{Engine: eng, Kernel: k}
 	if o.tel == nil && (o.wd != nil || o.reb != nil) {
-		o.tel = telemetry.New(telemetry.Config{})
+		o.tel = telemetry.New()
 	}
 	if o.tel != nil {
 		k.AttachTelemetry(o.tel)
 		s.Telemetry = o.tel
 	}
 	if o.wd != nil {
-		m, err := alert.Attach(k, alert.Config{})
+		m, err := alert.Attach(k)
 		if err != nil {
 			panic("rescon: WithWatchdog: " + err.Error())
 		}

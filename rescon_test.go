@@ -201,7 +201,7 @@ func TestFacadeConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Do(c, func() {})
+	e.Acquire(c)(0)
 }
 
 // TestRuntimeFacade drives the real-runtime bridge entirely through the

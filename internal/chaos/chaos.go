@@ -63,7 +63,7 @@ import (
 // Classify maps a violation string to its failure class, the unit of
 // "fails the same way" used by Shrink and the rcchaos triage output.
 func Classify(v string) string {
-	for _, c := range []string{"cpu-conservation", "conn-conservation", "isolation-floor", "alert-flap", "missed-detection",
+	for _, c := range []string{"cpu-conservation", "conn-conservation", "item-recycling", "isolation-floor", "alert-flap", "missed-detection",
 		"rebalance-conservation", "rebalance-starvation", "rebalance-oscillation",
 		"live-conservation", "live-leak", "live-oscillation", "live-starvation", "determinism"} {
 		if strings.Contains(v, c) {

@@ -20,6 +20,7 @@ type floodRig struct {
 	eng *sim.Engine
 	k   *Kernel
 	ls  *ListenSocket
+	src netsim.Addr
 	syn *netsim.Packet
 }
 
@@ -35,7 +36,8 @@ func newFloodRig(tb testing.TB) *floodRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r := &floodRig{eng: eng, k: k, ls: ls, syn: SYNPacket(client(7), srvAddr, true)}
+	r := &floodRig{eng: eng, k: k, ls: ls, src: client(7)}
+	r.syn = SYNPacket(r.src, srvAddr, true)
 	for i := 0; i < DefaultNetBacklog+64; i++ {
 		r.arrive()
 	}
@@ -49,28 +51,51 @@ func newFloodRig(tb testing.TB) *floodRig {
 // interrupt work has completed.
 func (r *floodRig) arrive() {
 	r.k.Arrive(r.syn)
+	r.drain()
+}
+
+// arriveBuilt is arrive with the SYN built for the call, as a flood
+// generator does: Arrive copies the packet, so it stays on the stack.
+func (r *floodRig) arriveBuilt() {
+	r.k.Arrive(SYNPacket(r.src, srvAddr, true))
+	r.drain()
+}
+
+// drain runs the engine until the interrupt work in progress completes.
+func (r *floodRig) drain() {
 	for r.k.cpu.inIntr {
 		r.eng.Step()
 	}
 }
 
 // The per-packet path of a flood must not allocate: the trace ring keeps
-// packet events unformatted, interrupt work is queued by value with its
-// completion bound once per CPU, and protocol work is queued by value.
+// packet events unformatted, interrupt work and its packet are queued by
+// value with the completion bound once per CPU, and protocol work is
+// queued by value.
 func TestBogusSYNDropNoAllocs(t *testing.T) {
-	r := newFloodRig(t)
-	before := r.ls.SynDrops()
-	const runs = 2000
-	allocs := testing.AllocsPerRun(runs, r.arrive)
-	// AllocsPerRun makes one warm-up call before the measured runs.
-	if got := r.ls.SynDrops() - before; got != runs+1 {
-		t.Fatalf("%d SYNs dropped at demux, want every one of %d", got, runs+1)
-	}
-	if allocs != 0 {
-		t.Fatalf("bogus SYN arrive→demux→drop allocates %.2f objects/op, want 0", allocs)
-	}
-	if r.k.Tracer.Total() == 0 {
-		t.Fatal("the flood was not traced")
+	for _, tc := range []struct {
+		name   string
+		arrive func(*floodRig)
+	}{
+		{"prebuilt", (*floodRig).arrive},
+		{"built-per-call", (*floodRig).arriveBuilt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFloodRig(t)
+			before := r.ls.SynDrops()
+			const runs = 2000
+			allocs := testing.AllocsPerRun(runs, func() { tc.arrive(r) })
+			// AllocsPerRun makes one warm-up call before the measured runs.
+			if got := r.ls.SynDrops() - before; got != runs+1 {
+				t.Fatalf("%d SYNs dropped at demux, want every one of %d", got, runs+1)
+			}
+			if allocs != 0 {
+				t.Fatalf("bogus SYN arrive→demux→drop allocates %.2f objects/op, want 0", allocs)
+			}
+			if r.k.Tracer.Total() == 0 {
+				t.Fatal("the flood was not traced")
+			}
+		})
 	}
 }
 

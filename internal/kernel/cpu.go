@@ -22,7 +22,8 @@ const (
 // intrWork is one unit of interrupt-level processing. Interrupts have
 // strictly higher priority than any thread (§3.2): they preempt the
 // running slice and run FIFO to completion. The interrupt queue holds
-// the records by value, so raising one allocates nothing.
+// the records, packets included, by value, so raising one allocates
+// nothing.
 type intrWork struct {
 	label string
 	cost  sim.Duration
@@ -40,7 +41,7 @@ type intrWork struct {
 	// handler and its operands name the packet work to run on
 	// completion.
 	handler intrHandler
-	pkt     *netsim.Packet
+	pkt     netsim.Packet
 	ls      *ListenSocket
 }
 
@@ -48,11 +49,11 @@ type intrWork struct {
 func (w *intrWork) run(k *Kernel) {
 	switch w.handler {
 	case intrDemux:
-		k.earlyDemux(w.pkt)
+		k.earlyDemux(&w.pkt)
 	case intrProto:
-		k.protoProcess(w.pkt, w.ls)
+		k.protoProcess(&w.pkt, w.ls)
 	case intrThrottle:
-		k.throttleSYN(w.pkt)
+		k.throttleSYN(&w.pkt)
 	}
 }
 
@@ -328,7 +329,9 @@ func (c *CPU) start(th *Thread, now sim.Time) {
 
 // completeSlice finishes the running slice: accounting, completion
 // callback, next dispatch. It works on a copy of the slot, which the
-// completion callback may refill by dispatching the next slice.
+// completion callback may refill by dispatching the next slice. A
+// finished kernel-owned item goes back to the free list before its
+// callbacks run, which may post work that reuses it.
 func (c *CPU) completeSlice() {
 	r := *c.cur
 	slice := r.slice
@@ -337,14 +340,20 @@ func (c *CPU) completeSlice() {
 	r.th.ent.SetOnCPU(false)
 	c.chargeSlice(r.th, r.item, slice, now)
 	r.item.Cost -= slice
-	var done func()
+	var done, delivered func()
 	if r.item.Cost <= 0 {
 		r.th.current = nil
-		done = r.item.OnDone
+		done, delivered = r.item.OnDone, r.item.onDelivered
+		if r.item.pooled {
+			c.k.releaseItem(r.item)
+		}
 	}
 	r.th.updateRunnable()
 	if done != nil {
 		done()
+	}
+	if delivered != nil {
+		c.k.eng.After(c.k.costs.WireDelay, delivered)
 	}
 	c.dispatch()
 }

@@ -13,7 +13,9 @@ import (
 // non-negativity checks), the bounded per-container protocol queues and
 // listen-socket accept/SYN queues (for the queue-bound check), and the
 // connection-lifecycle conservation invariant (every established
-// connection is open or closed exactly once — none lost). The sources
+// connection is open or closed exactly once — none lost), and the
+// work-item free list (no item on it twice, none still queued or running
+// on a thread). The sources
 // are re-evaluated at every checker tick, so processes, sockets and
 // containers created after this call are still covered.
 func (k *Kernel) WatchInvariants(ch *fault.Checker) {
@@ -75,4 +77,35 @@ func (k *Kernel) WatchInvariants(ch *fault.Checker) {
 		}
 		return ""
 	})
+	ch.MustWatchCheck("item-recycling", k.checkItemRecycling)
+}
+
+// checkItemRecycling audits the work-item free list: an item on it twice,
+// or one a thread still runs or has queued, would hand one record to two
+// owners.
+func (k *Kernel) checkItemRecycling() string {
+	free := make(map[*WorkItem]int, len(k.freeItems))
+	for i, item := range k.freeItems {
+		if j, ok := free[item]; ok {
+			return fmt.Sprintf("free-list slots %d and %d hold the same work item", j, i)
+		}
+		free[item] = i
+	}
+	for _, p := range k.procs {
+		threads := p.threads
+		if p.netThread != nil {
+			threads = append(threads[:len(threads):len(threads)], p.netThread)
+		}
+		for _, t := range threads {
+			if i, ok := free[t.current]; ok {
+				return fmt.Sprintf("thread %s runs the work item in free-list slot %d", t.ent.Name, i)
+			}
+			for n := 0; n < t.fifo.Len(); n++ {
+				if i, ok := free[t.fifo.At(n)]; ok {
+					return fmt.Sprintf("thread %s has the work item in free-list slot %d at position %d of its FIFO", t.ent.Name, i, n)
+				}
+			}
+		}
+	}
+	return ""
 }

@@ -106,6 +106,16 @@ type Kernel struct {
 	// set it before the first Listen call.
 	ImplicitNetBinding bool
 
+	// freeItems holds the work items PostFunc and Conn.Send build, once
+	// completeSlice has copied their callbacks out, for reuse.
+	freeItems []*WorkItem
+	// wire holds the packets ClientSend has put on the wire, in send
+	// order. Every one arrives exactly WireDelay after it was sent, so
+	// their delivery events fire in that order too, each popping the
+	// head through wireArrive, which is bound once.
+	wire       netsim.Queue[netsim.Packet]
+	wireArrive func()
+
 	// stats
 	interruptTime sim.Duration
 	startTime     sim.Time
@@ -179,6 +189,7 @@ func NewSMP(eng *sim.Engine, mode Mode, costs CostModel, ncpus int) *Kernel {
 	}
 	k.cpu = k.cpus[0]
 	k.net = newNetwork(k)
+	k.wireArrive = k.arriveFromWire
 	return k
 }
 
@@ -405,6 +416,34 @@ type WorkItem struct {
 	Container *rc.Container
 	// OnDone runs when the segment's cost has been fully consumed.
 	OnDone func()
+	// onDelivered, set by Conn.Send, runs one wire delay after OnDone
+	// would: the response reaching the client.
+	onDelivered func()
+	// pooled marks an item the kernel built (PostFunc, Conn.Send) and
+	// recycles once it completes. An item passed to Post stays the
+	// caller's.
+	pooled bool
+}
+
+// newItem takes a kernel-owned work item from the free list, or
+// allocates one.
+func (k *Kernel) newItem() *WorkItem {
+	if n := len(k.freeItems); n > 0 {
+		item := k.freeItems[n-1]
+		k.freeItems[n-1] = nil
+		k.freeItems = k.freeItems[:n-1]
+		return item
+	}
+	return &WorkItem{pooled: true}
+}
+
+// releaseItem clears a kernel-owned work item and returns it to the free
+// list. The caller must hold the last reference to it: completeSlice
+// releases an item only after taking it off its thread and copying its
+// callbacks out.
+func (k *Kernel) releaseItem(item *WorkItem) {
+	*item = WorkItem{pooled: true}
+	k.freeItems = append(k.freeItems, item)
 }
 
 // WorkSource supplies work items on demand; the kernel network thread
@@ -420,7 +459,7 @@ type Thread struct {
 	proc    *Process
 	ent     *sched.Entity
 	name    string
-	fifo    []*WorkItem
+	fifo    netsim.Queue[*WorkItem]
 	current *WorkItem
 	source  WorkSource
 	cpuTime sim.Duration
@@ -463,7 +502,9 @@ func (t *Thread) Entity() *sched.Entity { return t.ent }
 // CPUTime returns the CPU consumed by the thread.
 func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 
-// Post queues a work segment on the thread and wakes the CPU.
+// Post queues a work segment on the thread and wakes the CPU. The item
+// stays the caller's: the kernel never recycles it, and the caller may
+// reuse it once its OnDone has run.
 func (t *Thread) Post(item *WorkItem) {
 	if t.exited {
 		return
@@ -475,14 +516,17 @@ func (t *Thread) Post(item *WorkItem) {
 		item.Cost = 1
 	}
 	t.proc.k.checkItem(item)
-	t.fifo = append(t.fifo, item)
+	t.fifo.Push(item)
 	t.updateRunnable()
 	t.proc.k.kickAll()
 }
 
-// PostFunc is a convenience wrapper building a WorkItem.
+// PostFunc posts a kernel-owned work item, which the kernel recycles
+// once it completes.
 func (t *Thread) PostFunc(label string, cost sim.Duration, kind rc.CPUKind, c *rc.Container, done func()) {
-	t.Post(&WorkItem{Label: label, Cost: cost, Kind: kind, Container: c, OnDone: done})
+	item := t.proc.k.newItem()
+	item.Label, item.Cost, item.Kind, item.Container, item.OnDone = label, cost, kind, c, done
+	t.Post(item)
 }
 
 // SetSource installs a pull-based work source (kernel network thread).
@@ -499,7 +543,7 @@ func (t *Thread) Wake() {
 }
 
 func (t *Thread) hasWork() bool {
-	if t.current != nil || len(t.fifo) > 0 {
+	if t.current != nil || t.fifo.Len() > 0 {
 		return true
 	}
 	return t.source != nil && t.source.HasWork()
@@ -542,13 +586,7 @@ func (t *Thread) yieldIdleWork() {
 
 // next pops the thread's next work item (FIFO first, then source).
 func (t *Thread) next() *WorkItem {
-	if len(t.fifo) > 0 {
-		item := t.fifo[0]
-		t.fifo[0] = nil
-		t.fifo = t.fifo[1:]
-		if len(t.fifo) == 0 {
-			t.fifo = nil
-		}
+	if item, ok := t.fifo.Pop(); ok {
 		return item
 	}
 	if t.source != nil && t.source.HasWork() {
@@ -566,7 +604,7 @@ func (t *Thread) exit() {
 		return
 	}
 	t.exited = true
-	t.fifo = nil
+	t.fifo.Clear()
 	t.current = nil
 	t.source = nil
 	t.proc.k.sch.Unregister(t.ent)

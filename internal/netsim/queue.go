@@ -6,8 +6,10 @@ package netsim
 // growth is exactly the receive-livelock failure mode).
 //
 // The queue is a ring buffer: Push, PushFront, Pop and Peek are all O(1).
-// The backing array grows on demand and is released when the queue
-// drains, so a transient backlog cannot pin memory forever.
+// The backing array grows on demand. When the queue drains, an array of
+// more than keepCap slots is released, so a transient backlog cannot pin
+// memory forever; a smaller one is kept, so a queue that oscillates
+// between empty and a few items does not reallocate.
 type Queue[T any] struct {
 	buf   []T
 	head  int // index of the oldest item
@@ -130,6 +132,10 @@ func (q *Queue[T]) Peek() (T, bool) {
 	}
 	return q.buf[q.head], true
 }
+
+// At returns the i-th oldest item without removing it; i must be in
+// [0, Len()).
+func (q *Queue[T]) At(i int) T { return q.buf[(q.head+i)%len(q.buf)] }
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.n }

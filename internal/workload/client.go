@@ -112,6 +112,8 @@ type Client struct {
 	reqSeq   uint64
 	attempts int // consecutive timeouts for the current request
 	stopped  bool
+	// start is startRequest, bound once.
+	start func()
 }
 
 // StartClient validates the configuration and launches the client's
@@ -133,6 +135,7 @@ func StartClient(cfg ClientConfig) (*Client, error) {
 		nextPort: cfg.Src.Port,
 		Meter:    metrics.NewRateMeter(cfg.Kernel.Now()),
 	}
+	c.start = c.startRequest
 	// Per-client deterministic randomness: think-time jitter
 	// desynchronizes the population, as natural variance would on a real
 	// testbed. The stream depends only on the client's address, so adding
@@ -140,7 +143,7 @@ func StartClient(cfg ClientConfig) (*Client, error) {
 	c.rng = c.eng.Rand().Fork(uint64(cfg.Src.IP)<<16 | uint64(cfg.Src.Port))
 	if cfg.Think > 0 {
 		// Staggered start: spread initial requests over one think time.
-		c.eng.After(c.rng.Uniform(0, cfg.Think), func() { c.startRequest() })
+		c.eng.After(c.rng.Uniform(0, cfg.Think), c.start)
 	} else {
 		c.startRequest()
 	}
@@ -334,7 +337,7 @@ func (c *Client) think() {
 	}
 	// Uniform ±50% jitter around the configured think time.
 	pause := c.rng.Uniform(c.cfg.Think/2, c.cfg.Think*3/2)
-	c.eng.After(pause, func() { c.startRequest() })
+	c.eng.After(pause, c.start)
 }
 
 // Population is a set of identically configured clients with pooled

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"rescon/internal/sim"
 )
@@ -336,5 +337,32 @@ func TestSchmittDeadBandHoldsLevel(t *testing.T) {
 	}
 	if s.m.Flaps() != 0 {
 		t.Fatalf("Flaps = %d, want 0", s.m.Flaps())
+	}
+}
+
+// An observation's diagnostic renders as fmt.Sprintf would format its
+// operands, and published events carry it.
+func TestDetailRenderedOnPublish(t *testing.T) {
+	for _, tc := range []struct {
+		ob   Observation
+		want string
+	}{
+		{Observation{}, ""},
+		{Observation{Format: "calm"}, "calm"},
+		{Observation{Format: "drops_total=%d", Args: [3]Arg{Int(1 << 40)}}, "drops_total=1099511627776"},
+		{Observation{Format: "share=%g cpu_delta_ns=%d pkts_delta=%d", Args: [3]Arg{Float(0.25), Int(-3), Int(7)}},
+			"share=0.25 cpu_delta_ns=-3 pkts_delta=7"},
+		{Observation{Format: "cpu +%v this tick", Args: [3]Arg{Dur(1500 * time.Microsecond)}}, "cpu +1.5ms this tick"},
+	} {
+		if got := tc.ob.detail(); got != tc.want {
+			t.Errorf("detail of %q = %q, want %q", tc.ob.Format, got, tc.want)
+		}
+	}
+
+	s := newSynthetic(t, Check{Name: "c", Warn: 10, Raise: 1, Observe: func() []Observation {
+		return []Observation{{Target: "t0", Value: 20, Format: "v=%d", Args: [3]Arg{Int(20)}}}
+	}})
+	if evs := s.run(0, 5); len(evs) != 1 || evs[0].Detail != "v=20" {
+		t.Fatalf("events %+v, want one raise with detail v=20", evs)
 	}
 }

@@ -108,7 +108,7 @@ func Attach(k *kernel.Kernel) (*Monitor, error) {
 				prevSyn[target] = cur
 				obs = append(obs, Observation{
 					Target: target, Value: float64(delta),
-					Detail: fmt.Sprintf("drops_total=%d", cur),
+					Format: "drops_total=%d", Args: [3]Arg{Int(int64(cur))},
 				})
 			}
 			return obs
@@ -127,7 +127,7 @@ func Attach(k *kernel.Kernel) (*Monitor, error) {
 				obs = append(obs, Observation{
 					Target: ls.Name(),
 					Value:  float64(pend) / float64(ls.AcceptCap()),
-					Detail: fmt.Sprintf("pending=%d cap=%d", pend, ls.AcceptCap()),
+					Format: "pending=%d cap=%d", Args: [3]Arg{Int(int64(pend)), Int(int64(ls.AcceptCap()))},
 				})
 			}
 			return obs
@@ -147,7 +147,7 @@ func Attach(k *kernel.Kernel) (*Monitor, error) {
 				n := ls.EmbryonicCount()
 				obs = append(obs, Observation{
 					Target: ls.Name(), Value: float64(n),
-					Detail: fmt.Sprintf("half_open=%d", n),
+					Format: "half_open=%d", Args: [3]Arg{Int(int64(n))},
 				})
 			}
 			return obs
@@ -168,7 +168,7 @@ func Attach(k *kernel.Kernel) (*Monitor, error) {
 			return append(obs, Observation{
 				Target: "(machine)",
 				Value:  float64(delta) / float64(tel.Interval()),
-				Detail: fmt.Sprintf("interrupt_total_ns=%d", int64(cur)),
+				Format: "interrupt_total_ns=%d", Args: [3]Arg{Int(int64(cur))},
 			})
 		}),
 	})
@@ -187,7 +187,7 @@ func Attach(k *kernel.Kernel) (*Monitor, error) {
 				n := p.NetBacklog()
 				obs = append(obs, Observation{
 					Target: p.Name(), Value: float64(n) / float64(bound),
-					Detail: fmt.Sprintf("backlog=%d bound=%d", n, bound),
+					Format: "backlog=%d bound=%d", Args: [3]Arg{Int(int64(n)), Int(int64(bound))},
 				})
 			}
 			return obs
@@ -221,7 +221,7 @@ func Attach(k *kernel.Kernel) (*Monitor, error) {
 				}
 				obs = append(obs, Observation{
 					Target: p.Name(), Value: float64(growth),
-					Detail: fmt.Sprintf("backlog=%d", n),
+					Format: "backlog=%d", Args: [3]Arg{Int(int64(n))},
 				})
 			}
 			return obs
@@ -247,7 +247,7 @@ func Attach(k *kernel.Kernel) (*Monitor, error) {
 			return append(obs, Observation{
 				Target: "(disk)",
 				Value:  float64(n) / float64(kernel.DefaultDiskQueueLimit),
-				Detail: fmt.Sprintf("queued=%d limit=%d", n, kernel.DefaultDiskQueueLimit),
+				Format: "queued=%d limit=%d", Args: [3]Arg{Int(int64(n)), Int(kernel.DefaultDiskQueueLimit)},
 			})
 		}),
 	})
@@ -286,7 +286,8 @@ func Attach(k *kernel.Kernel) (*Monitor, error) {
 					}
 					obs = append(obs, Observation{
 						Target: c.Name(), Value: v,
-						Detail: fmt.Sprintf("share=%g cpu_delta_ns=%d pkts_delta=%d", c.Attributes().Share, int64(cpuDelta), pktDelta),
+						Format: "share=%g cpu_delta_ns=%d pkts_delta=%d",
+						Args:   [3]Arg{Float(c.Attributes().Share), Int(int64(cpuDelta)), Int(int64(pktDelta))},
 					})
 				}
 				return obs

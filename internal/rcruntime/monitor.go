@@ -13,7 +13,6 @@
 package rcruntime
 
 import (
-	"fmt"
 	"time"
 
 	"rescon/internal/alert"
@@ -157,16 +156,20 @@ func AttachMonitor(rt *Runtime, am *alert.Monitor, cfg MonitorConfig) (*Monitor,
 			Clear: m.cfg.Clear, Observe: gauge(&m.breakers)},
 	}
 	if len(m.cfg.Tenants) > 0 {
+		// The alert.Monitor copies observations out, so one buffer
+		// serves every tick.
+		obs := make([]alert.Observation, 0, len(m.cfg.Tenants))
 		checks = append(checks, alert.Check{
 			Name: CheckTenantCPU, Warn: TenantCPUWarn, Crit: TenantCPUCrit,
 			Clear: m.cfg.Clear,
 			Observe: func() []alert.Observation {
-				obs := make([]alert.Observation, 0, len(m.cfg.Tenants))
+				obs = obs[:0]
 				for i, c := range m.cfg.Tenants {
 					obs = append(obs, alert.Observation{
 						Target: c.Name(),
 						Value:  m.tenantShare[i],
-						Detail: fmt.Sprintf("cpu +%v this tick", m.tenantDelta[i]),
+						Format: "cpu +%v this tick",
+						Args:   [3]alert.Arg{alert.Dur(m.tenantDelta[i])},
 					})
 				}
 				return obs

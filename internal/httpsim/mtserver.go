@@ -24,6 +24,8 @@ type MTServer struct {
 	// Stats
 	StaticServed uint64
 	openConns    int
+	// onPeerClose is connClosed, bound once.
+	onPeerClose func(*kernel.Conn)
 }
 
 // NewMTServer creates a multi-threaded server with the given pool size.
@@ -38,6 +40,7 @@ func NewMTServer(cfg Config, threads int) (*MTServer, error) {
 		return nil, fmt.Errorf("httpsim: pool size %d", threads)
 	}
 	s := &MTServer{cfg: cfg, k: cfg.Kernel}
+	s.onPeerClose = s.connClosed
 	s.proc = s.k.NewProcess(cfg.Name)
 	for i := 0; i < threads; i++ {
 		s.workers = append(s.workers, s.proc.NewThread(fmt.Sprintf("worker-%d", i)))
@@ -68,7 +71,7 @@ func (s *MTServer) accept(ls *kernel.ListenSocket) {
 	s.nextRR++
 	th.PostFunc("accept", s.k.Costs().ConnSetup, rc.KernelCPU, ls.Container(), func() {
 		conn, ok := ls.Accept()
-		if !ok {
+		if !ok || conn.Closed() {
 			return
 		}
 		s.openConns++
@@ -83,6 +86,7 @@ func (s *MTServer) accept(ls *kernel.ListenSocket) {
 				conn.SetContainer(cc)
 			}
 		}
+		conn.SetOnPeerClose(s.onPeerClose)
 		conn.SetOnRequest(func(c *kernel.Conn, payload any) {
 			req, ok := payload.(*Request)
 			if !ok {
@@ -125,10 +129,15 @@ func (s *MTServer) close(conn *kernel.Conn) {
 	if conn.Closed() {
 		return
 	}
-	cc := conn.Container()
 	conn.Close()
+	s.connClosed(conn)
+}
+
+// connClosed releases the server state of a closed connection; it is
+// also the upcall for a connection the client closes.
+func (s *MTServer) connClosed(conn *kernel.Conn) {
 	s.openConns--
-	if s.rcMode() && s.cfg.PerConnContainers && cc != nil && cc != s.proc.DefaultContainer {
+	if cc := conn.Container(); s.rcMode() && s.cfg.PerConnContainers && cc != nil && cc != s.proc.DefaultContainer {
 		_ = cc.Release()
 	}
 }

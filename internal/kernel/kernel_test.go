@@ -283,6 +283,43 @@ func TestFINClosesConn(t *testing.T) {
 	}
 }
 
+// The peer-close upcall fires once for a client's FIN, after the
+// connection is closed, and not for a close the application makes.
+func TestPeerCloseUpcall(t *testing.T) {
+	eng, k := newKernel(ModeRC)
+	p := k.NewProcess("httpd")
+	var conns []*Conn
+	var upcalls []uint64
+	_, _ = k.Listen(p, ListenConfig{
+		Local: srvAddr,
+		OnAcceptable: func(l *ListenSocket) {
+			c, _ := l.Accept()
+			c.SetOnPeerClose(func(c *Conn) {
+				if !c.Closed() {
+					t.Error("upcall before the connection closed")
+				}
+				upcalls = append(upcalls, c.ID())
+			})
+			conns = append(conns, c)
+		},
+	})
+	k.ClientSend(SYNPacket(client(4000), srvAddr, false))
+	k.ClientSend(SYNPacket(client(4001), srvAddr, false))
+	eng.RunUntil(sim.Time(5 * sim.Millisecond))
+	if len(conns) != 2 {
+		t.Fatalf("%d connections accepted, want 2", len(conns))
+	}
+	conns[1].Close()
+	for _, c := range conns {
+		k.ClientSend(FINPacket(c.Client(), srvAddr, c.ID()))
+	}
+	k.ClientSend(FINPacket(conns[0].Client(), srvAddr, conns[0].ID()))
+	eng.Run()
+	if len(upcalls) != 1 || upcalls[0] != conns[0].ID() {
+		t.Fatalf("upcalls for connections %v, want one for %d", upcalls, conns[0].ID())
+	}
+}
+
 func TestBogusSYNOccupiesAndExpires(t *testing.T) {
 	eng, k := newKernel(ModeUnmodified)
 	p := k.NewProcess("httpd")

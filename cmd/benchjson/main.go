@@ -121,6 +121,7 @@ var hotPaths = []struct{ pkg, name string }{
 	{"rescon/internal/kernel", "BenchmarkConnCycle100kOpen"},
 	{"rescon/internal/kernel", "BenchmarkBogusSYNDrop"},
 	{"rescon/internal/kernel", "BenchmarkChargeSlice10kConns"},
+	{"rescon/internal/httpsim", "BenchmarkServeKeepAliveRequest"},
 }
 
 // compare diffs a fresh run against the baseline. Failures are gate

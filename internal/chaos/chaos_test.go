@@ -229,6 +229,7 @@ func TestClassify(t *testing.T) {
 		"fault: invariant violated at 1s: cpu-conservation: telemetry attributes 2s": "cpu-conservation",
 		"fault: invariant violated at 1s: conn-conservation: established 5 != ...":   "conn-conservation",
 		"fault: invariant violated at 1s: isolation-floor: premium stalled":          "isolation-floor",
+		"fault: invariant violated at 1s: item-recycling: free-list slot 0 reused":   "item-recycling",
 		"determinism: run hashes differ":                                             "determinism",
 		`fault: invariant violated at 1s: queue "x" over bound: 9 > 8`:               "queue-bound",
 		"fault: invariant violated at 1s: container c has negative memory -1":        "non-negative",

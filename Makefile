@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-baseline bench-check chaos-smoke chaos-nightly scale-smoke scale-full live-smoke livechaos-smoke livechaos-nightly rebalance-smoke tier1 ci
+.PHONY: all build vet lint test race bench bench-baseline bench-check identity identity-update results chaos-smoke chaos-nightly scale-smoke scale-full live-smoke livechaos-smoke livechaos-nightly rebalance-smoke tier1 ci
 
 all: ci
 
@@ -48,6 +48,25 @@ bench-baseline:
 BENCH_TOL ?= 0.20
 bench-check:
 	$(GO) test -run - -bench . -benchmem -timeout 30m ./... | $(GO) run ./cmd/benchjson -check BENCH_baseline.json -tol $(BENCH_TOL)
+
+# Byte identity: run every deterministic output unit on its own (each
+# quick rcbench experiment but table1, fig13/fig14lrp/scale, live and
+# livechaos with -check, the two rcchaos sweeps) and compare line counts
+# and SHA-256 digests with testdata/identity.txt; a failure names every
+# moved unit. IDENTITY_FLAGS go to every rcbench run (e.g. -parallel 1).
+# A change that moves output on purpose commits the manifest that
+# identity-update rewrites. Skipped off amd64/GOAMD64=v1, where the
+# digests were recorded (scripts/identity.sh).
+IDENTITY_FLAGS ?=
+identity:
+	GO=$(GO) ./scripts/identity.sh check $(IDENTITY_FLAGS)
+
+identity-update:
+	GO=$(GO) ./scripts/identity.sh update
+
+# Regenerate the full-window results file README.md links to.
+results:
+	$(GO) run ./cmd/rcbench -exp all > docs/RESULTS.txt
 
 # Chaos harness smoke: a handful of seeded scenarios, each run under all
 # three kernel modes with the invariant battery and the determinism

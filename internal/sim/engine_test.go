@@ -189,6 +189,23 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilDoesNotRunAheadOfClock leaves an event pending past a
+// RunUntil deadline, then schedules one between the deadline and it: the
+// deadline-bounded pop must not advance the wheel base past the clock,
+// or the later event would be filed first and fire out of order.
+func TestRunUntilDoesNotRunAheadOfClock(t *testing.T) {
+	e := NewEngine(1)
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	e.At(100, record)
+	e.RunUntil(50)
+	e.At(55, record)
+	e.Run()
+	if len(fired) != 2 || fired[0] != 55 || fired[1] != 100 {
+		t.Fatalf("fired at %v, want [55ns 100ns]", fired)
+	}
+}
+
 func TestRunUntilAdvancesClockOnEmptyQueue(t *testing.T) {
 	e := NewEngine(1)
 	e.RunUntil(Time(Second))

@@ -4,17 +4,17 @@ import (
 	"testing"
 )
 
-// The timing wheel spans 2^42 ns (~73 virtual minutes); events beyond it
-// park in the far-future calendar and migrate into the wheel when the
-// clock catches up. These tests drive exactly those paths: epoch
-// crossings, calendar collisions, cancellations of parked events, and a
+// The timing wheel's eleven levels cover every Time. These tests drive
+// its top levels with events many 2^42 ns spans (~73 virtual minutes
+// each) ahead: cascades across those spans, events that share a low
+// digit pattern spans apart, cancellations of long-parked events, and a
 // clock jumped far ahead of the wheel base by RunUntil.
 
 // TestEngineFarFutureOrdering mixes near events with events many wheel
 // spans ahead and checks global firing order.
 func TestEngineFarFutureOrdering(t *testing.T) {
 	e := NewEngine(1)
-	span := Duration(1) << farShift
+	span := Duration(1) << 42
 	var fired []int
 	add := func(d Duration, id int) {
 		e.After(d, func() { fired = append(fired, id) })
@@ -25,7 +25,7 @@ func TestEngineFarFutureOrdering(t *testing.T) {
 	add(span+60*Second, 3)  // same instant as id 2: FIFO by seq
 	add(2*Millisecond, 1)   // wheel
 	add(5*span+Second, 5)   // epoch +5, after id 4
-	add((5+64)*span, 6)     // collides with epoch +5 modulo farBuckets
+	add((5+64)*span, 6)     // same low digits as id 4, 64 spans later
 	add((5+2*64)*span+1, 7) // double collision
 	e.Run()
 	want := []int{0, 1, 2, 3, 4, 5, 6, 7}
@@ -42,12 +42,12 @@ func TestEngineFarFutureOrdering(t *testing.T) {
 	}
 }
 
-// TestEngineFarFutureCancel cancels events parked in the far calendar —
-// head, middle and tail of a sorted bucket list — and checks the
-// survivors still fire in order.
+// TestEngineFarFutureCancel cancels events parked a span ahead — head,
+// middle and tail of one bucket list — and checks the survivors still
+// fire in order.
 func TestEngineFarFutureCancel(t *testing.T) {
 	e := NewEngine(1)
-	span := Duration(1) << farShift
+	span := Duration(1) << 42
 	var fired []int
 	var handles []Event
 	for i := 0; i < 6; i++ {
@@ -73,11 +73,11 @@ func TestEngineFarFutureCancel(t *testing.T) {
 
 // TestEngineRunUntilAcrossEpochs jumps the clock several wheel spans
 // ahead with an empty queue, then schedules near events: the wheel base
-// is far behind the clock, so the inserts land in the far calendar and
-// must still fire at the right times.
+// is far behind the clock, so the inserts land in high levels and must
+// still fire at the right times.
 func TestEngineRunUntilAcrossEpochs(t *testing.T) {
 	e := NewEngine(1)
-	span := Duration(1) << farShift
+	span := Duration(1) << 42
 	e.RunUntil(Time(3*span + 60*Second))
 	var fired []Time
 	e.After(Millisecond, func() { fired = append(fired, e.Now()) })
@@ -91,15 +91,15 @@ func TestEngineRunUntilAcrossEpochs(t *testing.T) {
 }
 
 // TestEngineReferenceModelFarDelays is the random schedule/cancel/step
-// model check again, but with delays up to several wheel spans so the
-// far calendar, epoch migration and cascade paths are all exercised.
+// model check again, but with delays up to many 2^42 ns spans so the
+// top levels and their cascades are all exercised.
 func TestEngineReferenceModelFarDelays(t *testing.T) {
 	type refEvent struct {
 		at   Time
 		seq  int
 		live bool
 	}
-	span := Duration(1) << farShift
+	span := Duration(1) << 42
 	rng := NewRNG(67890)
 	for trial := 0; trial < 10; trial++ {
 		e := NewEngine(1)
@@ -159,7 +159,7 @@ func TestEngineReferenceModelFarDelays(t *testing.T) {
 }
 
 // TestEngineMillionPending holds a million pending events spread over the
-// wheel and calendar and drains them in order — the datacenter-scale
+// wheel's levels and drains them in order — the datacenter-scale
 // shape the wheel exists for.
 func TestEngineMillionPending(t *testing.T) {
 	if testing.Short() {
@@ -190,14 +190,14 @@ func TestEngineMillionPending(t *testing.T) {
 }
 
 // BenchmarkEventCancelFarFuture pins the cost of cancelling an event many
-// wheel spans in the future: an O(1) bucket unlink, not a queue scan.
+// 2^42 ns spans in the future: an O(1) bucket unlink, not a queue scan.
 // Hot path: 0 allocs/op.
 func BenchmarkEventCancelFarFuture(b *testing.B) {
 	e := NewEngine(1)
 	fn := func() {}
-	span := Duration(1) << farShift
+	span := Duration(1) << 42
 	// A standing population of far-future events so the cancel works
-	// against loaded calendar buckets.
+	// against loaded top-level buckets.
 	for i := 0; i < 4096; i++ {
 		e.After(span+Duration(i)*Second, fn)
 	}

@@ -42,6 +42,9 @@ type forkWorker struct {
 
 // NewForkServer creates a master with n pre-forked workers.
 func NewForkServer(cfg Config, n int) (*ForkServer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if n <= 0 {
 		return nil, fmt.Errorf("httpsim: worker count %d", n)
 	}
@@ -127,22 +130,18 @@ func (s *ForkServer) serveOn(w *forkWorker, conn *kernel.Conn) {
 	} else {
 		w.proc.Principal.Nice = 0
 	}
-	if s.rcMode() {
-		// With containers, the connection's container simply travels to
-		// the worker: inheritance across protection domains (§4.8).
-		cont := conn.Container()
-		if s.cfg.PerConnContainers {
-			prio := kernel.DefaultPriority
-			if s.cfg.ConnPriority != nil {
-				prio = s.cfg.ConnPriority(conn.Client())
-			}
-			if cc, err := rc.New(s.cfg.Parent, rc.TimeShare,
-				connContainerName(conn.ID()), rc.Attributes{Priority: prio}); err == nil {
-				cont = cc
-				conn.SetContainer(cc)
-			}
+	// With containers, the connection's container simply travels to the
+	// worker: inheritance across protection domains (§4.8). Per-connection
+	// containers replace it with a fresh one first.
+	if s.rcMode() && s.cfg.PerConnContainers {
+		prio := kernel.DefaultPriority
+		if s.cfg.ConnPriority != nil {
+			prio = s.cfg.ConnPriority(conn.Client())
 		}
-		_ = cont
+		if cc, err := rc.New(s.cfg.Parent, rc.TimeShare,
+			connContainerName(conn.ID()), rc.Attributes{Priority: prio}); err == nil {
+			conn.SetContainer(cc)
+		}
 	}
 	conn.SetOnRequest(func(c *kernel.Conn, payload any) {
 		req, ok := payload.(*Request)

@@ -72,6 +72,18 @@ func TestForkServerBadWorkerCount(t *testing.T) {
 	}
 }
 
+func TestForkServerBadConfig(t *testing.T) {
+	_, k := newSim(kernel.ModeUnmodified)
+	for _, cfg := range []httpsim.Config{
+		{},                     // no kernel
+		{Kernel: k, Name: "x"}, // zero listen address
+	} {
+		if _, err := httpsim.NewForkServer(cfg, 1); err == nil {
+			t.Errorf("NewForkServer accepted %+v, which Validate rejects", cfg)
+		}
+	}
+}
+
 func TestForkServerRCContainersTravelToWorkers(t *testing.T) {
 	eng, k := newSim(kernel.ModeRC)
 	_, err := httpsim.NewForkServer(httpsim.Config{

@@ -77,9 +77,9 @@ type Config struct {
 }
 
 // Validate reports whether the configuration can produce a working
-// server: a kernel to live in and a usable listen endpoint. NewServer
-// and NewMTServer call it, so a broken config surfaces as an error at
-// construction instead of a panic deep in the kernel.
+// server: a kernel to live in and a usable listen endpoint. NewServer,
+// NewMTServer and NewForkServer call it, so a broken config surfaces as
+// an error at construction instead of a panic deep in the kernel.
 func (cfg Config) Validate() error {
 	if cfg.Kernel == nil {
 		return errors.New("httpsim: Config.Kernel is nil")

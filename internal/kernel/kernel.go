@@ -83,15 +83,9 @@ type Kernel struct {
 	// in registration order.
 	watched []*rc.Container
 
-	// WireLossRate drops each client-injected packet with this
-	// probability (deterministically, from the engine's seeded stream) —
-	// failure injection for exercising client timeout/retry paths.
-	WireLossRate float64
-	lossRNG      *sim.RNG
-
 	// Faults, when set, decides the fate of every client-injected packet
 	// (drop/duplicate/delay/reorder); fault.Injector satisfies this
-	// structurally. It composes with WireLossRate (loss is applied first).
+	// structurally.
 	Faults WireFaults
 
 	// Police is the admission-control / load-shedding policy applied at
@@ -118,7 +112,6 @@ type Kernel struct {
 
 	// stats
 	interruptTime sim.Duration
-	startTime     sim.Time
 }
 
 // WireFaults decides the fate of client-injected packets: one entry per
@@ -419,9 +412,9 @@ type WorkItem struct {
 	// onDelivered, set by Conn.Send, runs one wire delay after OnDone
 	// would: the response reaching the client.
 	onDelivered func()
-	// pooled marks an item the kernel built (PostFunc, Conn.Send) and
-	// recycles once it completes. An item passed to Post stays the
-	// caller's.
+	// pooled marks an item the kernel built for a thread (PostFunc,
+	// Conn.Send) and recycles once it completes; items a WorkSource
+	// supplies stay the source's.
 	pooled bool
 }
 
@@ -502,10 +495,9 @@ func (t *Thread) Entity() *sched.Entity { return t.ent }
 // CPUTime returns the CPU consumed by the thread.
 func (t *Thread) CPUTime() sim.Duration { return t.cpuTime }
 
-// Post queues a work segment on the thread and wakes the CPU. The item
-// stays the caller's: the kernel never recycles it, and the caller may
-// reuse it once its OnDone has run.
-func (t *Thread) Post(item *WorkItem) {
+// post queues a kernel-owned work segment on the thread and wakes the
+// CPU.
+func (t *Thread) post(item *WorkItem) {
 	if t.exited {
 		return
 	}
@@ -526,7 +518,7 @@ func (t *Thread) Post(item *WorkItem) {
 func (t *Thread) PostFunc(label string, cost sim.Duration, kind rc.CPUKind, c *rc.Container, done func()) {
 	item := t.proc.k.newItem()
 	item.Label, item.Cost, item.Kind, item.Container, item.OnDone = label, cost, kind, c, done
-	t.Post(item)
+	t.post(item)
 }
 
 // SetSource installs a pull-based work source (kernel network thread).

@@ -346,25 +346,15 @@ func (c *Conn) Send(t *Thread, size int, chargeTo *rc.Container, onDelivered fun
 	item := c.k.newItem()
 	item.Label, item.Cost, item.Kind = "send", c.k.costs.SendProtocol, rc.KernelCPU
 	item.Stage, item.Container, item.onDelivered = trace.StageSocket, chargeTo, onDelivered
-	t.Post(item)
+	t.post(item)
 }
 
 // ClientSend injects a packet from the client network: it reaches the
-// server NIC one wire delay from now, unless fault injection intervenes —
-// the legacy WireLossRate knob drops it outright, and an attached Faults
-// injector can drop, duplicate, delay or reorder it (§3.2's "degraded
-// network" conditions made reproducible). The packet is copied, so the
-// caller may reuse it.
+// server NIC one wire delay from now, unless an attached Faults injector
+// drops, duplicates, delays or reorders it (§3.2's "degraded network"
+// conditions made reproducible). The packet is copied, so the caller may
+// reuse it.
 func (k *Kernel) ClientSend(pkt *netsim.Packet) {
-	if k.WireLossRate > 0 {
-		if k.lossRNG == nil {
-			k.lossRNG = k.eng.Rand().Fork(0xD0BB5)
-		}
-		if k.lossRNG.Float64() < k.WireLossRate {
-			k.Tracer.Emitf(k.Now(), trace.KindDrop, "wire loss: %s", pkt.Header())
-			return
-		}
-	}
 	if k.Faults != nil {
 		// Fault-injected deliveries keep their own events, since a delay
 		// takes them out of wire order, and share one copy of the packet.

@@ -60,12 +60,11 @@ const (
 // breaker is one container's circuit-breaker state. All fields are
 // guarded by the owning breakerSet's lock.
 type breaker struct {
-	state     int
-	sheds     int       // consecutive sheds while closed
-	until     time.Time // open until (then half-open)
-	openFor   time.Duration
-	opens     uint64 // times this breaker opened (incl. reopens)
-	lastCause string
+	state   int
+	sheds   int       // consecutive sheds while closed
+	until   time.Time // open until (then half-open)
+	openFor time.Duration
+	opens   uint64 // times this breaker opened (incl. reopens)
 }
 
 // breakerSet owns the per-container breakers.

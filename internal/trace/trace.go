@@ -31,7 +31,6 @@ const (
 	KindConn      Kind = "conn"      // connection established / closed
 	KindDispatch  Kind = "dispatch"  // CPU slice start
 	KindInterrupt Kind = "interrupt" // interrupt-level work
-	KindContainer Kind = "container" // container lifecycle
 	KindFault     Kind = "fault"     // injected fault (wire loss/dup/delay, disk error)
 	KindPolice    Kind = "police"    // admission-control (backlog policing) drop
 	KindCrash     Kind = "crash"     // server worker crash / restart

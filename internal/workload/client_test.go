@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"rescon/internal/fault"
 	"rescon/internal/httpsim"
 	"rescon/internal/kernel"
 	"rescon/internal/netsim"
@@ -377,7 +378,7 @@ func TestClientsSurviveWireLoss(t *testing.T) {
 	// Failure injection: 20% of client packets vanish; retries keep the
 	// workload progressing, at reduced throughput and with timeouts.
 	eng, k := newTestKernel()
-	k.WireLossRate = 0.2
+	k.Faults = fault.NewInjector(eng, fault.Config{DropRate: 0.2})
 	echoServer(t, k)
 	pop := MustStartPopulation(4, ClientConfig{
 		Kernel:         k,

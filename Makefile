@@ -10,18 +10,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Lint: vet, formatting, and doc coverage of the public surfaces (every
-# exported symbol of the root rescon facade, the rcruntime bridge, the
-# shared alert/watchdog core, the chaos harness, the experiments and
-# their governed-live rig, and the telemetry, rc and kernel packages
-# must carry a doc comment). perfbench/ is a separate module that
+# Lint: vet, formatting, and doc coverage (every exported symbol of the
+# root rescon facade and of every internal package must carry a doc
+# comment; a new package is covered without editing this list).
+# perfbench/ is a separate module that
 # `go build ./...` never compiles, so it is vetted and tested here: a
 # facade change that breaks the benchmark fails lint, not the benchmark
 # run.
 lint: vet
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
-	$(GO) run ./cmd/checkdocs . ./internal/rcruntime ./internal/alert ./internal/chaos ./internal/telemetry ./internal/rc ./internal/kernel ./internal/experiments
+	$(GO) run ./cmd/checkdocs . ./internal/*
 	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Fast suite: -short skips the long experiment sweeps but keeps the
@@ -52,8 +51,10 @@ bench-check:
 # Byte identity: run every deterministic output unit on its own (each
 # quick rcbench experiment but table1, fig13/fig14lrp/scale, live and
 # livechaos with -check, the two rcchaos sweeps) and compare line counts
-# and SHA-256 digests with testdata/identity.txt; a failure names every
-# moved unit. IDENTITY_FLAGS go to every rcbench run (e.g. -parallel 1).
+# and SHA-256 digests with testdata/identity.txt, then compare a full
+# `rcbench -exp all` with docs/RESULTS.txt, Table 1's measured-ns column
+# masked (the results unit; `make results` mends it); a failure names
+# every moved unit. IDENTITY_FLAGS go to every rcbench run (e.g. -parallel 1).
 # A change that moves output on purpose commits the manifest that
 # identity-update rewrites. Skipped off amd64/GOAMD64=v1, where the
 # digests were recorded (scripts/identity.sh).

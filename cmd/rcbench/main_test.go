@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -55,5 +57,30 @@ func TestRunnerNamesUnique(t *testing.T) {
 			t.Fatalf("duplicate runner name %q", r.name)
 		}
 		seen[r.name] = true
+	}
+}
+
+// TestIdentityUnitsMatchAll: scripts/identity.sh lists the -exp all
+// experiments it checks one by one; the list must be every runner in
+// all but table1 (whose cost column is wall-clock), in declaration
+// order, or a new experiment would escape the byte-identity check.
+func TestIdentityUnitsMatchAll(t *testing.T) {
+	src, err := os.ReadFile("../../scripts/identity.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^all=\(([^)]*)\)`).FindSubmatch(src)
+	if m == nil {
+		t.Fatal("scripts/identity.sh has no all=(...) list")
+	}
+	got := strings.Join(strings.Fields(string(m[1])), " ")
+	var want []string
+	for _, r := range runners {
+		if r.inAll && r.name != "table1" {
+			want = append(want, r.name)
+		}
+	}
+	if w := strings.Join(want, " "); got != w {
+		t.Fatalf("scripts/identity.sh all=(%s), want all=(%s)", got, w)
 	}
 }

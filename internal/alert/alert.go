@@ -249,7 +249,6 @@ type keyState struct {
 	hasCleared    bool
 	clearedAtTick uint64
 	penalty       int // clear-hysteresis multiplier (flap suppression)
-	damped        int
 
 	// self-check bookkeeping (missed-detection consistency)
 	maxWarnStreak int
@@ -523,7 +522,6 @@ func (m *Monitor) resolve(at sim.Time, c *Check, st *keyState, ob Observation, w
 		// an oscillating signal converges to "stays raised".
 		st.pendingClear = false
 		if want >= st.published {
-			st.damped++
 			m.damped++
 			if st.penalty < flapPenaltyCap {
 				st.penalty *= 2

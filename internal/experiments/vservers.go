@@ -26,9 +26,7 @@ func VServers(opt Options) (*metrics.Table, error) {
 
 	type guest struct {
 		root *rc.Container
-		srv  *httpsim.Server
 		pop  *workload.Population
-		cgi  *workload.Population
 	}
 	var guests []*guest
 	for i, share := range GuestShares {
@@ -58,14 +56,14 @@ func VServers(opt Options) (*metrics.Table, error) {
 			Src:    netsim.Addr{IP: ClientNet + netsim.IP(1+i*64), Port: 1024},
 			Dst:    addr,
 		})
-		cgi := workload.MustStartPopulation(1, workload.ClientConfig{
+		workload.MustStartPopulation(1, workload.ClientConfig{
 			Kernel: e.k,
 			Src:    netsim.Addr{IP: ClientNet + netsim.IP(0x200+i*64), Port: 1024},
 			Dst:    addr,
 			Kind:   httpsim.CGI,
 			CGICPU: sim.Second,
 		})
-		guests = append(guests, &guest{root: root, srv: srv, pop: pop, cgi: cgi})
+		guests = append(guests, &guest{root: root, pop: pop})
 	}
 
 	start := e.eng.Now()

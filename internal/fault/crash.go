@@ -36,7 +36,6 @@ type Crasher struct {
 	crashes  uint64
 	restarts uint64
 	stopped  bool
-	down     bool
 }
 
 // StartCrasher begins the crash schedule: after each up-interval the
@@ -68,14 +67,12 @@ func (c *Crasher) armCrash() {
 		if c.stopped {
 			return
 		}
-		c.down = true
 		c.crashes++
 		c.crash()
 		c.eng.After(c.plan.Downtime, func() {
 			if c.stopped {
 				return
 			}
-			c.down = false
 			c.restarts++
 			c.restart()
 			c.armCrash()
@@ -88,9 +85,6 @@ func (c *Crasher) Crashes() uint64 { return c.crashes }
 
 // Restarts returns how many restarts have completed.
 func (c *Crasher) Restarts() uint64 { return c.restarts }
-
-// Down reports whether the worker is currently crashed.
-func (c *Crasher) Down() bool { return c.down }
 
 // Stop ends the schedule; a worker currently down stays down.
 func (c *Crasher) Stop() { c.stopped = true }

@@ -91,8 +91,8 @@ type Stats struct {
 	DiskSlows    uint64
 }
 
-// Injector implements the fault schedule. It satisfies the kernel's
-// WireFaults and DiskFaults interfaces structurally.
+// Injector implements the fault schedule; the kernel consults it for
+// every client-injected packet and every disk read.
 type Injector struct {
 	cfg Config
 

@@ -19,7 +19,6 @@ type MTServer struct {
 	proc    *kernel.Process
 	workers []*kernel.Thread
 	nextRR  int
-	ls      *kernel.ListenSocket
 
 	// Stats
 	StaticServed uint64
@@ -45,12 +44,10 @@ func NewMTServer(cfg Config, threads int) (*MTServer, error) {
 	for i := 0; i < threads; i++ {
 		s.workers = append(s.workers, s.proc.NewThread(fmt.Sprintf("worker-%d", i)))
 	}
-	var err error
-	s.ls, err = s.k.Listen(s.proc, kernel.ListenConfig{
+	if _, err := s.k.Listen(s.proc, kernel.ListenConfig{
 		Local:        cfg.Addr,
 		OnAcceptable: func(ls *kernel.ListenSocket) { s.accept(ls) },
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return s, nil

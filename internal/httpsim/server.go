@@ -137,8 +137,6 @@ type Server struct {
 
 	// Stats
 	StaticServed uint64
-	CGIServed    uint64
-	CGIActive    int
 	// DiskErrors counts requests shed because an injected disk media
 	// error made the response impossible.
 	DiskErrors uint64
@@ -224,9 +222,6 @@ func (s *Server) Shutdown() {
 	s.pending = nil
 	s.proc.Exit()
 }
-
-// Down reports whether the server has been crash-stopped.
-func (s *Server) Down() bool { return s.down }
 
 // newEvent takes an event record from the free list, or allocates one.
 func (s *Server) newEvent() *event {
@@ -484,7 +479,6 @@ func (s *Server) handleModule(conn *kernel.Conn, req *Request, next func()) {
 		if req.CloseAfter {
 			s.closeConn(conn)
 		}
-		s.CGIServed++
 		next()
 	})
 }
@@ -616,7 +610,6 @@ func (s *Server) spawnCGI(conn *kernel.Conn, req *Request) {
 			cont = conn.Container()
 		}
 	}
-	s.CGIActive++
 	th := proc.NewThread("cgi")
 	th.PostFunc("cgi-compute", req.CGICPU, rc.UserCPU, cont, func() {
 		conn.Send(th, req.Size, cont, func() {
@@ -627,8 +620,6 @@ func (s *Server) spawnCGI(conn *kernel.Conn, req *Request) {
 		// Allow the send work to complete before the process exits.
 		th.PostFunc("cgi-exit", 1, rc.KernelCPU, cont, func() {
 			s.closeConn(conn)
-			s.CGIServed++
-			s.CGIActive--
 			if cont != nil && cont != conn.Container() {
 				_ = cont.Release()
 			}

@@ -249,9 +249,7 @@ func (c *CPU) dispatch() {
 		for _, e := range overBudget {
 			c.k.sch.SetRunnable(e, true)
 		}
-		if b, ok := c.k.sch.(sched.SliceBudgeter); ok {
-			c.scheduleRetry(b.NextWindow(now))
-		}
+		c.scheduleRetry(c.k.cs.NextWindow(now))
 	}()
 	for {
 		e := c.k.sch.Pick(now)
@@ -273,7 +271,7 @@ func (c *CPU) dispatch() {
 			continue
 		}
 		if item := th.current; item.Container != nil && !item.Container.Destroyed() {
-			if b, ok := c.k.sch.(sched.SliceBudgeter); ok && b.SliceBudget(item.Container, now) <= 0 {
+			if c.k.cs != nil && c.k.cs.SliceBudget(item.Container, now) <= 0 {
 				// The work's own container is out of budget this window:
 				// the thread may have standing via other bindings, but
 				// this work must not run (§5.6 exact cap enforcement).
@@ -303,12 +301,12 @@ func (c *CPU) start(th *Thread, now sim.Time) {
 			c.k.sch.Bind(th.ent, item.Container, now)
 		}
 	}
-	slice := c.k.sch.Quantum()
+	slice := sched.DefaultQuantum
 	if item.Cost < slice {
 		slice = item.Cost
 	}
-	if b, ok := c.k.sch.(sched.SliceBudgeter); ok && item.Container != nil {
-		if sb := b.SliceBudget(item.Container, now); sb < slice {
+	if c.k.cs != nil && item.Container != nil {
+		if sb := c.k.cs.SliceBudget(item.Container, now); sb < slice {
 			slice = sb
 		}
 	}

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 
+	"rescon/internal/fault"
 	"rescon/internal/rc"
 	"rescon/internal/sim"
 	"rescon/internal/trace"
@@ -29,10 +30,9 @@ type Disk struct {
 	PerKB    sim.Duration
 
 	// Faults, when set, injects media errors and latency spikes into
-	// reads (fault.Injector satisfies this structurally). The fate of a
-	// request is drawn when the head reaches it, in service order, so the
-	// schedule is deterministic.
-	Faults DiskFaults
+	// reads. The fate of a request is drawn when the head reaches it, in
+	// service order, so the schedule is deterministic.
+	Faults *fault.Injector
 
 	queue    []*diskReq
 	nextSeq  uint64
@@ -43,12 +43,6 @@ type Disk struct {
 	// per-container weighted service for fair ordering (mirrors the
 	// network pktQueue discipline).
 	serviceTab map[*rc.Container]float64
-}
-
-// DiskFaults decides the fate of each disk read: a media error (the data
-// never arrives; the seek time is still paid) or an extra latency spike.
-type DiskFaults interface {
-	DiskFate(bytes int) (fail bool, extra sim.Duration)
 }
 
 type diskReq struct {

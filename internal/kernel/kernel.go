@@ -19,6 +19,7 @@ package kernel
 import (
 	"fmt"
 
+	"rescon/internal/fault"
 	"rescon/internal/netsim"
 	"rescon/internal/rc"
 	"rescon/internal/sched"
@@ -64,6 +65,7 @@ type Kernel struct {
 	net    *network
 	disk   *Disk
 	fcache *FileCache
+	cs     *sched.ContainerScheduler // sch in ModeRC, for cap budgets; else nil
 
 	procs  []*Process
 	nextID uint64
@@ -84,9 +86,8 @@ type Kernel struct {
 	watched []*rc.Container
 
 	// Faults, when set, decides the fate of every client-injected packet
-	// (drop/duplicate/delay/reorder); fault.Injector satisfies this
-	// structurally.
-	Faults WireFaults
+	// (drop/duplicate/delay/reorder).
+	Faults *fault.Injector
 
 	// Police is the admission-control / load-shedding policy applied at
 	// early demultiplexing, keyed on per-container protocol backlog.
@@ -112,13 +113,6 @@ type Kernel struct {
 
 	// stats
 	interruptTime sim.Duration
-}
-
-// WireFaults decides the fate of client-injected packets: one entry per
-// delivery, each an extra delay beyond the wire delay; an empty slice
-// loses the packet. See fault.Injector.WireFate.
-type WireFaults interface {
-	WireFate(pkt *netsim.Packet) []sim.Duration
 }
 
 // DefaultSYNPoliceFrac is the fraction of the per-container protocol
@@ -171,9 +165,9 @@ func NewSMP(eng *sim.Engine, mode Mode, costs CostModel, ncpus int) *Kernel {
 	k := &Kernel{eng: eng, mode: mode, costs: costs}
 	switch mode {
 	case ModeRC:
-		cs := sched.NewContainerScheduler()
-		cs.Capacity = ncpus
-		k.sch = cs
+		k.cs = sched.NewContainerScheduler()
+		k.cs.Capacity = ncpus
+		k.sch = k.cs
 	default:
 		k.sch = sched.NewDecayScheduler()
 	}
@@ -181,7 +175,7 @@ func NewSMP(eng *sim.Engine, mode Mode, costs CostModel, ncpus int) *Kernel {
 		k.cpus = append(k.cpus, newCPU(k, i))
 	}
 	k.cpu = k.cpus[0]
-	k.net = newNetwork(k)
+	k.net = newNetwork()
 	k.wireArrive = k.arriveFromWire
 	return k
 }
@@ -275,7 +269,6 @@ func (k *Kernel) Utilization() Utilization {
 // performs protocol processing for the process's sockets.
 type Process struct {
 	k    *Kernel
-	id   uint64
 	name string
 
 	// Principal is the classic scheduler's resource principal.
@@ -299,10 +292,11 @@ type Process struct {
 // NewProcess creates a process. In ModeRC a default time-share container
 // with DefaultPriority is created for it, as fork() does in §4.6.
 func (k *Kernel) NewProcess(name string) *Process {
+	// A process takes a number from the counter its threads' scheduler
+	// entities draw their IDs from, so entity IDs count processes too.
 	k.nextID++
 	p := &Process{
 		k:          k,
-		id:         k.nextID,
 		name:       name,
 		Principal:  sched.NewProcPrincipal(name),
 		Containers: rc.NewTable(),
@@ -413,8 +407,8 @@ type WorkItem struct {
 	// would: the response reaching the client.
 	onDelivered func()
 	// pooled marks an item the kernel built for a thread (PostFunc,
-	// Conn.Send) and recycles once it completes; items a WorkSource
-	// supplies stay the source's.
+	// Conn.Send) and recycles once it completes; items the network
+	// thread's protocol queue supplies stay the queue's.
 	pooled bool
 }
 
@@ -439,22 +433,16 @@ func (k *Kernel) releaseItem(item *WorkItem) {
 	k.freeItems = append(k.freeItems, item)
 }
 
-// WorkSource supplies work items on demand; the kernel network thread
-// uses one to pick the pending packet with the highest container
-// priority at dispatch time (§4.7).
-type WorkSource interface {
-	HasWork() bool
-	NextWork() *WorkItem
-}
-
 // Thread is one kernel-schedulable thread.
 type Thread struct {
 	proc    *Process
 	ent     *sched.Entity
-	name    string
 	fifo    netsim.Queue[*WorkItem]
 	current *WorkItem
-	source  WorkSource
+	// source, set on a kernel network thread only, is its protocol
+	// queue: the thread pulls the pending packet with the highest
+	// container priority at dispatch time (§4.7).
+	source  *pktQueue
 	cpuTime sim.Duration
 	exited  bool
 	// profile caches the telemetry profile row of the thread's
@@ -469,7 +457,6 @@ func (p *Process) NewThread(name string) *Thread {
 	p.k.nextID++
 	t := &Thread{
 		proc: p,
-		name: name,
 		ent: &sched.Entity{
 			ID:   p.k.nextID,
 			Name: p.name + "/" + name,
@@ -521,12 +508,6 @@ func (t *Thread) PostFunc(label string, cost sim.Duration, kind rc.CPUKind, c *r
 	t.post(item)
 }
 
-// SetSource installs a pull-based work source (kernel network thread).
-func (t *Thread) SetSource(s WorkSource) {
-	t.source = s
-	t.updateRunnable()
-}
-
 // Wake re-evaluates runnability after the thread's work source gained
 // work, and kicks the CPU.
 func (t *Thread) Wake() {
@@ -538,7 +519,7 @@ func (t *Thread) hasWork() bool {
 	if t.current != nil || t.fifo.Len() > 0 {
 		return true
 	}
-	return t.source != nil && t.source.HasWork()
+	return t.source != nil && t.source.hasWork()
 }
 
 func (t *Thread) updateRunnable() {
@@ -568,11 +549,10 @@ func (t *Thread) yieldIdleWork() {
 	if c == nil || c.Class() != rc.TimeShare || c.EffectivePriority() > 0 {
 		return
 	}
-	pq, ok := t.source.(*pktQueue)
-	if !ok || pq.topPriority() <= 0 {
+	if t.source.topPriority() <= 0 {
 		return
 	}
-	pq.requeueFront(t.current)
+	t.source.requeueFront(t.current)
 	t.current = nil
 }
 
@@ -581,8 +561,8 @@ func (t *Thread) next() *WorkItem {
 	if item, ok := t.fifo.Pop(); ok {
 		return item
 	}
-	if t.source != nil && t.source.HasWork() {
-		item := t.source.NextWork()
+	if t.source != nil && t.source.hasWork() {
+		item := t.source.nextWork()
 		if item != nil {
 			t.proc.k.checkItem(item)
 		}

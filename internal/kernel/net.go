@@ -36,7 +36,6 @@ var ErrProcessExited = errors.New("kernel: process has exited")
 
 // network is the kernel's TCP/IP subsystem state.
 type network struct {
-	k      *Kernel
 	demux  netsim.Demux
 	conns  *connTable
 	socks  []*ListenSocket // creation order, for telemetry sampling
@@ -49,8 +48,8 @@ type network struct {
 	closed      uint64
 }
 
-func newNetwork(k *Kernel) *network {
-	return &network{k: k, conns: newConnTable()}
+func newNetwork() *network {
+	return &network{conns: newConnTable()}
 }
 
 // ListenConfig configures a listening socket.
@@ -134,7 +133,7 @@ func (p *Process) ensureNetThread() {
 	}
 	p.netQ = newPktQueue(p.k)
 	p.netThread = p.NewThread("knet")
-	p.netThread.SetSource(p.netQ)
+	p.netThread.source = p.netQ
 	if !p.k.ImplicitNetBinding {
 		// The network thread's scheduling class tracks exactly the
 		// containers with pending protocol work (§4.7): pending traffic
@@ -780,7 +779,7 @@ func (k *Kernel) CloseConnsOf(p *Process) {
 type pktWork struct {
 	pkt netsim.Packet
 	ls  *ListenSocket
-	// label is empty for fresh packets (NextWork derives it from the
+	// label is empty for fresh packets (nextWork derives it from the
 	// packet kind) and set for work requeued by requeueFront.
 	label     string
 	container *rc.Container
@@ -800,7 +799,7 @@ type pktQueue struct {
 	spare   []*contQueue
 	nextSeq uint64
 	backlog int
-	// cur and item are the work NextWork last handed to the network
+	// cur and item are the work nextWork last handed to the network
 	// thread: the thread runs one item at a time, so one slot serves
 	// them all. finish is item's completion callback, bound once.
 	cur    pktWork
@@ -885,8 +884,8 @@ func (pq *pktQueue) enqueue(w *pktWork) bool {
 	return cq.q.Push(*w)
 }
 
-// HasWork implements WorkSource.
-func (pq *pktQueue) HasWork() bool {
+// hasWork reports whether any packet is pending.
+func (pq *pktQueue) hasWork() bool {
 	for _, cq := range pq.queues {
 		if cq.q.Len() > 0 {
 			return true
@@ -895,12 +894,13 @@ func (pq *pktQueue) HasWork() bool {
 	return false
 }
 
-// NextWork implements WorkSource: the pending packet whose container has
-// the highest priority runs first; among equal priorities the container
-// with the least QoS-weighted service goes first, then arrival order.
+// nextWork hands out the next pending packet: the one whose container
+// has the highest priority runs first; among equal priorities the
+// container with the least QoS-weighted service goes first, then arrival
+// order.
 // The returned item is the queue's single in-flight slot, valid until its
 // OnDone runs or requeueFront takes it back.
-func (pq *pktQueue) NextWork() *WorkItem {
+func (pq *pktQueue) nextWork() *WorkItem {
 	var best *contQueue
 	bestPrio := -1
 	bestWeighted := 0.0
@@ -1013,7 +1013,7 @@ func (pq *pktQueue) topPriority() int {
 // head of its container's queue, so higher-priority pending packets can
 // be served first (§4.7: service strictly in container-priority order).
 // The network thread gets work only from its queue, so item is always the
-// one NextWork handed out.
+// one nextWork handed out.
 func (pq *pktQueue) requeueFront(item *WorkItem) {
 	if item != &pq.item {
 		panic("kernel: requeueFront of a work item the protocol queue did not hand out")

@@ -10,8 +10,9 @@ import (
 // Table 1 prices. They are thin, validated wrappers over internal/rc
 // operating on per-process descriptor tables, exactly the shape a real
 // kernel would expose. bench_test.go measures their real cost (our
-// Table 1); the simulated CPU cost of invoking them inside a simulated
-// server comes from CostModel.Container* (§5.4).
+// Table 1); a simulated server that creates, binds and destroys a
+// container per connection charges CostModel.ContainerCreate,
+// ContainerRebind and ContainerDestroy for it (§5.4).
 
 // ErrWrongMode is returned when container syscalls are used on a kernel
 // without container support.

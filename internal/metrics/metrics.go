@@ -35,18 +35,16 @@ func (c *Counter) Reset() { c.n = 0 }
 type RateMeter struct {
 	count uint64
 	start sim.Time
-	last  sim.Time
 }
 
 // NewRateMeter returns a meter whose window starts at start.
 func NewRateMeter(start sim.Time) *RateMeter {
-	return &RateMeter{start: start, last: start}
+	return &RateMeter{start: start}
 }
 
-// Observe records one event at time t.
-func (m *RateMeter) Observe(t sim.Time) {
+// Observe records one event.
+func (m *RateMeter) Observe() {
 	m.count++
-	m.last = t
 }
 
 // Count returns the number of observed events.
@@ -66,7 +64,6 @@ func (m *RateMeter) Rate(now sim.Time) float64 {
 func (m *RateMeter) Restart(t sim.Time) {
 	m.count = 0
 	m.start = t
-	m.last = t
 }
 
 // Summary accumulates scalar samples and reports order statistics.

@@ -26,7 +26,7 @@ func TestCounter(t *testing.T) {
 func TestRateMeter(t *testing.T) {
 	m := NewRateMeter(0)
 	for i := 1; i <= 100; i++ {
-		m.Observe(sim.Time(i) * sim.Time(sim.Millisecond))
+		m.Observe()
 	}
 	// 100 events in 1 simulated second => 100/s.
 	if got := m.Rate(sim.Time(sim.Second)); got != 100 {
@@ -39,12 +39,12 @@ func TestRateMeter(t *testing.T) {
 
 func TestRateMeterRestart(t *testing.T) {
 	m := NewRateMeter(0)
-	m.Observe(sim.Time(sim.Millisecond))
+	m.Observe()
 	m.Restart(sim.Time(sim.Second))
 	if m.Count() != 0 {
 		t.Fatal("Restart did not clear count")
 	}
-	m.Observe(sim.Time(sim.Second) + sim.Time(sim.Millisecond))
+	m.Observe()
 	// 1 event in 0.5s window => 2/s.
 	if got := m.Rate(sim.Time(sim.Second) + sim.Time(500*sim.Millisecond)); got != 2 {
 		t.Fatalf("Rate after restart %v, want 2", got)
@@ -53,7 +53,7 @@ func TestRateMeterRestart(t *testing.T) {
 
 func TestRateMeterZeroWindow(t *testing.T) {
 	m := NewRateMeter(sim.Time(sim.Second))
-	m.Observe(sim.Time(sim.Second))
+	m.Observe()
 	if m.Rate(sim.Time(sim.Second)) != 0 {
 		t.Fatal("zero-width window should report 0 rate")
 	}

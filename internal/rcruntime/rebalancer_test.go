@@ -96,7 +96,7 @@ func (r *rebalanceRig) auditQuiet(t *testing.T) {
 // quiet) a skewed workload pulls window budget toward the busy tenant,
 // conserving the pool total and honoring floors at every tick.
 func TestRebalancerChasesDemandThroughEnforcer(t *testing.T) {
-	rig := newRebalanceRig(t, rebalance.Config{CooldownTicks: 1, DeadbandFrac: 0.01})
+	rig := newRebalanceRig(t, rebalance.Config{CooldownTicks: 1})
 	for i := 0; i < 60; i++ {
 		get(rig.h, "good", "4ms") // busy but under the 0.5 warn threshold
 		get(rig.h, "hog", "1ms")
@@ -126,7 +126,7 @@ func TestRebalancerChasesDemandThroughEnforcer(t *testing.T) {
 // from the *actual* (restored) attributes, with conservation and floors
 // intact throughout.
 func TestWatchdogEngageFreezesRebalancer(t *testing.T) {
-	rig := newRebalanceRig(t, rebalance.Config{CooldownTicks: 1, CalmTicks: 2, DeadbandFrac: 0.01})
+	rig := newRebalanceRig(t, rebalance.Config{CooldownTicks: 1})
 
 	for i := 0; i < 4 && !rig.wd.Engaged(); i++ {
 		get(rig.h, "hog", "9ms")
@@ -159,7 +159,7 @@ func TestWatchdogEngageFreezesRebalancer(t *testing.T) {
 		t.Fatalf("hog limit %g while clamped, want the 0.1 emergency clamp", got)
 	}
 
-	// Calm: watchdog restores, then (after CalmTicks) the rebalancer
+	// Calm: watchdog restores, then (after rebalance.DefaultCalmTicks) the rebalancer
 	// resyncs and resumes.
 	for i := 0; i < 60 && rig.wd.Engaged(); i++ {
 		get(rig.h, "good", "1ms")
@@ -202,7 +202,7 @@ func TestWatchdogEngageFreezesRebalancer(t *testing.T) {
 // Enforcer.Sync does not tear the hierarchy, and that the share-sum and
 // floor invariants hold at every quiet point.
 func TestInterleavedActuatorsUnderLoad(t *testing.T) {
-	rig := newRebalanceRig(t, rebalance.Config{CooldownTicks: 1, CalmTicks: 1, DeadbandFrac: 0.01})
+	rig := newRebalanceRig(t, rebalance.Config{CooldownTicks: 1})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -21,8 +21,9 @@
 //     adjusted is left alone for CooldownTicks. A deadband suppresses
 //     reactions to imbalances too small to matter.
 //   - Hard starvation floors. No decision may push a member below its
-//     floor (min of FloorFrac·total and its starting allocation), no
-//     matter how idle it looks — checked as rebalance-starvation.
+//     floor (min of DefaultFloorFrac·total and its starting
+//     allocation), no matter how idle it looks — checked as
+//     rebalance-starvation.
 //   - A self-disarming oscillation detector. Applied steps that keep
 //     reversing direction are the signature of a fighting loop; the
 //     controller counts sign flips per member over a sliding window
@@ -34,8 +35,8 @@
 //     (alert.Watchdog, in the simulation and on the live runtime alike)
 //     act on the same hierarchy. The watchdog wins: while any
 //     configured Freezer reports Engaged the controller is frozen, and
-//     it stays frozen for CalmTicks after the engagement clears before
-//     resyncing its view of the hierarchy and resuming.
+//     it stays frozen for DefaultCalmTicks after the engagement clears
+//     before resyncing its view of the hierarchy and resuming.
 //
 // Every decision — arm, step, freeze, resume, disarm, restore — is
 // journaled and exported as a byte-stable JSONL stream (WriteJSONL),
@@ -64,7 +65,9 @@ import (
 // and float round-trips through rc.Attributes are exact.
 const UnitsPerShare = 1_000_000
 
-// Controller defaults; zero Config fields take these.
+// Controller constants. Zero Config fields take the step, cooldown,
+// oscillation and demand-window values; the floor, deadband and calm
+// values are fixed.
 const (
 	// DefaultStepFrac bounds one member's per-tick movement to 5% of
 	// the pool.
@@ -160,20 +163,18 @@ type PoolConfig struct {
 // chaos.MutationPhantomCPU).
 type Config struct {
 	StepFrac          float64
-	FloorFrac         float64
 	CooldownTicks     int
-	DeadbandFrac      float64
 	OscWindowTicks    int
 	OscMaxFlips       int
-	CalmTicks         int
 	DemandWindowTicks int
 
 	// Freeze lists the actuators that preempt this controller; while
-	// any reports Engaged (and for CalmTicks after), no step is taken.
+	// any reports Engaged, and for DefaultCalmTicks ticks after the last
+	// one disengages, no step is taken.
 	Freeze []Freezer
 
-	// NoDeadband disables the deadband entirely (DeadbandFrac 0 would
-	// otherwise take the default) — the no-damping ablation knob.
+	// NoDeadband disables the DefaultDeadbandFrac deadband — the
+	// no-damping ablation knob.
 	NoDeadband bool
 	// NoCooldown disables per-member cooldowns — the no-damping
 	// ablation knob.
@@ -196,23 +197,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.StepFrac <= 0 {
 		cfg.StepFrac = DefaultStepFrac
 	}
-	if cfg.FloorFrac <= 0 {
-		cfg.FloorFrac = DefaultFloorFrac
-	}
 	if cfg.CooldownTicks <= 0 {
 		cfg.CooldownTicks = DefaultCooldownTicks
-	}
-	if cfg.DeadbandFrac <= 0 {
-		cfg.DeadbandFrac = DefaultDeadbandFrac
 	}
 	if cfg.OscWindowTicks <= 0 {
 		cfg.OscWindowTicks = DefaultOscWindowTicks
 	}
 	if cfg.OscMaxFlips <= 0 {
 		cfg.OscMaxFlips = DefaultOscMaxFlips
-	}
-	if cfg.CalmTicks <= 0 {
-		cfg.CalmTicks = DefaultCalmTicks
 	}
 	if cfg.DemandWindowTicks <= 0 {
 		cfg.DemandWindowTicks = DefaultDemandWindowTicks
@@ -355,7 +347,7 @@ func (r *Controller) AddPool(pc PoolConfig) error {
 	if p.total <= 0 {
 		return fmt.Errorf("rebalance: pool %q has a zero total — nothing to govern", pc.Name)
 	}
-	floor := int64(r.cfg.FloorFrac * float64(p.total))
+	floor := int64(DefaultFloorFrac * float64(p.total))
 	if floor < 1 {
 		floor = 1
 	}
@@ -411,14 +403,14 @@ func (r *Controller) Tick(at sim.Time) {
 	}
 
 	// Arbitration: the watchdog owns the hierarchy while engaged, and
-	// for CalmTicks after — its emergency clamps must not be fought.
+	// for DefaultCalmTicks after — its emergency clamps must not be fought.
 	if r.anyEngaged() {
 		if !r.frozen {
 			r.frozen = true
 			r.freezes++
 			r.note(record{at: at, action: "freeze", detail: "actuator engaged; rebalancing preempted"})
 		}
-		r.calm = r.cfg.CalmTicks
+		r.calm = DefaultCalmTicks
 		return
 	}
 	if r.frozen {
@@ -476,7 +468,7 @@ func (r *Controller) stepPool(at sim.Time, p *pool) (tripped bool) {
 	// directions, not promises: conservation is enforced at the
 	// transfer step below, so they need not sum exactly to the total.
 	want := make([]int64, len(p.members))
-	deadband := int64(r.cfg.DeadbandFrac * float64(p.total))
+	deadband := int64(DefaultDeadbandFrac * float64(p.total))
 	if r.cfg.NoDeadband {
 		deadband = 0
 	}

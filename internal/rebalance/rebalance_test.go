@@ -158,8 +158,8 @@ func TestCooldownSuppressesConsecutiveSteps(t *testing.T) {
 }
 
 func TestDeadbandSuppressesSmallImbalance(t *testing.T) {
-	h := newHarness(t, 2, 0.8, Config{DeadbandFrac: 0.4})
-	// 55/45 demand split: imbalance (~4% of pool) under the 40% deadband.
+	h := newHarness(t, 2, 0.8, Config{})
+	// 55/45 demand split: imbalance (5% of pool) under the 10% deadband.
 	for i := 0; i < 100; i++ {
 		h.demands[0] += 55
 		h.demands[1] += 45
@@ -255,7 +255,7 @@ func (f *fakeFreezer) Engaged() bool { return f.on }
 
 func TestFreezerPreemptsAndCalmResumes(t *testing.T) {
 	fz := &fakeFreezer{}
-	h := newHarness(t, 2, 0.8, Config{CalmTicks: 5, Freeze: []Freezer{fz}})
+	h := newHarness(t, 2, 0.8, Config{Freeze: []Freezer{fz}})
 	h.demands[1] += 1_000_000
 	h.tick()
 	stepsBefore := h.ctrl.Steps()
@@ -285,7 +285,7 @@ func TestFreezerPreemptsAndCalmResumes(t *testing.T) {
 		t.Fatalf("external mutation: %v", err)
 	}
 	fz.on = false
-	for i := 0; i < 5; i++ { // calm hold-off
+	for i := 0; i < DefaultCalmTicks; i++ { // calm hold-off
 		h.tick()
 		if h.ctrl.Steps() != stepsBefore {
 			t.Fatal("controller stepped during calm hold-off")

@@ -46,15 +46,11 @@ type cstate struct {
 // hard caps enforced over a window, regular time-sharing below them, and
 // an idle class for priority-0 time-share containers.
 type ContainerScheduler struct {
-	set     entitySet
-	quantum sim.Duration
+	set entitySet
 
-	// Window is the share/cap enforcement window.
-	Window sim.Duration
-	// PruneAge is the scheduler-binding pruning age. Setting
-	// DisablePruning keeps stale containers in bindings forever — the
-	// ablation knob for the pruning design choice.
-	PruneAge       sim.Duration
+	// DisablePruning keeps stale containers in scheduler bindings forever
+	// instead of pruning them after DefaultPruneAge — the ablation knob
+	// for the pruning design choice.
 	DisablePruning bool
 	// Capacity is the number of processors: share guarantees and limit
 	// budgets are fractions of the whole machine, so they scale with it.
@@ -71,15 +67,9 @@ type ContainerScheduler struct {
 	decayFactor [2]float64
 }
 
-// NewContainerScheduler returns a container scheduler with default
-// quantum, window and pruning age.
+// NewContainerScheduler returns a uniprocessor container scheduler.
 func NewContainerScheduler() *ContainerScheduler {
-	return &ContainerScheduler{
-		quantum:  DefaultQuantum,
-		Window:   DefaultWindow,
-		PruneAge: DefaultPruneAge,
-		Capacity: 1,
-	}
+	return &ContainerScheduler{Capacity: 1}
 }
 
 // Register implements Scheduler.
@@ -90,9 +80,6 @@ func (s *ContainerScheduler) Unregister(e *Entity) { s.set.unregister(e) }
 
 // SetRunnable implements Scheduler.
 func (s *ContainerScheduler) SetRunnable(e *Entity, runnable bool) { s.set.setRunnable(e, runnable) }
-
-// Quantum implements Scheduler.
-func (s *ContainerScheduler) Quantum() sim.Duration { return s.quantum }
 
 // state returns (registering if needed) the scheduler state of c.
 func (s *ContainerScheduler) state(c *rc.Container) *cstate {
@@ -116,7 +103,7 @@ func (s *ContainerScheduler) registerChain(c *rc.Container) {
 // every registered container's usage snapshot advances, replenishing cap
 // budgets and resetting guarantee progress.
 func (s *ContainerScheduler) rollWindow(now sim.Time) {
-	if now.Sub(s.windowStart) < s.Window {
+	if now.Sub(s.windowStart) < DefaultWindow {
 		return
 	}
 	// Compact destroyed containers while resnapshotting, so short-lived
@@ -180,7 +167,7 @@ func (s *ContainerScheduler) attrs(c *rc.Container) *cstate {
 				parentFrac *= pl
 			}
 		}
-		st.capBudget = sim.Duration(l * parentFrac * float64(s.Window) * float64(s.Capacity))
+		st.capBudget = sim.Duration(l * parentFrac * float64(DefaultWindow) * float64(s.Capacity))
 	}
 	st.effShare = 0
 	if sh := own.Share; sh > 0 {
@@ -516,7 +503,7 @@ func (s *ContainerScheduler) keep(e *Entity, b bindingEntry, now sim.Time) bool 
 	if b.c.Destroyed() {
 		return false
 	}
-	return s.DisablePruning || b.c == e.Resource || now.Sub(b.last) <= s.PruneAge
+	return s.DisablePruning || b.c == e.Resource || now.Sub(b.last) <= DefaultPruneAge
 }
 
 // ResetBinding implements Scheduler (§4.6): the scheduler binding
@@ -535,7 +522,7 @@ func (s *ContainerScheduler) NextRelease(now sim.Time) (sim.Time, bool) {
 	if !s.sawThrottled {
 		return 0, false
 	}
-	return s.windowStart.Add(s.Window), true
+	return s.windowStart.Add(DefaultWindow), true
 }
 
 // RunnableCount implements Scheduler: the current run-queue depth.
@@ -550,7 +537,7 @@ func (s *ContainerScheduler) RunnableCount() int { return s.set.runnableCount() 
 // that work has scheduling standing through other binding containers.
 func (s *ContainerScheduler) SliceBudget(c *rc.Container, now sim.Time) sim.Duration {
 	s.rollWindow(now)
-	budget := s.quantum
+	budget := DefaultQuantum
 	if !s.attrs(c).chainCapped {
 		return budget
 	}
@@ -574,12 +561,5 @@ func (s *ContainerScheduler) SliceBudget(c *rc.Container, now sim.Time) sim.Dura
 // budgets replenish.
 func (s *ContainerScheduler) NextWindow(now sim.Time) sim.Time {
 	s.rollWindow(now)
-	return s.windowStart.Add(s.Window)
-}
-
-// SliceBudgeter is implemented by schedulers that can bound slice length
-// for cap enforcement; the kernel consults it when present.
-type SliceBudgeter interface {
-	SliceBudget(c *rc.Container, now sim.Time) sim.Duration
-	NextWindow(now sim.Time) sim.Time
+	return s.windowStart.Add(DefaultWindow)
 }

@@ -22,13 +22,12 @@ const niceUnit = 0.05
 // whatever principal was running (see kernel.CPU), reproducing the
 // misaccounting of paper §3.2/§5.6.
 type DecayScheduler struct {
-	set     entitySet
-	quantum sim.Duration
+	set entitySet
 }
 
-// NewDecayScheduler returns a baseline scheduler with the default quantum.
+// NewDecayScheduler returns a baseline scheduler.
 func NewDecayScheduler() *DecayScheduler {
-	return &DecayScheduler{quantum: DefaultQuantum}
+	return &DecayScheduler{}
 }
 
 // Register implements Scheduler.
@@ -113,9 +112,6 @@ func (s *DecayScheduler) Bind(e *Entity, c *rc.Container, now sim.Time) { e.Reso
 
 // ResetBinding implements Scheduler as a no-op.
 func (s *DecayScheduler) ResetBinding(*Entity) {}
-
-// Quantum implements Scheduler.
-func (s *DecayScheduler) Quantum() sim.Duration { return s.quantum }
 
 // NextRelease implements Scheduler: the baseline never throttles.
 func (s *DecayScheduler) NextRelease(sim.Time) (sim.Time, bool) { return 0, false }

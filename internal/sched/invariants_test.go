@@ -113,7 +113,7 @@ func TestSchedulerInvariantsRandomized(t *testing.T) {
 		// Caps: subtree usage never exceeds limit (+one window of slack).
 		for c, limit := range fc.limits {
 			used := c.Usage().CPU()
-			budget := sim.Duration(limit*float64(total)) + s.Window
+			budget := sim.Duration(limit*float64(total)) + DefaultWindow
 			if used > budget {
 				t.Fatalf("trial %d: cap %0.2f exceeded: used %v of %v", trial, limit, used, total)
 			}
@@ -153,7 +153,7 @@ func TestSchedulerInvariantsLottery(t *testing.T) {
 		got := drive(s, total)
 		for c, limit := range fc.limits {
 			used := c.Usage().CPU()
-			if used > sim.Duration(limit*float64(total))+s.Window {
+			if used > sim.Duration(limit*float64(total))+DefaultWindow {
 				t.Fatalf("trial %d: lottery broke cap %.2f: used %v", trial, limit, used)
 			}
 		}

@@ -30,7 +30,7 @@ func (s refScheduler) capBudget(c *rc.Container) sim.Duration {
 			parentFrac *= pl
 		}
 	}
-	return sim.Duration(l * parentFrac * float64(s.Window) * float64(s.Capacity))
+	return sim.Duration(l * parentFrac * float64(DefaultWindow) * float64(s.Capacity))
 }
 
 func (s refScheduler) effShare(c *rc.Container) float64 {
@@ -134,7 +134,7 @@ func (s refScheduler) prune(e *Entity, now sim.Time) {
 		if b.c.Destroyed() {
 			return false
 		}
-		return s.DisablePruning || b.c == e.Resource || now.Sub(b.last) <= s.PruneAge
+		return s.DisablePruning || b.c == e.Resource || now.Sub(b.last) <= DefaultPruneAge
 	}
 	var kept []bindingEntry
 	var newest bindingEntry
@@ -247,7 +247,7 @@ func (s refScheduler) tickets(e *Entity) float64 {
 
 func (s refScheduler) sliceBudget(c *rc.Container, now sim.Time) sim.Duration {
 	s.rollWindow(now)
-	budget := s.quantum
+	budget := DefaultQuantum
 	for _, p := range c.Ancestors() {
 		s.state(p)
 		if b := s.capBudget(p); b >= 0 {

@@ -92,9 +92,6 @@ func (e *Entity) Runnable() bool { return e.runnable }
 // dispatch loop maintains it.
 func (e *Entity) SetOnCPU(v bool) { e.onCPU = v }
 
-// OnCPU reports whether the entity is currently executing.
-func (e *Entity) OnCPU() bool { return e.onCPU }
-
 // HasLiveBinding reports whether any container in the scheduler binding
 // is still alive. A thread whose every recent activity has been torn down
 // needs a fresh resource binding before it can be scheduled again.
@@ -160,8 +157,6 @@ type Scheduler interface {
 	// ResetBinding restricts e's scheduler binding to its current
 	// resource binding (§4.6 "reset the scheduler binding").
 	ResetBinding(e *Entity)
-	// Quantum is the maximum slice between scheduling decisions.
-	Quantum() sim.Duration
 	// NextRelease returns the earliest future time at which a currently
 	// throttled entity may become eligible again, if any. The kernel
 	// re-dispatches at that time when Pick returned nil but runnable

@@ -29,9 +29,9 @@ func drive(s Scheduler, total sim.Duration) map[*Entity]sim.Duration {
 			now = next
 			continue
 		}
-		slice := s.Quantum()
-		if b, ok := s.(SliceBudgeter); ok && e.Resource != nil {
-			if sb := b.SliceBudget(e.Resource, now); sb < slice {
+		slice := DefaultQuantum
+		if cs, ok := s.(*ContainerScheduler); ok && e.Resource != nil {
+			if sb := cs.SliceBudget(e.Resource, now); sb < slice {
 				slice = sb
 			}
 		}
@@ -102,7 +102,7 @@ func TestDecayMisaccountingShiftsShares(t *testing.T) {
 	end := sim.Time(10 * sim.Second)
 	for now < end {
 		e := s.Pick(now)
-		slice := s.Quantum()
+		slice := DefaultQuantum
 		now = now.Add(slice)
 		s.Charge(e, nil, slice, now)
 		got[e] += slice
@@ -384,7 +384,7 @@ func TestContainerSliceBudgetClipping(t *testing.T) {
 	capped := rc.MustNew(nil, rc.FixedShare, "capped", rc.Attributes{Limit: 0.3})
 	leaf := rc.MustNew(capped, rc.TimeShare, "leaf", rc.Attributes{Priority: 1})
 	// Fresh window: budget = 0.3 * 20ms = 6ms, clipped to quantum 1ms.
-	if b := s.SliceBudget(leaf, 0); b != s.Quantum() {
+	if b := s.SliceBudget(leaf, 0); b != DefaultQuantum {
 		t.Fatalf("budget %v, want quantum", b)
 	}
 	// Consume 5.5ms: remaining budget 0.5ms < quantum.
@@ -398,15 +398,15 @@ func TestContainerSliceBudgetClipping(t *testing.T) {
 	if b := s.SliceBudget(leaf, sim.Time(sim.Millisecond)); b != 0 {
 		t.Fatalf("budget %v, want 0", b)
 	}
-	if nw := s.NextWindow(sim.Time(sim.Millisecond)); nw != sim.Time(s.Window) {
-		t.Fatalf("NextWindow %v, want %v", nw, sim.Time(s.Window))
+	if nw := s.NextWindow(sim.Time(sim.Millisecond)); nw != sim.Time(DefaultWindow) {
+		t.Fatalf("NextWindow %v, want %v", nw, sim.Time(DefaultWindow))
 	}
 }
 
 func TestContainerUncappedSliceBudgetIsQuantum(t *testing.T) {
 	s := NewContainerScheduler()
 	leaf := rc.MustNew(nil, rc.TimeShare, "leaf", rc.Attributes{Priority: 1})
-	if b := s.SliceBudget(leaf, 0); b != s.Quantum() {
+	if b := s.SliceBudget(leaf, 0); b != DefaultQuantum {
 		t.Fatalf("budget %v, want quantum", b)
 	}
 }
@@ -422,7 +422,7 @@ func TestSchedulerBindingAccumulatesAndPrunes(t *testing.T) {
 	if len(e.Binding()) != 2 {
 		t.Fatalf("binding size %d, want 2", len(e.Binding()))
 	}
-	// Rebinding to c2 much later prunes c1 (older than PruneAge) but the
+	// Rebinding to c2 much later prunes c1 (older than DefaultPruneAge) but the
 	// current resource binding stays.
 	s.Bind(e, c2, sim.Time(sim.Second))
 	bs := e.Binding()

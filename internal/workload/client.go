@@ -288,7 +288,7 @@ func (c *Client) sendRequest(conn *kernel.Conn, start sim.Time) {
 			answered = true
 			c.attempts = 0
 			c.Latency.ObserveDuration(at.Sub(start))
-			c.Meter.Observe(at)
+			c.Meter.Observe()
 			if !c.cfg.Persistent {
 				c.conn = nil
 			}

@@ -121,7 +121,7 @@ func (c *OpenLoopClient) fire() {
 			CloseAfter: true,
 			OnResponse: func(at sim.Time) {
 				if settle() {
-					c.Completions.Observe(at)
+					c.Completions.Observe()
 					c.Latency.ObserveDuration(at.Sub(start))
 				}
 			},

@@ -13,6 +13,11 @@
 # whose output moved. Extra flags (e.g. -parallel 1) go to every rcbench
 # run; the output must not depend on them.
 #
+# check also runs the results unit: the full-window `rcbench -exp all`
+# against the checked-in docs/RESULTS.txt, with Table 1's measured-ns
+# column (the one wall-clock cell of that output) masked in both. When
+# it moves, `make results` regenerates the file.
+#
 # The digests are recorded on amd64 with the default GOAMD64=v1. Other
 # targets may fuse multiply-adds and move floating-point bits, so the
 # check is skipped there rather than widened.
@@ -47,6 +52,28 @@ $GO build -o "$tmp/" ./cmd/rcbench ./cmd/rcchaos
 all=(baseline overhead fig11 fig12 fig14 vservers resilience faults
 	ablate-pruning ablate-filter ablate-api ablate-lrp ablate-policy
 	smp cachewar diskbound tail apache overload alerting rebalance chaos)
+
+# mask_table1 FILE prints FILE with the cells of Table 1's measured-ns
+# column (the second column of the table under "== table1 ==") blanked
+# out; the column's place and width come from the table's dash rule.
+mask_table1() {
+	awk '
+	/^== / { t1 = ($0 == "== table1 =="); rows = 0 }
+	t1 && /^  -/ {
+		match($0, /^  -+  /)
+		start = RLENGTH + 1
+		match(substr($0, start), /^-+/)
+		width = RLENGTH
+		mask = "(measured)"
+		while (length(mask) < width) mask = mask " "
+		rows = 1
+		print
+		next
+	}
+	$0 == "" { rows = 0 }
+	rows { $0 = substr($0, 1, start - 1) mask substr($0, start + width) }
+	{ print }' "$1"
+}
 
 # unit NAME CMD... runs one unit and appends its manifest line.
 unit() {
@@ -83,10 +110,24 @@ if [ "$mode" = update ]; then
 	echo "identity: wrote $manifest ($(wc -l <"$manifest") units, $((SECONDS - start)) s)"
 	exit 0
 fi
+status=0
 if ! moved=$(diff "$manifest" "$tmp/manifest"); then
 	echo "identity: output moved in these units:"
 	comm -3 <(sort "$manifest") <(sort "$tmp/manifest") | awk '{print "  " $1}' | sort -u
 	echo "$moved"
+	status=1
+fi
+if ! "$tmp/rcbench" -exp all "$@" >"$tmp/results" 2>"$tmp/err"; then
+	echo "identity: results failed:" >&2
+	cat "$tmp/err" >&2
 	exit 1
 fi
-echo "identity: $(wc -l <"$manifest") units byte-identical ($((SECONDS - start)) s)"
+if ! moved=$(diff <(mask_table1 docs/RESULTS.txt) <(mask_table1 "$tmp/results")); then
+	echo "identity: output moved in unit results: docs/RESULTS.txt differs from rcbench -exp all; run make results"
+	echo "$moved"
+	status=1
+fi
+if [ $status = 0 ]; then
+	echo "identity: $(($(wc -l <"$manifest") + 1)) units byte-identical ($((SECONDS - start)) s)"
+fi
+exit $status

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-baseline bench-check identity identity-update results chaos-smoke chaos-nightly scale-smoke scale-full live-smoke livechaos-smoke livechaos-nightly rebalance-smoke tier1 ci
+.PHONY: all build vet lint loc test race bench bench-baseline bench-check identity identity-update results chaos-smoke chaos-nightly scale-smoke scale-full live-smoke livechaos-smoke livechaos-nightly rebalance-smoke tier1 ci
 
 all: ci
 
@@ -22,6 +22,10 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) run ./cmd/checkdocs . ./internal/*
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# Size of the program: non-test Go lines outside the perfbench module.
+loc:
+	@find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 # Fast suite: -short skips the long experiment sweeps but keeps the
 # runtime invariant checker on (the experiments test Options enable it).

@@ -12,7 +12,7 @@
 // with hysteresis in both domains: time (a level is raised only after
 // Raise consecutive ticks at or above its threshold, cleared only after
 // Clear consecutive calm ticks) and value (once raised, a tick counts as
-// calm only below ClearFrac× the threshold — a Schmitt trigger, so a
+// calm only below DefaultClearFrac× the threshold — a Schmitt trigger, so a
 // signal hovering at the threshold holds its level instead of toggling).
 // Clears additionally pass through a publication hold-down: the clear
 // becomes visible only after the key survives FlapWindowTicks more, and
@@ -86,7 +86,7 @@ const (
 	FlapWindowTicks = 8
 	// DefaultClearFrac is the value-domain hysteresis (Schmitt trigger):
 	// once raised, a tick only counts as calm when the value drops below
-	// ClearFrac × the threshold it crossed. A signal hovering at the
+	// DefaultClearFrac × the threshold it crossed. A signal hovering at the
 	// raise threshold therefore stays raised instead of flapping.
 	DefaultClearFrac = 0.75
 	// flapPenaltyCap bounds the clear-hysteresis multiplier a flapping
@@ -170,9 +170,6 @@ type Check struct {
 	// Raise and Clear override the hysteresis defaults when positive.
 	Raise int
 	Clear int
-	// ClearFrac overrides DefaultClearFrac when positive: the fraction
-	// of a crossed threshold the value must drop below to count as calm.
-	ClearFrac float64
 	// Observe returns this tick's observations. A target absent from the
 	// returned slice is fed value zero (calm), so alerts on vanished
 	// targets (e.g. a closed listen socket) clear normally. The Monitor
@@ -193,13 +190,6 @@ func (c Check) clearTicks() int {
 		return c.Clear
 	}
 	return DefaultClearTicks
-}
-
-func (c Check) clearFrac() float64 {
-	if c.ClearFrac > 0 {
-		return c.ClearFrac
-	}
-	return DefaultClearFrac
 }
 
 // Event is one alert-state transition (or a watchdog action note).
@@ -440,16 +430,15 @@ func (m *Monitor) feed(at sim.Time, c *Check, ob Observation) {
 
 	v := ob.Value
 	critOn := c.Crit > 0
-	frac := c.clearFrac()
 	// Value-domain hysteresis: raising needs v at or above a threshold,
-	// calming needs v below ClearFrac× that threshold. In between the
+	// calming needs v below DefaultClearFrac× that threshold. In between the
 	// value is in the dead band — no streak advances, the level holds.
 	if critOn && v >= c.Crit {
 		st.critStreak++
 		st.coolStreak = 0
 	} else {
 		st.critStreak = 0
-		if !critOn || v < c.Crit*frac {
+		if !critOn || v < c.Crit*DefaultClearFrac {
 			st.coolStreak++
 		} else {
 			st.coolStreak = 0
@@ -460,7 +449,7 @@ func (m *Monitor) feed(at sim.Time, c *Check, ob Observation) {
 		st.calmStreak = 0
 	} else {
 		st.warnStreak = 0
-		if v < c.Warn*frac {
+		if v < c.Warn*DefaultClearFrac {
 			st.calmStreak++
 		} else {
 			st.calmStreak = 0
@@ -483,7 +472,7 @@ func (m *Monitor) feed(at sim.Time, c *Check, ob Observation) {
 		want, threshold = LevelCritical, c.Crit
 	case st.level == LevelOk && st.warnStreak >= raise:
 		want, threshold = LevelWarning, c.Warn
-	case st.level == LevelCritical && st.coolStreak >= clear && v >= c.Warn*frac:
+	case st.level == LevelCritical && st.coolStreak >= clear && v >= c.Warn*DefaultClearFrac:
 		// Still warm but persistently below critical: demote.
 		want, threshold = LevelWarning, c.Warn
 	case st.level > LevelOk && st.calmStreak >= clear:

@@ -321,7 +321,7 @@ func TestSchmittDeadBandHoldsLevel(t *testing.T) {
 	s := newSynthetic(t, Check{Name: "c", Warn: 10, Crit: 100})
 	s.run(50, DefaultRaiseTicks) // raise to warning
 
-	// Hover in the dead band [Warn*ClearFrac, Warn): never calm, never
+	// Hover in the dead band [Warn*DefaultClearFrac, Warn): never calm, never
 	// hot — the level must hold indefinitely with zero events.
 	if evs := s.run(8, 10*DefaultClearTicks); len(evs) != 0 {
 		t.Fatalf("dead-band hover emitted events: %+v", evs)
@@ -330,7 +330,7 @@ func TestSchmittDeadBandHoldsLevel(t *testing.T) {
 		t.Fatalf("dead-band hover changed level to %v", got)
 	}
 
-	// Dropping below Warn*ClearFrac finally clears.
+	// Dropping below Warn*DefaultClearFrac finally clears.
 	evs := s.run(7, DefaultClearTicks+FlapWindowTicks)
 	if len(evs) != 1 || evs[0].Level != LevelOk {
 		t.Fatalf("want one clear after leaving the dead band, got %+v", evs)

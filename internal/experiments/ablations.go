@@ -111,7 +111,7 @@ func AblateEventAPI(opt Options) *metrics.Table {
 	vals := runPoints(opt.Parallel, len(apis), func(i int) float64 {
 		sys := fig11System{name: apis[i].String(), mode: kernel.ModeRC, api: apis[i], containers: true,
 			premiumSocket: true}
-		return fig11Point(sys, 35, opt)
+		return fig11Point(sys, 35, opt).Mean()
 	})
 	for i, api := range apis {
 		t.AddRow(api.String(), vals[i])
@@ -132,7 +132,7 @@ func AblateLeafPolicy(opt Options) *metrics.Table {
 	vals := runPoints(opt.Parallel, len(lotteries), func(i int) float64 {
 		sys := fig11System{mode: kernel.ModeRC, api: httpsim.EventAPI,
 			containers: true, premiumSocket: true, lottery: lotteries[i]}
-		return fig11Point(sys, 25, opt)
+		return fig11Point(sys, 25, opt).Mean()
 	})
 	for i, lottery := range lotteries {
 		name := "decayed-usage priorities (default)"
@@ -159,7 +159,7 @@ func AblateLRPCharging(opt Options) *metrics.Table {
 		{name: "RC + event API", mode: kernel.ModeRC, api: httpsim.EventAPI, containers: true, premiumSocket: true},
 	}
 	vals := runPoints(opt.Parallel, len(systems), func(i int) float64 {
-		return fig11Point(systems[i], 35, opt)
+		return fig11Point(systems[i], 35, opt).Mean()
 	})
 	for i, sys := range systems {
 		t.AddRow(sys.name, vals[i])

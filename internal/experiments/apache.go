@@ -31,7 +31,7 @@ func Apache(opt Options) []*metrics.Series {
 		}
 		sys := fig11System{mode: kernel.ModeRC, api: httpsim.EventAPI,
 			containers: true, premiumSocket: true}
-		return fig11Point(sys, n, opt)
+		return fig11Point(sys, n, opt).Mean()
 	})
 	for pi, n := range Fig11Points {
 		apache.Append(float64(n), vals[pi])
@@ -56,21 +56,6 @@ func apachePoint(n int, opt Options) float64 {
 		}
 		return 8 // background class
 	}
-	workload.MustStartPopulation(n, workload.ClientConfig{
-		Kernel: e.k,
-		Src:    netsim.Addr{IP: ClientNet + 1, Port: 1024},
-		Dst:    ServerAddr,
-		Think:  5 * sim.Millisecond,
-	})
-	high := workload.MustStartClient(workload.ClientConfig{
-		Kernel: e.k,
-		Src:    netsim.Addr{IP: HighPriorityIP, Port: 1024},
-		Dst:    ServerAddr,
-		Think:  5 * sim.Millisecond,
-	})
-	start := e.eng.Now()
-	e.eng.RunUntil(start.Add(opt.Warmup))
-	high.ResetStats()
-	e.eng.RunUntil(start.Add(opt.Warmup + opt.Window))
-	return high.Latency.Mean()
+	client := workload.ClientConfig{Think: 5 * sim.Millisecond}
+	return e.premiumRun(n, client, client, opt).Mean()
 }

@@ -26,7 +26,6 @@ func ResilientClientConfig(k *kernel.Kernel, src netsim.Addr) workload.ClientCon
 		ConnectTimeout: 250 * sim.Millisecond,
 		RequestTimeout: 500 * sim.Millisecond,
 		BackoffBase:    50 * sim.Millisecond,
-		BackoffMax:     800 * sim.Millisecond,
 	}
 }
 

@@ -48,35 +48,12 @@ func cacheWarPoint(quota bool, opt Options) (hitPct, bTput, bLatMs, aTput float6
 	e := newEnv(kernel.ModeRC, opt)
 	e.k.FileCache().SetCapacity(256 * 1024)
 
-	mkGuest := func(name string, port uint16, cacheQuota int64) (*httpsim.Server, netsim.Addr) {
-		root := rc.MustNew(nil, rc.FixedShare, name, rc.Attributes{})
-		// The guest's cache footprint is charged to a dedicated child, so
-		// the quota constrains cached documents without also counting the
-		// guest's socket buffers.
-		cacheHolder := rc.MustNew(root, rc.FixedShare, name+"-cache",
-			rc.Attributes{MemLimit: cacheQuota})
-		addr := netsim.Addr{IP: ServerAddr.IP, Port: port}
-		srv, err := httpsim.NewServer(httpsim.Config{
-			Kernel: e.k, Name: name, Addr: addr, API: httpsim.EventAPI,
-			PerConnContainers: true,
-			Parent:            root,
-			CacheContainer:    cacheHolder,
-		})
-		if err != nil {
-			panic(err)
-		}
-		if err := srv.Process().DefaultContainer.SetParent(root); err != nil {
-			panic(err)
-		}
-		return srv, addr
-	}
-
 	var aLimit int64
 	if quota {
 		aLimit = 64 * 1024
 	}
-	_, aAddr := mkGuest("guestA", 8001, aLimit)
-	_, bAddr := mkGuest("guestB", 8002, 0)
+	_, aAddr := e.cacheGuest("guestA", 8001, aLimit)
+	_, bAddr := e.cacheGuest("guestB", 8002, 0)
 
 	// Guest A: streaming scan over a huge corpus (every request a new
 	// document).
@@ -111,13 +88,11 @@ func cacheWarPoint(quota bool, opt Options) (hitPct, bTput, bLatMs, aTput float6
 	e.eng.RunUntil(start.Add(opt.Warmup))
 	aPop.ResetStats()
 	bPop.ResetStats()
-	h0, m0, _ := e.k.FileCache().Stats()
+	h0, _, _ := e.k.FileCache().Stats()
 	// Hit-rate attribution: B's hot set is the only repeated workload, so
 	// global hits ≈ B hits; measure the delta over the window.
 	e.eng.RunUntil(start.Add(opt.Warmup + opt.Window))
-	h1, m1, _ := e.k.FileCache().Stats()
-	_ = m0
-	_ = m1
+	h1, _, _ := e.k.FileCache().Stats()
 
 	bReq := float64(bPop.Completed())
 	hitPct = 0
@@ -128,4 +103,34 @@ func cacheWarPoint(quota bool, opt Options) (hitPct, bTput, bLatMs, aTput float6
 		}
 	}
 	return hitPct, bPop.Rate(e.eng.Now()), bPop.MeanLatencyMs(), aPop.Rate(e.eng.Now())
+}
+
+// cacheGuest starts a guest web server at port on the server host whose
+// subtree is rooted at a fixed-share container called name. The guest's
+// cache footprint is charged to a dedicated child limited to quota bytes
+// (0 = unlimited), so the quota constrains cached documents without also
+// counting the guest's socket buffers. In ModeRC the server runs
+// per-connection containers and its default container moves into the
+// root; the cache quota itself is mode-independent. It returns the cache
+// container and the guest's address.
+func (e *env) cacheGuest(name string, port uint16, quota int64) (*rc.Container, netsim.Addr) {
+	root := rc.MustNew(nil, rc.FixedShare, name, rc.Attributes{})
+	cache := rc.MustNew(root, rc.FixedShare, name+"-cache", rc.Attributes{MemLimit: quota})
+	addr := netsim.Addr{IP: ServerAddr.IP, Port: port}
+	srv, err := httpsim.NewServer(httpsim.Config{
+		Kernel: e.k, Name: name, Addr: addr, API: httpsim.EventAPI,
+		PerConnContainers: e.k.Mode() == kernel.ModeRC,
+		Parent:            root,
+		CacheContainer:    cache,
+	})
+	if err != nil {
+		panic(err)
+	}
+	// Only ModeRC processes have a default container to reparent.
+	if dc := srv.Process().DefaultContainer; dc != nil {
+		if err := dc.SetParent(root); err != nil {
+			panic(err)
+		}
+	}
+	return cache, addr
 }

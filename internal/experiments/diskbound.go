@@ -4,7 +4,6 @@ import (
 	"rescon/internal/httpsim"
 	"rescon/internal/kernel"
 	"rescon/internal/metrics"
-	"rescon/internal/netsim"
 	"rescon/internal/sim"
 	"rescon/internal/workload"
 )
@@ -43,39 +42,12 @@ func DiskBound(opt Options) []*metrics.Series {
 
 func diskBoundPoint(mode kernel.Mode, n int, opt Options) float64 {
 	e := newEnv(mode, opt)
-	srv, err := httpsim.NewServer(httpsim.Config{
+	if _, err := httpsim.NewServer(httpsim.Config{
 		Kernel: e.k, Name: "httpd", Addr: ServerAddr, API: httpsim.EventAPI,
-		PerConnContainers: mode == kernel.ModeRC,
-		ConnPriority: func(a netsim.Addr) int {
-			if a.IP == HighPriorityIP {
-				return HighPriority
-			}
-			return LowPriority
-		},
-	})
-	if err != nil {
+		PerConnContainers: mode == kernel.ModeRC, ConnPriority: premiumPriority,
+	}); err != nil {
 		panic(err)
 	}
-	_ = srv
-
-	lows := workload.MustStartPopulation(n, workload.ClientConfig{
-		Kernel:   e.k,
-		Src:      netsim.Addr{IP: ClientNet + 1, Port: 1024},
-		Dst:      ServerAddr,
-		Uncached: true,
-	})
-	high := workload.MustStartClient(workload.ClientConfig{
-		Kernel:   e.k,
-		Src:      netsim.Addr{IP: HighPriorityIP, Port: 1024},
-		Dst:      ServerAddr,
-		Uncached: true,
-		Think:    20 * sim.Millisecond,
-	})
-	_ = lows
-
-	start := e.eng.Now()
-	e.eng.RunUntil(start.Add(opt.Warmup))
-	high.ResetStats()
-	e.eng.RunUntil(start.Add(opt.Warmup + opt.Window))
-	return high.Latency.Mean()
+	return e.premiumRun(n, workload.ClientConfig{Uncached: true},
+		workload.ClientConfig{Uncached: true, Think: 20 * sim.Millisecond}, opt).Mean()
 }

@@ -71,9 +71,13 @@ type env struct {
 	check *fault.Checker
 }
 
-func newEnv(mode kernel.Mode, opt Options) *env {
+func newEnv(mode kernel.Mode, opt Options) *env { return newSMPEnv(mode, 1, opt) }
+
+// newSMPEnv builds a machine with ncpus processors, attaching the
+// invariant checker when opt.Invariants is set.
+func newSMPEnv(mode kernel.Mode, ncpus int, opt Options) *env {
 	eng := sim.NewEngine(opt.Seed)
-	e := &env{eng: eng, k: kernel.New(eng, mode, kernel.DefaultCosts())}
+	e := &env{eng: eng, k: kernel.NewSMP(eng, mode, kernel.DefaultCosts(), ncpus)}
 	if opt.Invariants {
 		e.check = fault.NewChecker(eng)
 		e.k.WatchInvariants(e.check)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rescon/internal/kernel"
 	"rescon/internal/metrics"
 	"rescon/internal/sim"
 )
@@ -296,6 +297,19 @@ func TestDiskBoundShape(t *testing.T) {
 	p0 := yAt(t, prio, 0)
 	if p16 > p0*2.5 {
 		t.Fatalf("priority disk should stay nearly flat: %v -> %v", p0, p16)
+	}
+}
+
+// TestSMPEnvCarriesChecker: SMP machines come from the same constructor
+// as every other sweep's, so -check attaches the invariant checker there
+// too.
+func TestSMPEnvCarriesChecker(t *testing.T) {
+	e := newSMPEnv(kernel.ModeRC, 2, quick)
+	if e.check == nil {
+		t.Fatal("SMP env built with Invariants set has no checker")
+	}
+	if n := e.k.NumCPUs(); n != 2 {
+		t.Fatalf("SMP env has %d CPUs, want 2", n)
 	}
 }
 

@@ -54,7 +54,7 @@ func Fig11(opt Options) []*metrics.Series {
 	opt = opt.withDefaults(2*sim.Second, 10*sim.Second)
 	np := len(Fig11Points)
 	vals := runPoints(opt.Parallel, len(fig11Systems)*np, func(i int) float64 {
-		return fig11Point(fig11Systems[i/np], Fig11Points[i%np], opt)
+		return fig11Point(fig11Systems[i/np], Fig11Points[i%np], opt).Mean()
 	})
 	var out []*metrics.Series
 	for si, sys := range fig11Systems {
@@ -67,9 +67,9 @@ func Fig11(opt Options) []*metrics.Series {
 	return out
 }
 
-// fig11Point returns the high-priority client's mean response time (ms)
-// with n low-priority clients.
-func fig11Point(sys fig11System, n int, opt Options) float64 {
+// fig11Point returns the high-priority client's response-time summary
+// (ms) with n low-priority clients.
+func fig11Point(sys fig11System, n int, opt Options) *metrics.Summary {
 	e := newEnv(sys.mode, opt)
 	if sys.lottery {
 		if cs, ok := e.k.Scheduler().(*sched.ContainerScheduler); ok {
@@ -78,13 +78,7 @@ func fig11Point(sys fig11System, n int, opt Options) float64 {
 	}
 	srv, err := httpsim.NewServer(httpsim.Config{
 		Kernel: e.k, Name: "httpd", Addr: ServerAddr, API: sys.api,
-		PerConnContainers: sys.containers,
-		ConnPriority: func(a netsim.Addr) int {
-			if a.IP == HighPriorityIP {
-				return HighPriority
-			}
-			return LowPriority
-		},
+		PerConnContainers: sys.containers, ConnPriority: premiumPriority,
 	})
 	if err != nil {
 		panic(err)
@@ -100,25 +94,37 @@ func fig11Point(sys fig11System, n int, opt Options) float64 {
 		}
 	}
 
-	// Low-priority population: closed-loop with a small think time so the
-	// x axis sweeps across the saturation knee as in the paper.
-	lows := workload.MustStartPopulation(n, workload.ClientConfig{
-		Kernel: e.k,
-		Src:    netsim.Addr{IP: ClientNet + 1, Port: 1024},
-		Dst:    ServerAddr,
-		Think:  5 * sim.Millisecond,
-	})
-	high := workload.MustStartClient(workload.ClientConfig{
-		Kernel: e.k,
-		Src:    netsim.Addr{IP: HighPriorityIP, Port: 1024},
-		Dst:    ServerAddr,
-		Think:  5 * sim.Millisecond,
-	})
+	// Every client is closed-loop with a small think time, so the x axis
+	// sweeps across the saturation knee as in the paper.
+	client := workload.ClientConfig{Think: 5 * sim.Millisecond}
+	return e.premiumRun(n, client, client, opt)
+}
 
+// premiumPriority is the container priority of a connection in the
+// prioritized-client scenario: HighPriority for the premium client,
+// LowPriority for everyone else.
+func premiumPriority(a netsim.Addr) int {
+	if a.IP == HighPriorityIP {
+		return HighPriority
+	}
+	return LowPriority
+}
+
+// premiumRun is the measurement of the prioritized-client scenario
+// (§5.5) against the server already listening at ServerAddr: it starts n
+// low-priority clients from ClientNet+1 with the low template and then
+// the premium client from HighPriorityIP with the high template, runs the
+// warmup and the window, and returns the premium client's latency
+// summary over the window.
+func (e *env) premiumRun(n int, low, high workload.ClientConfig, opt Options) *metrics.Summary {
+	low.Kernel, low.Src, low.Dst = e.k, netsim.Addr{IP: ClientNet + 1, Port: 1024}, ServerAddr
+	high.Kernel, high.Src, high.Dst = e.k, netsim.Addr{IP: HighPriorityIP, Port: 1024}, ServerAddr
+	lows := workload.MustStartPopulation(n, low)
+	premium := workload.MustStartClient(high)
 	start := e.eng.Now()
 	e.eng.RunUntil(start.Add(opt.Warmup))
 	lows.ResetStats()
-	high.ResetStats()
+	premium.ResetStats()
 	e.eng.RunUntil(start.Add(opt.Warmup + opt.Window))
-	return high.Latency.Mean()
+	return &premium.Latency
 }

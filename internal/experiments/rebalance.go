@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"rescon/internal/httpsim"
 	"rescon/internal/kernel"
 	"rescon/internal/metrics"
 	"rescon/internal/netsim"
@@ -213,37 +212,8 @@ func rebalancePoint(shift string, mode kernel.Mode, policy string, opt Options) 
 	tel := telemetry.New()
 	e.k.AttachTelemetry(tel)
 
-	mkGuest := func(name string, port uint16) (*rc.Container, netsim.Addr, error) {
-		root := rc.MustNew(nil, rc.FixedShare, name, rc.Attributes{})
-		cacheHolder := rc.MustNew(root, rc.FixedShare, name+"-cache",
-			rc.Attributes{MemLimit: rebalanceGuestQuota})
-		addr := netsim.Addr{IP: ServerAddr.IP, Port: port}
-		srv, err := httpsim.NewServer(httpsim.Config{
-			Kernel: e.k, Name: name, Addr: addr, API: httpsim.EventAPI,
-			PerConnContainers: mode == kernel.ModeRC,
-			Parent:            root,
-			CacheContainer:    cacheHolder,
-		})
-		if err != nil {
-			return nil, addr, err
-		}
-		// Only ModeRC processes have a default container to reparent;
-		// the cache quota itself is mode-independent.
-		if dc := srv.Process().DefaultContainer; dc != nil {
-			if err := dc.SetParent(root); err != nil {
-				return nil, addr, err
-			}
-		}
-		return cacheHolder, addr, nil
-	}
-	aCache, aAddr, err := mkGuest("guestA", 8001)
-	if err != nil {
-		return cell, err
-	}
-	bCache, bAddr, err := mkGuest("guestB", 8002)
-	if err != nil {
-		return cell, err
-	}
+	aCache, aAddr := e.cacheGuest("guestA", 8001, rebalanceGuestQuota)
+	bCache, bAddr := e.cacheGuest("guestB", 8002, rebalanceGuestQuota)
 
 	var ctrl *rebalance.Controller
 	if policy != PolicyStatic {
@@ -276,8 +246,8 @@ func rebalancePoint(shift string, mode kernel.Mode, policy string, opt Options) 
 			cfg.OscWindowTicks = 256
 			cfg.OscMaxFlips = rebalance.DefaultOscMaxFlips
 		}
-		ctrl, err = rebalance.Attach(tel, cfg)
-		if err != nil {
+		var err error
+		if ctrl, err = rebalance.Attach(tel, cfg); err != nil {
 			return cell, err
 		}
 		fc := e.k.FileCache()

@@ -147,16 +147,9 @@ func faultScenario(opt Options, cfg fault.Config, uncached bool) (faultRow, erro
 	}); err != nil {
 		return faultRow{}, err
 	}
-	pop := workload.MustStartPopulation(16, workload.ClientConfig{
-		Kernel:         e.k,
-		Src:            netsim.Addr{IP: ClientNet + 1, Port: 1024},
-		Dst:            ServerAddr,
-		Uncached:       uncached,
-		ConnectTimeout: 250 * sim.Millisecond,
-		RequestTimeout: 500 * sim.Millisecond,
-		BackoffBase:    50 * sim.Millisecond,
-	})
-	row := measureRow(e, pop, opt)
+	clients := ResilientClientConfig(e.k, netsim.Addr{IP: ClientNet + 1, Port: 1024})
+	clients.Uncached = uncached
+	row := measureRow(e, workload.MustStartPopulation(16, clients), opt)
 	row.detail = inj.Stats().String()
 	return row, nil
 }

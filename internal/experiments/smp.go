@@ -33,11 +33,9 @@ func SMP(opt Options) *metrics.Table {
 }
 
 func smpPoint(ncpus int, multithreaded bool, opt Options) float64 {
-	eng := sim.NewEngine(opt.Seed)
-	k := kernel.NewSMP(eng, kernel.ModeRC, kernel.DefaultCosts(), ncpus)
-	e := &env{eng: eng, k: k}
+	e := newSMPEnv(kernel.ModeRC, ncpus, opt)
 	cfg := httpsim.Config{
-		Kernel: k, Name: "httpd", Addr: ServerAddr, API: httpsim.EventAPI,
+		Kernel: e.k, Name: "httpd", Addr: ServerAddr, API: httpsim.EventAPI,
 		PerConnContainers: true,
 	}
 	var err error
@@ -51,7 +49,7 @@ func smpPoint(ncpus int, multithreaded bool, opt Options) float64 {
 	}
 	// CPU-heavy dynamic requests (1 ms modules) keep the pool busy.
 	pop := workload.MustStartPopulation(32, workload.ClientConfig{
-		Kernel: k,
+		Kernel: e.k,
 		Src:    netsim.Addr{IP: ClientNet + 1, Port: 1024},
 		Dst:    ServerAddr,
 		Kind:   httpsim.Module,

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"rescon/internal/httpsim"
 	"rescon/internal/metrics"
-	"rescon/internal/netsim"
-	"rescon/internal/rc"
 	"rescon/internal/sim"
-	"rescon/internal/workload"
 )
 
 // TailLatency is a modern re-reading of Fig. 11: the paper reports the
@@ -21,54 +17,11 @@ func TailLatency(opt Options) *metrics.Table {
 	t := metrics.NewTable("Extension: premium-client latency distribution at 35 low-priority clients (ms)",
 		"System", "mean", "p95", "p99", "max")
 	sums := runPoints(opt.Parallel, len(fig11Systems), func(i int) *metrics.Summary {
-		return tailPoint(fig11Systems[i], 35, opt)
+		return fig11Point(fig11Systems[i], 35, opt)
 	})
 	for i, sys := range fig11Systems {
 		s := sums[i]
 		t.AddRow(sys.name, s.Mean(), s.Quantile(0.95), s.Quantile(0.99), s.Max())
 	}
 	return t
-}
-
-// tailPoint runs one fig11-style configuration and returns the premium
-// client's latency summary.
-func tailPoint(sys fig11System, n int, opt Options) *metrics.Summary {
-	e := newEnv(sys.mode, opt)
-	srv, err := httpsim.NewServer(httpsim.Config{
-		Kernel: e.k, Name: "httpd", Addr: ServerAddr, API: sys.api,
-		PerConnContainers: sys.containers,
-		ConnPriority: func(a netsim.Addr) int {
-			if a.IP == HighPriorityIP {
-				return HighPriority
-			}
-			return LowPriority
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	if sys.premiumSocket {
-		hiCont := rc.MustNew(nil, rc.TimeShare, "premium",
-			rc.Attributes{Priority: HighPriority})
-		if _, err := srv.AddListener(netsim.Filter{Template: HighPriorityIP, MaskBits: 32}, hiCont); err != nil {
-			panic(err)
-		}
-	}
-	workload.MustStartPopulation(n, workload.ClientConfig{
-		Kernel: e.k,
-		Src:    netsim.Addr{IP: ClientNet + 1, Port: 1024},
-		Dst:    ServerAddr,
-		Think:  5 * sim.Millisecond,
-	})
-	high := workload.MustStartClient(workload.ClientConfig{
-		Kernel: e.k,
-		Src:    netsim.Addr{IP: HighPriorityIP, Port: 1024},
-		Dst:    ServerAddr,
-		Think:  5 * sim.Millisecond,
-	})
-	start := e.eng.Now()
-	e.eng.RunUntil(start.Add(opt.Warmup))
-	high.ResetStats()
-	e.eng.RunUntil(start.Add(opt.Warmup + opt.Window))
-	return &high.Latency
 }

@@ -540,24 +540,9 @@ func (k *Kernel) throttleSYN(pkt *netsim.Packet) {
 	if ls == nil {
 		return // no matching socket: packet dropped silently, as always
 	}
-	frac := k.Police.SYNFrac
-	if frac <= 0 {
-		frac = DefaultSYNPoliceFrac
-	}
-	if frac < 1 {
-		limit := int(frac * float64(ls.synQ.Cap()))
-		if limit < 1 {
-			limit = 1
-		}
-		if ls.EmbryonicCount() >= limit {
-			k.emitPktOver(trace.KindPolice, cont, pkt, "SYN throttled at interrupt level, embryonic over %d: %s", limit)
-			k.policedDrops++
-			if cont != nil {
-				cont.ChargeDrop()
-			}
-			ls.dropSYN(pkt.Src)
-			return
-		}
+	if limit, on := k.policeLimit(ls.synQ.Cap()); on && ls.EmbryonicCount() >= limit {
+		k.policeDrop(pkt, cont, ls, "SYN throttled at interrupt level, embryonic over %d: %s", limit)
+		return
 	}
 	k.cpu.RaiseInterrupt(intrWork{
 		label:           "intr+proto",
@@ -581,21 +566,32 @@ func (k *Kernel) policeDemux(pkt *netsim.Packet, proc *Process, cont *rc.Contain
 	if !k.Police.Enabled || proc.netQ == nil || pkt.Kind != netsim.SYN {
 		return false
 	}
+	limit, on := k.policeLimit(proc.netQ.backlog)
+	if !on || proc.netQ.backlogFor(cont) < limit {
+		return false
+	}
+	k.policeDrop(pkt, cont, ls, "policed, backlog over %d: %s", limit)
+	return true
+}
+
+// policeLimit returns the policing threshold for a queue of the given
+// capacity: SYNFrac of it (DefaultSYNPoliceFrac when unset), at least 1.
+// on is false when the fraction is 1 or more, which disables policing.
+func (k *Kernel) policeLimit(capacity int) (limit int, on bool) {
 	frac := k.Police.SYNFrac
 	if frac <= 0 {
 		frac = DefaultSYNPoliceFrac
 	}
 	if frac >= 1 {
-		return false
+		return 0, false
 	}
-	limit := int(frac * float64(proc.netQ.backlog))
-	if limit < 1 {
-		limit = 1
-	}
-	if proc.netQ.backlogFor(cont) < limit {
-		return false
-	}
-	k.emitPktOver(trace.KindPolice, cont, pkt, "policed, backlog over %d: %s", limit)
+	return max(int(frac*float64(capacity)), 1), true
+}
+
+// policeDrop refuses a connection request the policer found over limit:
+// it traces the drop with format, counts it, and charges it to cont.
+func (k *Kernel) policeDrop(pkt *netsim.Packet, cont *rc.Container, ls *ListenSocket, format string, limit int) {
+	k.emitPktOver(trace.KindPolice, cont, pkt, format, limit)
 	k.policedDrops++
 	if cont != nil {
 		cont.ChargeDrop()
@@ -603,7 +599,6 @@ func (k *Kernel) policeDemux(pkt *netsim.Packet, proc *Process, cont *rc.Contain
 	if ls != nil {
 		ls.dropSYN(pkt.Src)
 	}
-	return true
 }
 
 // route finds the destination process, charge container and (for SYNs)

@@ -24,6 +24,7 @@ package rc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"rescon/internal/sim"
@@ -98,14 +99,16 @@ type Attributes struct {
 	QoSWeight float64
 }
 
+// validate rejects out-of-range values. The range checks are written so
+// that NaN, which fails every comparison, falls outside them too.
 func (a Attributes) validate() error {
 	if a.Priority < 0 {
 		return fmt.Errorf("%w: negative priority %d", ErrBadAttributes, a.Priority)
 	}
-	if a.Share < 0 || a.Share > 1 {
+	if !(a.Share >= 0 && a.Share <= 1) {
 		return fmt.Errorf("%w: share %v outside [0,1]", ErrBadAttributes, a.Share)
 	}
-	if a.Limit < 0 || a.Limit > 1 {
+	if !(a.Limit >= 0 && a.Limit <= 1) {
 		return fmt.Errorf("%w: limit %v outside [0,1]", ErrBadAttributes, a.Limit)
 	}
 	if a.Limit > 0 && a.Share > a.Limit {
@@ -114,8 +117,8 @@ func (a Attributes) validate() error {
 	if a.MemLimit < 0 {
 		return fmt.Errorf("%w: negative memory limit", ErrBadAttributes)
 	}
-	if a.QoSWeight < 0 {
-		return fmt.Errorf("%w: negative QoS weight", ErrBadAttributes)
+	if !(a.QoSWeight >= 0) || math.IsInf(a.QoSWeight, 1) {
+		return fmt.Errorf("%w: QoS weight %v not finite and non-negative", ErrBadAttributes, a.QoSWeight)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package rc
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -64,6 +65,12 @@ func TestAttributeValidation(t *testing.T) {
 		{Share: 0.5, Limit: 0.3}, // share > limit
 		{MemLimit: -1},
 		{QoSWeight: -1},
+		// NaN fails every comparison, so it must not slip past the
+		// range checks.
+		{Share: math.NaN()},
+		{Limit: math.NaN()},
+		{QoSWeight: math.NaN()},
+		{QoSWeight: math.Inf(1)},
 	}
 	for i, a := range cases {
 		if _, err := New(nil, FixedShare, "bad", a); !errors.Is(err, ErrBadAttributes) {

@@ -48,12 +48,10 @@ type ClientConfig struct {
 
 	// BackoffBase enables exponential backoff between timeout retries:
 	// the i-th consecutive retry waits ~min(BackoffBase<<(i-1),
-	// BackoffMax), with uniform jitter in [d/2, d] so a retrying
+	// 16×BackoffBase), with uniform jitter in [d/2, d] so a retrying
 	// population desynchronizes instead of retransmitting in lockstep.
 	// Zero keeps the S-Client's immediate-retransmit behavior.
 	BackoffBase sim.Duration
-	// BackoffMax caps the backoff delay; zero means 16×BackoffBase.
-	BackoffMax sim.Duration
 	// MaxRetries abandons a request after this many consecutive timeouts
 	// (counted in GiveUps) and moves on to the next; zero retries
 	// forever.
@@ -252,10 +250,7 @@ func (c *Client) backoff() sim.Duration {
 	if base <= 0 {
 		return 0
 	}
-	cap := c.cfg.BackoffMax
-	if cap <= 0 {
-		cap = 16 * base
-	}
+	cap := 16 * base
 	d := base
 	for i := 1; i < c.attempts && d < cap; i++ {
 		d *= 2

@@ -61,8 +61,7 @@ func TestClientBackoffSpacesRetries(t *testing.T) {
 		Src:            kernel.Addr("10.1.0.1", 1024),
 		Dst:            srvAddr,
 		ConnectTimeout: 50 * sim.Millisecond,
-		BackoffBase:    100 * sim.Millisecond,
-		BackoffMax:     400 * sim.Millisecond,
+		BackoffBase:    25 * sim.Millisecond, // caps at 16× = 400ms
 	})
 	eng.RunUntil(sim.Time(5 * sim.Second))
 	if c.Retries.Value() == 0 {

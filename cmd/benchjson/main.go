@@ -116,6 +116,8 @@ var hotPaths = []struct{ pkg, name string }{
 	{"rescon/internal/rc", "BenchmarkSetAttributesChurn"},
 	{"rescon/internal/sched", "BenchmarkPick8Entities"},
 	{"rescon/internal/sched", "BenchmarkPickEventServer"},
+	{"rescon/internal/sched", "BenchmarkPickEventServerCapped"},
+	{"rescon/internal/sched", "BenchmarkPickWideBindings"},
 	{"rescon/internal/sim", "BenchmarkEventCancelFarFuture"},
 	{"rescon/internal/sim", "BenchmarkWheelChurn1MPending"},
 	{"rescon/internal/kernel", "BenchmarkConnCycle100kOpen"},

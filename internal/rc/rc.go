@@ -198,9 +198,9 @@ type Container struct {
 	Profile ProfileSlot
 
 	// SchedState is an opaque per-scheduler slot. The scheduler attaches
-	// its bookkeeping (decayed usage, budget) here so that the rc package
-	// need not know about any particular scheduling policy.
-	SchedState any
+	// its bookkeeping (usage, budget) here so that the rc package need not
+	// know about any particular scheduling policy.
+	SchedState SchedHook
 
 	// chain caches the ancestor path (the container itself first, then
 	// each parent up to the root). It is rebuilt lazily and invalidated —
@@ -223,13 +223,24 @@ type Container struct {
 // while the epoch is unchanged.
 func (c *Container) Epoch() uint64 { return c.epoch }
 
+// SchedHook is the scheduler's per-container state as the rc package
+// sees it: something to tell when the container changes.
+type SchedHook interface {
+	// Changed is called whenever the container's epoch advances: its
+	// attributes, a link on its ancestor path, or its liveness changed.
+	Changed()
+}
+
 // bumpSubtree invalidates ancestor-derived caches for c and every
-// descendant. Called on topology and attribute changes, which are
-// control-plane operations — the cost is a subtree walk, paid only when
-// the hierarchy actually changes.
+// descendant, and tells each one's scheduler state. Called on topology
+// and attribute changes, which are control-plane operations — the cost
+// is a subtree walk, paid only when the hierarchy actually changes.
 func (c *Container) bumpSubtree() {
 	c.chain = nil
 	c.epoch++
+	if c.SchedState != nil {
+		c.SchedState.Changed()
+	}
 	for _, kid := range c.children {
 		kid.bumpSubtree()
 	}

@@ -18,14 +18,27 @@ const DefaultWindow = 20 * sim.Millisecond
 // kernel prunes the scheduler binding periodically).
 const DefaultPruneAge = 100 * sim.Millisecond
 
+// rebaseAfter is how far the clock may run past the scaled-usage base
+// before the scheduler rebases: e^600 is about 4e260, so scaled usage
+// stays finite for any usage a simulation can charge.
+const rebaseAfter = 600 * sim.Second
+
+// never is a prune deadline that never passes.
+const never = sim.Time(math.MaxInt64)
+
 // cstate is the scheduler's per-container bookkeeping, stored in the
 // container's SchedState slot. There is one per container, so one per
 // connection under per-connection containers: keep it within 64 bytes
 // (TestCStateSize).
 type cstate struct {
-	decayed   float64      // decayed CPU usage of this leaf, in seconds
-	lastDecay sim.Time     // last decay application
-	snapshot  sim.Duration // subtree CPU usage at the start of the window
+	sched *ContainerScheduler // told of every change to the container
+	// scaled is the leaf's time-invariant usage: the CPU seconds charged
+	// to it, each scaled by e^{(t−T₀)/τ} for its charge time t and the
+	// scheduler's base T₀. Its decayed usage at now is
+	// scaled·e^{−(now−T₀)/τ}; at any one now that factor is common to
+	// every leaf, so scaled orders leaves as decayed usage does.
+	scaled   float64
+	snapshot sim.Duration // subtree CPU usage at the start of the window
 
 	// Cached attribute aggregates over the ancestor chain, so the Pick
 	// path does not recompute O(depth²) products or walk the chain on
@@ -39,6 +52,11 @@ type cstate struct {
 	effShare    float64      // guaranteed machine fraction (0 when no own share)
 	weight      float64      // time-sharing weight (see weight)
 }
+
+// Changed implements rc.SchedHook: any attribute, topology or liveness
+// change may change an entity's class or key, so every entity cache of
+// the scheduler goes stale.
+func (st *cstate) Changed() { st.sched.epoch++ }
 
 // ContainerScheduler schedules threads by the attributes and usage of the
 // resource containers in their scheduler bindings (§4.3). It implements
@@ -61,15 +79,18 @@ type ContainerScheduler struct {
 	sawThrottled bool
 	policy       LeafPolicy
 	rng          *sim.RNG
-	// decayDt and decayFactor memoise the last two decay intervals
-	// computed and their factors, newest first (see decayFactorOf).
-	decayDt     [2]sim.Duration
-	decayFactor [2]float64
+	// base is T₀ of the scaled usage (see cstate.scaled).
+	base sim.Time
+	// epoch advances on every container change (cstate.Changed) and
+	// every rebase; an entity's Pick cache holds only under the epoch it
+	// was filled in.
+	epoch uint64
 }
 
 // NewContainerScheduler returns a uniprocessor container scheduler.
 func NewContainerScheduler() *ContainerScheduler {
-	return &ContainerScheduler{Capacity: 1}
+	// Epoch 0 marks an empty entity cache, so the scheduler starts at 1.
+	return &ContainerScheduler{Capacity: 1, epoch: 1}
 }
 
 // Register implements Scheduler.
@@ -86,7 +107,7 @@ func (s *ContainerScheduler) state(c *rc.Container) *cstate {
 	if st, ok := c.SchedState.(*cstate); ok {
 		return st
 	}
-	st := &cstate{snapshot: c.Usage().CPU(), lastDecay: s.windowStart}
+	st := &cstate{sched: s, snapshot: c.Usage().CPU()}
 	c.SchedState = st
 	s.registered = append(s.registered, c)
 	return st
@@ -235,31 +256,36 @@ func weight(c *rc.Container) float64 {
 	return 0
 }
 
-// decay applies lazy exponential decay to a leaf's state and returns its
-// decayed usage.
-func (s *ContainerScheduler) decay(st *cstate, now sim.Time) float64 {
-	if now > st.lastDecay {
-		st.decayed *= s.decayFactorOf(now.Sub(st.lastDecay))
-		st.lastDecay = now
+// rebase moves the scaled-usage base to now once the clock has run
+// rebaseAfter past it, rescaling every registered container's usage, so
+// that e^{(now−T₀)/τ} never overflows. Every entity cache goes stale:
+// its key is in the old unit.
+func (s *ContainerScheduler) rebase(now sim.Time) {
+	if now.Sub(s.base) < rebaseAfter {
+		return
 	}
-	return st.decayed
+	// Every charge was scaled by less than e^{rebaseAfter/τ}, so the
+	// first factor brings usage back to at most the seconds charged. One
+	// factor e^{−(now−T₀)/τ} would be 0 past 745 s and lose usage that
+	// has not yet decayed out of range.
+	f := math.Exp(-rebaseAfter.Seconds() / decayTau.Seconds())
+	g := math.Exp(-(now.Sub(s.base) - rebaseAfter).Seconds() / decayTau.Seconds())
+	for _, c := range s.registered {
+		st := s.state(c)
+		st.scaled = st.scaled * f * g
+	}
+	s.base = now
+	s.epoch++
 }
 
-// decayFactorOf returns the decay factor for an interval. The decays of
-// one Pick mostly share one of two intervals: the leaves were last
-// decayed together, except the one just charged. The same interval always
-// gives the same factor, so memoising the last two changes no result.
-func (s *ContainerScheduler) decayFactorOf(dt sim.Duration) float64 {
-	switch dt {
-	case s.decayDt[0]:
-		return s.decayFactor[0]
-	case s.decayDt[1]:
-		return s.decayFactor[1]
+// leafKey returns the class and in-class key of an eligible time-share
+// leaf: its scaled usage over its weight, or the idle class keyed by its
+// scaled usage alone.
+func leafKey(st *cstate) (schedClass, float64) {
+	if st.weight > 0 {
+		return classNormal, st.scaled / st.weight
 	}
-	f := math.Exp(-dt.Seconds() / decayTau.Seconds())
-	s.decayDt[0], s.decayDt[1] = dt, s.decayDt[0]
-	s.decayFactor[0], s.decayFactor[1] = f, s.decayFactor[0]
-	return f
+	return classIdle, st.scaled
 }
 
 // schedClass orders candidate entities: guarantee-deficit first, then
@@ -278,7 +304,13 @@ const (
 type verdict struct {
 	cls     schedClass
 	deficit sim.Duration // largest guarantee deficit (guarantee class)
-	key     float64      // smallest decayed-usage key (normal/idle class)
+	key     float64      // smallest scaled-usage key (normal/idle class)
+	leaf    *cstate      // the leaf that gave key
+	// nocache is set when the verdict cannot be cached: a considered
+	// container has a limit or a share on its ancestor path, so its class
+	// depends on the window, or the binding was empty, and a later Bind
+	// replaces the fallback instead of joining it.
+	nocache bool
 }
 
 func newVerdict() verdict { return verdict{cls: classNone, key: math.Inf(1)} }
@@ -290,6 +322,7 @@ func (s *ContainerScheduler) consider(v *verdict, c *rc.Container, now sim.Time)
 		return
 	}
 	st := s.attrs(c)
+	v.nocache = v.nocache || st.chainCapped || st.chainShared
 	if st.chainCapped && s.throttled(c) {
 		return
 	}
@@ -300,43 +333,86 @@ func (s *ContainerScheduler) consider(v *verdict, c *rc.Container, now sim.Time)
 			return
 		}
 	}
-	cls, k := classIdle, s.decay(st, now)
-	if st.weight > 0 {
-		cls, k = classNormal, k/st.weight
-	}
+	cls, k := leafKey(st)
 	v.cls = min(v.cls, cls)
 	if k < v.key {
-		v.key = k
+		v.key, v.leaf = k, st
+	}
+}
+
+// result returns the verdict's class and key (guarantee: larger deficit
+// wins; normal/idle: smaller key wins).
+func (v *verdict) result() (schedClass, float64) {
+	switch v.cls {
+	case classGuarantee:
+		return v.cls, -v.deficit.Seconds() // negate: smaller key = bigger deficit
+	case classNormal, classIdle:
+		return v.cls, v.key
+	default:
+		return classNone, 0
 	}
 }
 
 // considerBinding folds the entity's scheduler binding (or its fallback,
 // when the binding is empty) into v. With checkKeep set it stops at the
-// first entry prune would drop and reports false.
+// first entry prune would drop and reports false; when it gets through,
+// prune has nothing to do, and it records until when that holds.
 func (s *ContainerScheduler) considerBinding(v *verdict, e *Entity, now sim.Time, checkKeep bool) bool {
 	if len(e.binding) == 0 {
 		if e.Fallback == nil || e.Fallback.Destroyed() {
 			panic(fmt.Sprintf("sched: runnable entity %v has an empty scheduler binding and no fallback; the kernel must bind threads to a container", e))
 		}
 		s.consider(v, e.Fallback, now)
-		return true
+		v.nocache = true
 	}
+	by := never
 	for _, b := range e.binding {
-		if checkKeep && !s.keep(e, b, now) {
-			return false
+		if checkKeep {
+			if !s.keep(e, b, now) {
+				return false
+			}
+			by = s.pruneDeadline(e, b, by)
 		}
 		s.consider(v, b.c, now)
+	}
+	if checkKeep {
+		e.pruneEpoch, e.pruneBy = s.epoch, by
 	}
 	return true
 }
 
-// evaluate classifies an entity and computes its in-class key
-// (guarantee: larger deficit wins; normal/idle: smaller key wins). With
-// prune set it first prunes the scheduler binding, folded into the same
-// pass: the scan checks each entry against prune's rule, and only on the
-// first entry that fails does it prune and start over. Considering the
-// entries before it again is exact: they are already decayed to now, and
-// every other effect of consider is idempotent.
+// pruned reports whether prune would drop nothing from e's binding at
+// now: nothing changed since it last checked, and no entry has aged out.
+func (s *ContainerScheduler) pruned(e *Entity, now sim.Time) bool {
+	return e.pruneEpoch == s.epoch && now <= e.pruneBy
+}
+
+// pruneDeadline folds entry b into by, the earliest time at which prune
+// could drop an entry of e's binding.
+func (s *ContainerScheduler) pruneDeadline(e *Entity, b bindingEntry, by sim.Time) sim.Time {
+	if s.DisablePruning || b.c == e.Resource {
+		return by
+	}
+	return min(by, b.last.Add(DefaultPruneAge))
+}
+
+// evaluate classifies an entity and computes its in-class key. With
+// prune set it first prunes the scheduler binding.
+//
+// An entity without a DynamicBinding keeps its class and key from the
+// last evaluation when no container of its binding has a limit or a
+// share on its ancestor path: scaled usage only changes when charged, so
+// the key holds until the leaf that gave it is charged, the binding
+// changes (Bind folds a new leaf in, prune invalidates), prune could
+// drop an entry, or the scheduler's epoch moves (a container change or
+// a rebase). When only the leaf was charged, one pass refills it
+// without pruning.
+//
+// Otherwise pruning is folded into the evaluation pass: the scan checks
+// each entry against prune's rule, and only on the first entry that
+// fails does it prune and start over. Considering the entries before it
+// again is exact: consider's only effect beyond the verdict, filling
+// attribute caches, is idempotent.
 func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (schedClass, float64) {
 	v := newVerdict()
 	if e.DynamicBinding != nil {
@@ -354,24 +430,31 @@ func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (sche
 		if e.Resource != nil {
 			s.consider(&v, e.Resource, now)
 		}
-	} else if !s.considerBinding(&v, e, now, prune) {
+		return v.result()
+	}
+	fresh := s.pruned(e, now)
+	if fresh && e.keyEpoch == s.epoch && e.keyLeaf.scaled == e.keyScaled {
+		return e.keyCls, e.key
+	}
+	if fresh || !prune {
+		s.considerBinding(&v, e, now, false)
+	} else if !s.considerBinding(&v, e, now, true) {
 		s.prune(e, now)
 		v = newVerdict()
 		s.considerBinding(&v, e, now, false)
 	}
-	switch v.cls {
-	case classGuarantee:
-		return v.cls, -v.deficit.Seconds() // negate: smaller key = bigger deficit
-	case classNormal, classIdle:
-		return v.cls, v.key
-	default:
-		return classNone, 0
+	e.keyEpoch = 0
+	if !v.nocache && v.leaf != nil && s.pruned(e, now) {
+		e.keyEpoch, e.keyCls, e.key = s.epoch, v.cls, v.key
+		e.keyLeaf, e.keyScaled = v.leaf, v.leaf.scaled
 	}
+	return v.result()
 }
 
 // Pick implements Scheduler.
 func (s *ContainerScheduler) Pick(now sim.Time) *Entity {
 	s.rollWindow(now)
+	s.rebase(now)
 	s.sawThrottled = false
 	// Candidate order matters: the near-equal-key tie-break is not
 	// transitive, so the scan runs in registration (seq) order.
@@ -424,7 +507,7 @@ func (s *ContainerScheduler) lotteryNormal(now sim.Time) *Entity {
 	return s.lotteryPick(cands, tickets)
 }
 
-// Charge implements Scheduler: decayed usage lands on the charged leaf
+// Charge implements Scheduler: scaled usage lands on the charged leaf
 // container. Window usage and cap budgets need no update here — they are
 // derived from the container's own accounting (rc.ChargeCPU), which the
 // kernel performs for every slice.
@@ -433,9 +516,8 @@ func (s *ContainerScheduler) Charge(e *Entity, c *rc.Container, d sim.Duration, 
 		return
 	}
 	s.registerChain(c)
-	st := s.state(c)
-	s.decay(st, now)
-	st.decayed += d.Seconds()
+	s.rebase(now)
+	s.state(c).scaled += d.Seconds() * math.Exp(now.Sub(s.base).Seconds()/decayTau.Seconds())
 }
 
 // Bind implements Scheduler: the entity's resource binding moves to c and
@@ -446,30 +528,62 @@ func (s *ContainerScheduler) Bind(e *Entity, c *rc.Container, now sim.Time) {
 	if c == nil {
 		panic("sched: Bind to nil container")
 	}
+	old := e.Resource
 	e.Resource = c
 	s.registerChain(c)
-	for i := range e.binding {
-		if e.binding[i].c == c {
-			e.binding[i].last = now
-			s.prune(e, now)
-			return
+	found, aged := false, old == c
+	for i := 0; i < len(e.binding) && !(found && aged); i++ {
+		switch b := &e.binding[i]; b.c {
+		case c:
+			b.last, found = now, true
+		case old:
+			// No longer the resource binding, so it may age out.
+			e.pruneBy, aged = s.pruneDeadline(e, *b, e.pruneBy), true
 		}
 	}
-	e.binding = append(e.binding, bindingEntry{c: c, last: now})
+	if !found {
+		e.binding = append(e.binding, bindingEntry{c: c, last: now})
+		s.foldKey(e, c)
+	}
 	s.prune(e, now)
+}
+
+// foldKey folds a container just added to e's scheduler binding into the
+// entity's cached key, if it has one: the key is a minimum, so one more
+// leaf needs one comparison.
+func (s *ContainerScheduler) foldKey(e *Entity, c *rc.Container) {
+	if e.keyEpoch != s.epoch {
+		return
+	}
+	st := s.attrs(c)
+	if st.chainCapped || st.chainShared || c.Destroyed() {
+		e.keyEpoch = 0
+		return
+	}
+	cls, k := leafKey(st)
+	e.keyCls = min(e.keyCls, cls)
+	if k < e.key {
+		e.key, e.keyLeaf, e.keyScaled = k, st, st.scaled
+	}
 }
 
 // prune drops scheduler-binding entries the thread has not served
 // recently, and destroyed containers. The current resource binding is
-// always kept.
+// always kept. It returns at once while no entry can have aged out.
 func (s *ContainerScheduler) prune(e *Entity, now sim.Time) {
-	i := 0
-	for i < len(e.binding) && s.keep(e, e.binding[i], now) {
-		i++
+	if s.pruned(e, now) {
+		return
 	}
+	by := never
+	i := 0
+	for ; i < len(e.binding) && s.keep(e, e.binding[i], now); i++ {
+		by = s.pruneDeadline(e, e.binding[i], by)
+	}
+	e.pruneEpoch = s.epoch
 	if i == len(e.binding) {
 		// Nothing to drop. Leave the entries unwritten: rewriting them in
 		// place would cost a GC write barrier per entry on every Pick.
+		e.pruneBy = by
 		return
 	}
 	kept := e.binding[:i]
@@ -483,6 +597,7 @@ func (s *ContainerScheduler) prune(e *Entity, now sim.Time) {
 		}
 		if s.keep(e, b, now) {
 			kept = append(kept, b)
+			by = s.pruneDeadline(e, b, by)
 		}
 	}
 	if len(kept) == 0 && newest.c != nil {
@@ -492,8 +607,11 @@ func (s *ContainerScheduler) prune(e *Entity, now sim.Time) {
 		// Only a scan from the first entry can get here, so newest is
 		// the newest live entry of the whole binding.
 		kept = append(kept, newest)
+		by = s.pruneDeadline(e, newest, by)
 	}
 	e.binding = kept
+	e.pruneBy = by
+	e.keyEpoch = 0
 }
 
 // keep reports whether prune keeps a scheduler-binding entry.
@@ -509,6 +627,7 @@ func (s *ContainerScheduler) keep(e *Entity, b bindingEntry, now sim.Time) bool 
 // ResetBinding implements Scheduler (§4.6): the scheduler binding
 // collapses to the current resource binding only.
 func (s *ContainerScheduler) ResetBinding(e *Entity) {
+	e.pruneEpoch, e.keyEpoch = 0, 0
 	if e.Resource == nil {
 		e.binding = e.binding[:0]
 		return

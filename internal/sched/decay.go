@@ -22,7 +22,8 @@ const niceUnit = 0.05
 // whatever principal was running (see kernel.CPU), reproducing the
 // misaccounting of paper §3.2/§5.6.
 type DecayScheduler struct {
-	set entitySet
+	set   entitySet
+	decay decayMemo
 }
 
 // NewDecayScheduler returns a baseline scheduler.
@@ -44,18 +45,41 @@ func (s *DecayScheduler) Unregister(e *Entity) { s.set.unregister(e) }
 // SetRunnable implements Scheduler.
 func (s *DecayScheduler) SetRunnable(e *Entity, runnable bool) { s.set.setRunnable(e, runnable) }
 
-func (p *ProcPrincipal) decay(now sim.Time) {
+// decayMemo memoises the decay factors of the last two intervals,
+// newest first. The decays of one Pick mostly share one of two
+// intervals: the principals were last decayed together, except the one
+// just charged. The same interval always gives the same factor, so the
+// memo changes no result.
+type decayMemo struct {
+	dt     [2]sim.Duration
+	factor [2]float64
+}
+
+// of returns the decay factor of an interval dt > 0.
+func (m *decayMemo) of(dt sim.Duration) float64 {
+	switch dt {
+	case m.dt[0]:
+		return m.factor[0]
+	case m.dt[1]:
+		return m.factor[1]
+	}
+	f := math.Exp(-dt.Seconds() / decayTau.Seconds())
+	m.dt[0], m.dt[1] = dt, m.dt[0]
+	m.factor[0], m.factor[1] = f, m.factor[0]
+	return f
+}
+
+func (p *ProcPrincipal) decay(now sim.Time, m *decayMemo) {
 	if now <= p.lastDecay {
 		return
 	}
-	dt := now.Sub(p.lastDecay)
-	p.decayed *= math.Exp(-dt.Seconds() / decayTau.Seconds())
+	p.decayed *= m.of(now.Sub(p.lastDecay))
 	p.lastDecay = now
 }
 
 // key is the scheduling key: lower runs first.
-func (p *ProcPrincipal) key(now sim.Time) float64 {
-	p.decay(now)
+func (p *ProcPrincipal) key(now sim.Time, m *decayMemo) float64 {
+	p.decay(now, m)
 	return p.decayed + float64(p.Nice)*niceUnit
 }
 
@@ -69,7 +93,7 @@ func (s *DecayScheduler) Pick(now sim.Time) *Entity {
 		if e.onCPU {
 			continue
 		}
-		k := e.Proc.key(now)
+		k := e.Proc.key(now, &s.decay)
 		if best == nil || less(k, e, bestKey, best) {
 			best, bestKey = e, k
 		}
@@ -101,7 +125,7 @@ func less(k float64, e *Entity, bk float64, be *Entity) bool {
 // no container principals.
 func (s *DecayScheduler) Charge(e *Entity, _ *rc.Container, d sim.Duration, now sim.Time) {
 	p := e.Proc
-	p.decay(now)
+	p.decay(now, &s.decay)
 	p.decayed += d.Seconds()
 	p.total += d
 }

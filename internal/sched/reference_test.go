@@ -13,13 +13,37 @@ import (
 // shortcuts: every evaluation walks each binding container's whole
 // ancestor chain for limits and shares, recomputes the budgets and
 // shares from the attributes, reads the weight from the attributes,
-// computes every decay factor afresh and prunes in a pass of its own. It
-// shares the embedded scheduler's window and registration state, and
-// TestPickMatchesReference drives it beside a ContainerScheduler over a
-// twin container tree.
-type refScheduler struct{ *ContainerScheduler }
+// keeps each leaf's usage decayed to the last time it was read, computing
+// every decay factor afresh, caches no entity's key and prunes in a pass
+// of its own. It shares the embedded scheduler's window and registration
+// state, and TestPickMatchesReference drives it beside a
+// ContainerScheduler over a twin container tree.
+type refScheduler struct {
+	*ContainerScheduler
+	usage map[*rc.Container]*refUsage
+	// base is the scheduler's key unit: pick compares decayed usage
+	// scaled by e^{(now−base)/τ}, and base moves to now on the
+	// scheduler's rebase rule.
+	base sim.Time
+}
 
-func (s refScheduler) capBudget(c *rc.Container) sim.Duration {
+// refUsage is a leaf's decayed CPU usage in seconds, as of last.
+type refUsage struct {
+	decayed float64
+	last    sim.Time
+}
+
+func newRefScheduler(s *ContainerScheduler) *refScheduler {
+	return &refScheduler{ContainerScheduler: s, usage: map[*rc.Container]*refUsage{}}
+}
+
+func (s *refScheduler) rebase(now sim.Time) {
+	if now.Sub(s.base) >= rebaseAfter {
+		s.base = now
+	}
+}
+
+func (s *refScheduler) capBudget(c *rc.Container) sim.Duration {
 	l := c.Attributes().Limit
 	if l <= 0 {
 		return -1
@@ -33,7 +57,7 @@ func (s refScheduler) capBudget(c *rc.Container) sim.Duration {
 	return sim.Duration(l * parentFrac * float64(DefaultWindow) * float64(s.Capacity))
 }
 
-func (s refScheduler) effShare(c *rc.Container) float64 {
+func (s *refScheduler) effShare(c *rc.Container) float64 {
 	f := c.Attributes().Share
 	if f <= 0 {
 		return 0
@@ -46,7 +70,7 @@ func (s refScheduler) effShare(c *rc.Container) float64 {
 	return f
 }
 
-func (s refScheduler) throttled(c *rc.Container) bool {
+func (s *refScheduler) throttled(c *rc.Container) bool {
 	for _, p := range c.Ancestors() {
 		s.state(p)
 		b := s.capBudget(p)
@@ -57,7 +81,7 @@ func (s refScheduler) throttled(c *rc.Container) bool {
 	return false
 }
 
-func (s refScheduler) pathDeficit(c *rc.Container, now sim.Time) sim.Duration {
+func (s *refScheduler) pathDeficit(c *rc.Container, now sim.Time) sim.Duration {
 	elapsed := now.Sub(s.windowStart)
 	var max sim.Duration
 	for _, p := range c.Ancestors() {
@@ -73,16 +97,20 @@ func (s refScheduler) pathDeficit(c *rc.Container, now sim.Time) sim.Duration {
 	return max
 }
 
-func (s refScheduler) decayed(c *rc.Container, now sim.Time) float64 {
-	st := s.state(c)
-	if now > st.lastDecay {
-		st.decayed *= math.Exp(-now.Sub(st.lastDecay).Seconds() / decayTau.Seconds())
-		st.lastDecay = now
+func (s *refScheduler) decayed(c *rc.Container, now sim.Time) float64 {
+	u := s.usage[c]
+	if u == nil {
+		u = &refUsage{last: now}
+		s.usage[c] = u
 	}
-	return st.decayed
+	if now > u.last {
+		u.decayed *= math.Exp(-now.Sub(u.last).Seconds() / decayTau.Seconds())
+		u.last = now
+	}
+	return u.decayed
 }
 
-func (s refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
+func (s *refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
 	cls := classNone
 	bestDeficit := sim.Duration(0)
 	bestKey := math.Inf(1)
@@ -129,7 +157,7 @@ func (s refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
 	return classNone, 0
 }
 
-func (s refScheduler) prune(e *Entity, now sim.Time) {
+func (s *refScheduler) prune(e *Entity, now sim.Time) {
 	keep := func(b bindingEntry) bool {
 		if b.c.Destroyed() {
 			return false
@@ -155,7 +183,7 @@ func (s refScheduler) prune(e *Entity, now sim.Time) {
 	e.binding = kept
 }
 
-func (s refScheduler) bind(e *Entity, c *rc.Container, now sim.Time) {
+func (s *refScheduler) bind(e *Entity, c *rc.Container, now sim.Time) {
 	e.Resource = c
 	s.registerChain(c)
 	found := false
@@ -170,15 +198,18 @@ func (s refScheduler) bind(e *Entity, c *rc.Container, now sim.Time) {
 	s.prune(e, now)
 }
 
-func (s refScheduler) charge(c *rc.Container, d sim.Duration, now sim.Time) {
+func (s *refScheduler) charge(c *rc.Container, d sim.Duration, now sim.Time) {
 	s.registerChain(c)
+	s.rebase(now)
 	s.decayed(c, now)
-	s.state(c).decayed += d.Seconds()
+	s.usage[c].decayed += d.Seconds()
 }
 
-func (s refScheduler) pick(now sim.Time) *Entity {
+func (s *refScheduler) pick(now sim.Time) *Entity {
 	s.rollWindow(now)
+	s.rebase(now)
 	s.sawThrottled = false
+	scale := math.Exp(now.Sub(s.base).Seconds() / decayTau.Seconds())
 	var best *Entity
 	bestClass := classNone
 	var bestKey float64
@@ -191,6 +222,9 @@ func (s refScheduler) pick(now sim.Time) *Entity {
 		if cls == classNone {
 			s.sawThrottled = true
 			continue
+		}
+		if cls != classGuarantee {
+			key *= scale
 		}
 		if best == nil || cls < bestClass || (cls == bestClass && less(key, e, bestKey, best)) {
 			best, bestClass, bestKey = e, cls, key
@@ -222,7 +256,7 @@ func (s refScheduler) pick(now sim.Time) *Entity {
 	return best
 }
 
-func (s refScheduler) tickets(e *Entity) float64 {
+func (s *refScheduler) tickets(e *Entity) float64 {
 	best := 0.0
 	consider := func(c *rc.Container) {
 		if c != nil && !c.Destroyed() && !s.throttled(c) {
@@ -245,7 +279,7 @@ func (s refScheduler) tickets(e *Entity) float64 {
 	return best
 }
 
-func (s refScheduler) sliceBudget(c *rc.Container, now sim.Time) sim.Duration {
+func (s *refScheduler) sliceBudget(c *rc.Container, now sim.Time) sim.Duration {
 	s.rollWindow(now)
 	budget := DefaultQuantum
 	for _, p := range c.Ancestors() {
@@ -289,10 +323,36 @@ type differential struct {
 	rng      *sim.RNG
 	fast     twinWorld
 	ref      twinWorld
-	pending  []int // container indices the network entity has work for
+	refs     *refScheduler // the reference policy over ref's scheduler
+	pending  []int         // container indices the network entity has work for
 	fallback map[int]bool
 	now      sim.Time
 	step     int
+	// jumps makes some time steps hundreds of virtual seconds long, so
+	// the run crosses rebases; rebases counts them.
+	jumps   bool
+	rebases int
+}
+
+// keyTolerance is how far, relatively, a normal- or idle-class key in
+// decayed seconds may stray from the reference's. The scheduler's scaled
+// usage is a sum of charges each scaled once; the reference decays a
+// running sum at every read, so the two round differently. Keys below
+// keyFloor decayed seconds are usage that decayed into the subnormal
+// range, where no relative bound holds; they compare as equal.
+const (
+	keyTolerance = 1e-9
+	keyFloor     = 1e-300
+)
+
+// decayedKey converts a normal- or idle-class key from the scheduler's
+// scaled unit to decayed seconds per unit weight.
+func (s *ContainerScheduler) decayedKey(key float64, now sim.Time) float64 {
+	return key * math.Exp(-now.Sub(s.base).Seconds()/decayTau.Seconds())
+}
+
+func keysAgree(a, b float64) bool {
+	return math.Abs(a-b) <= keyTolerance*max(math.Abs(a), math.Abs(b))+keyFloor
 }
 
 func (d *differential) fatalf(format string, args ...any) {
@@ -367,12 +427,15 @@ func (d *differential) op() {
 		case 1:
 			dt += DefaultPruneAge
 		}
+		if d.jumps && d.rng.Intn(2) == 0 {
+			dt += sim.Duration(100+d.rng.Intn(300)) * sim.Second
+		}
 		d.now = d.now.Add(dt)
 	case r < 40: // a thread serves a container
 		e := d.rng.Intn(len(d.fast.ents))
 		if i, ok := d.liveContainer(); ok {
 			d.fast.s.Bind(d.fast.ents[e], d.fast.conts[i], d.now)
-			refScheduler{d.ref.s}.bind(d.ref.ents[e], d.ref.conts[i], d.now)
+			d.refs.bind(d.ref.ents[e], d.ref.conts[i], d.now)
 		}
 	case r < 60: // a slice runs and is charged to the thread's resource binding
 		e := d.rng.Intn(len(d.fast.ents))
@@ -381,7 +444,7 @@ func (d *differential) op() {
 		cf.ChargeCPU(rc.UserCPU, dur)
 		cr.ChargeCPU(rc.UserCPU, dur)
 		d.fast.s.Charge(d.fast.ents[e], cf, dur, d.now)
-		refScheduler{d.ref.s}.charge(cr, dur, d.now)
+		d.refs.charge(cr, dur, d.now)
 	case r < 72: // attributes change, on a leaf or an ancestor
 		i, ok := d.liveContainer()
 		if !ok {
@@ -430,7 +493,14 @@ func (d *differential) op() {
 // container's slice budget.
 func (d *differential) check() {
 	d.t.Helper()
-	pf, pr := d.fast.s.Pick(d.now), refScheduler{d.ref.s}.pick(d.now)
+	base := d.fast.s.base
+	pf, pr := d.fast.s.Pick(d.now), d.refs.pick(d.now)
+	if d.fast.s.base != base {
+		d.rebases++
+	}
+	if d.fast.s.base != d.refs.base {
+		d.fatalf("usage base %v, reference %v", d.fast.s.base, d.refs.base)
+	}
 	if (pf == nil) != (pr == nil) || (pf != nil && pf.ID != pr.ID) {
 		d.fatalf("picked %v, reference picked %v", pf, pr)
 	}
@@ -442,9 +512,16 @@ func (d *differential) check() {
 	for i, ef := range d.fast.ents {
 		er := d.ref.ents[i]
 		cf, kf := d.fast.s.evaluate(ef, d.now, true)
-		refScheduler{d.ref.s}.prune(er, d.now)
-		cr, kr := refScheduler{d.ref.s}.evaluate(er, d.now)
-		if cf != cr || math.Float64bits(kf) != math.Float64bits(kr) {
+		d.refs.prune(er, d.now)
+		cr, kr := d.refs.evaluate(er, d.now)
+		if math.IsInf(kf, 0) || math.IsNaN(kf) {
+			d.fatalf("entity %d: class %d key %v is not finite", i, cf, kf)
+		}
+		agree := math.Float64bits(kf) == math.Float64bits(kr)
+		if cf == classNormal || cf == classIdle {
+			agree = keysAgree(d.fast.s.decayedKey(kf, d.now), kr)
+		}
+		if cf != cr || !agree {
 			d.fatalf("entity %d: class %d key %v, reference class %d key %v", i, cf, kf, cr, kr)
 		}
 		if len(ef.binding) != len(er.binding) {
@@ -458,7 +535,7 @@ func (d *differential) check() {
 	}
 	for i, c := range d.fast.conts {
 		bf := d.fast.s.SliceBudget(c, d.now)
-		if br := (refScheduler{d.ref.s}).sliceBudget(d.ref.conts[i], d.now); bf != br {
+		if br := d.refs.sliceBudget(d.ref.conts[i], d.now); bf != br {
 			d.fatalf("container %d: slice budget %v, reference %v", i, bf, br)
 		}
 	}
@@ -478,6 +555,7 @@ func newDifferential(t *testing.T, seed int64) *differential {
 		}
 		w.index = map[*rc.Container]int{}
 	}
+	d.refs = newRefScheduler(d.ref.s)
 	for n := 6 + d.rng.Intn(14); n > 0; n-- {
 		d.addContainer()
 	}
@@ -508,20 +586,38 @@ func newDifferential(t *testing.T, seed int64) *differential {
 			w.ents = append(w.ents, ent)
 		}
 		d.fast.s.Bind(d.fast.ents[e], d.fast.conts[first], 0)
-		refScheduler{d.ref.s}.bind(d.ref.ents[e], d.ref.conts[first], 0)
+		d.refs.bind(d.ref.ents[e], d.ref.conts[first], 0)
 	}
 	return d
 }
 
 // TestPickMatchesReference is the differential test of the Pick path's
-// shortcuts (chain flags and weight cached under the rc epoch, the
-// two-slot decay memo, prune folded into evaluate): over seeded random
-// trees and operation sequences — binds, charges, attribute changes on
-// leaves and ancestors, reparenting, releases, time steps across the
-// window and the pruning age — every decision must match refScheduler
-// bit for bit.
+// shortcuts (chain flags and weight cached under the rc epoch,
+// time-invariant scaled usage, the per-entity key cache, prune folded
+// into evaluate and skipped while nothing can age out): over seeded
+// random trees and operation sequences — binds, charges, attribute
+// changes on leaves and ancestors, reparenting, releases, time steps
+// across the window and the pruning age — every decision must match
+// refScheduler: the same pick, next release, classes, bindings and slice
+// budgets, and keys within keyTolerance once converted to decayed
+// seconds.
 func TestPickMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 150; seed++ {
 		newDifferential(t, seed).run(300)
+	}
+}
+
+// TestPickMatchesReferenceAcrossRebase runs the differential test with
+// time steps of hundreds of virtual seconds mixed in, so that every run
+// crosses at least five rebases of the scaled usage; every key must stay
+// finite and every decision match the reference across them.
+func TestPickMatchesReferenceAcrossRebase(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		d := newDifferential(t, seed)
+		d.jumps = true
+		d.run(400)
+		if d.rebases < 5 {
+			t.Fatalf("seed %d: %d rebases in %v, want at least 5", seed, d.rebases, d.now)
+		}
 	}
 }

@@ -78,6 +78,20 @@ type Entity struct {
 	// binding is the scheduler binding (§4.3): the containers the thread
 	// has recently had a resource binding to, with last-bound times.
 	binding []bindingEntry
+
+	// The container scheduler's Pick cache (see ContainerScheduler.evaluate),
+	// valid only while the scheduler's epoch equals the epoch it was
+	// filled under. pruneBy is the earliest time prune could drop an
+	// entry of the binding.
+	pruneEpoch uint64
+	pruneBy    sim.Time
+	// keyCls and key are the entity's class and key, and keyLeaf the
+	// binding leaf that gave the key, whose scaled usage was keyScaled.
+	keyEpoch  uint64
+	keyCls    schedClass
+	key       float64
+	keyLeaf   *cstate
+	keyScaled float64
 }
 
 type bindingEntry struct {

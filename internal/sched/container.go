@@ -81,6 +81,11 @@ type ContainerScheduler struct {
 	rng          *sim.RNG
 	// base is T₀ of the scaled usage (see cstate.scaled).
 	base sim.Time
+	// up and down are e^{±(now−T₀)/τ} for now−T₀ = scaleOf (see scale):
+	// up turns CPU seconds charged at now into scaled usage, down turns
+	// scaled usage into decayed seconds.
+	scaleOf  sim.Duration
+	up, down float64
 	// epoch advances on every container change (cstate.Changed) and
 	// every rebase; an entity's Pick cache holds only under the epoch it
 	// was filled in.
@@ -90,7 +95,8 @@ type ContainerScheduler struct {
 // NewContainerScheduler returns a uniprocessor container scheduler.
 func NewContainerScheduler() *ContainerScheduler {
 	// Epoch 0 marks an empty entity cache, so the scheduler starts at 1.
-	return &ContainerScheduler{Capacity: 1, epoch: 1}
+	// At now = T₀ both scale factors are 1.
+	return &ContainerScheduler{Capacity: 1, epoch: 1, up: 1, down: 1}
 }
 
 // Register implements Scheduler.
@@ -278,6 +284,21 @@ func (s *ContainerScheduler) rebase(now sim.Time) {
 	s.epoch++
 }
 
+// scale brings up and down to now. They are computed once per distinct
+// now−T₀: a Charge and the Pick beside it usually share a now. Both
+// rebase first, so now−T₀ < rebaseAfter: up is finite and down is not 0.
+func (s *ContainerScheduler) scale(now sim.Time) {
+	if d := now.Sub(s.base); d != s.scaleOf {
+		s.setScale(d)
+	}
+}
+
+func (s *ContainerScheduler) setScale(d sim.Duration) {
+	s.scaleOf = d
+	s.up = math.Exp(d.Seconds() / decayTau.Seconds())
+	s.down = 1 / s.up
+}
+
 // leafKey returns the class and in-class key of an eligible time-share
 // leaf: its scaled usage over its weight, or the idle class keyed by its
 // scaled usage alone.
@@ -461,6 +482,7 @@ func (s *ContainerScheduler) Pick(now sim.Time) *Entity {
 	var best *Entity
 	bestClass := classNone
 	var bestKey float64
+	s.scale(now)
 	for _, e := range s.set.runnable {
 		if e.onCPU {
 			continue
@@ -469,6 +491,12 @@ func (s *ContainerScheduler) Pick(now sim.Time) *Entity {
 		if cls == classNone {
 			s.sawThrottled = true
 			continue
+		}
+		if cls != classGuarantee {
+			// less's tie window is an absolute ε in decayed seconds.
+			// Compared scaled, keys would tie less and less as the clock
+			// runs away from the base.
+			key *= s.down
 		}
 		if best == nil || cls < bestClass || (cls == bestClass && less(key, e, bestKey, best)) {
 			best, bestClass, bestKey = e, cls, key
@@ -517,7 +545,8 @@ func (s *ContainerScheduler) Charge(e *Entity, c *rc.Container, d sim.Duration, 
 	}
 	s.registerChain(c)
 	s.rebase(now)
-	s.state(c).scaled += d.Seconds() * math.Exp(now.Sub(s.base).Seconds()/decayTau.Seconds())
+	s.scale(now)
+	s.state(c).scaled += d.Seconds() * s.up
 }
 
 // Bind implements Scheduler: the entity's resource binding moves to c and

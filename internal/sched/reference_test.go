@@ -21,10 +21,6 @@ import (
 type refScheduler struct {
 	*ContainerScheduler
 	usage map[*rc.Container]*refUsage
-	// base is the scheduler's key unit: pick compares decayed usage
-	// scaled by e^{(now−base)/τ}, and base moves to now on the
-	// scheduler's rebase rule.
-	base sim.Time
 }
 
 // refUsage is a leaf's decayed CPU usage in seconds, as of last.
@@ -35,12 +31,6 @@ type refUsage struct {
 
 func newRefScheduler(s *ContainerScheduler) *refScheduler {
 	return &refScheduler{ContainerScheduler: s, usage: map[*rc.Container]*refUsage{}}
-}
-
-func (s *refScheduler) rebase(now sim.Time) {
-	if now.Sub(s.base) >= rebaseAfter {
-		s.base = now
-	}
 }
 
 func (s *refScheduler) capBudget(c *rc.Container) sim.Duration {
@@ -200,16 +190,13 @@ func (s *refScheduler) bind(e *Entity, c *rc.Container, now sim.Time) {
 
 func (s *refScheduler) charge(c *rc.Container, d sim.Duration, now sim.Time) {
 	s.registerChain(c)
-	s.rebase(now)
 	s.decayed(c, now)
 	s.usage[c].decayed += d.Seconds()
 }
 
 func (s *refScheduler) pick(now sim.Time) *Entity {
 	s.rollWindow(now)
-	s.rebase(now)
 	s.sawThrottled = false
-	scale := math.Exp(now.Sub(s.base).Seconds() / decayTau.Seconds())
 	var best *Entity
 	bestClass := classNone
 	var bestKey float64
@@ -222,9 +209,6 @@ func (s *refScheduler) pick(now sim.Time) *Entity {
 		if cls == classNone {
 			s.sawThrottled = true
 			continue
-		}
-		if cls != classGuarantee {
-			key *= scale
 		}
 		if best == nil || cls < bestClass || (cls == bestClass && less(key, e, bestKey, best)) {
 			best, bestClass, bestKey = e, cls, key
@@ -348,7 +332,8 @@ const (
 // decayedKey converts a normal- or idle-class key from the scheduler's
 // scaled unit to decayed seconds per unit weight.
 func (s *ContainerScheduler) decayedKey(key float64, now sim.Time) float64 {
-	return key * math.Exp(-now.Sub(s.base).Seconds()/decayTau.Seconds())
+	s.scale(now)
+	return key * s.down
 }
 
 func keysAgree(a, b float64) bool {
@@ -497,9 +482,6 @@ func (d *differential) check() {
 	pf, pr := d.fast.s.Pick(d.now), d.refs.pick(d.now)
 	if d.fast.s.base != base {
 		d.rebases++
-	}
-	if d.fast.s.base != d.refs.base {
-		d.fatalf("usage base %v, reference %v", d.fast.s.base, d.refs.base)
 	}
 	if (pf == nil) != (pr == nil) || (pf != nil && pf.ID != pr.ID) {
 		d.fatalf("picked %v, reference picked %v", pf, pr)

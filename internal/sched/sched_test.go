@@ -232,6 +232,31 @@ func TestContainerWeightedTimeShare(t *testing.T) {
 	within(t, frac(got[b], 10*sim.Second), 2.0/3.0, 0.04, "weight-2 share")
 }
 
+// TestContainerLongIdleNearTie: keys that differ by less than the tie
+// window in decayed seconds tie wherever the clock sits relative to the
+// scaled-usage base, and the tie goes to the least recently run entity.
+// Leaves charged 1 ms and 2 ms and then left idle for 40 s have decayed
+// keys of about 4e-21 and 8e-21 s.
+func TestContainerLongIdleNearTie(t *testing.T) {
+	for _, prio := range []int{1, 0} {
+		for _, at := range []sim.Duration{0, 300 * sim.Second, 550 * sim.Second, 580 * sim.Second, 1000 * sim.Second} {
+			t0 := sim.Time(at)
+			s := NewContainerScheduler()
+			a := leafEntity(1, rc.MustNew(nil, rc.TimeShare, "a", rc.Attributes{Priority: prio}), s)
+			b := leafEntity(2, rc.MustNew(nil, rc.TimeShare, "b", rc.Attributes{Priority: prio}), s)
+			s.Charge(a, a.Resource, sim.Millisecond, t0)
+			s.Charge(b, b.Resource, 2*sim.Millisecond, t0)
+			// Fresh, the keys are a millisecond apart: a runs.
+			if got := s.Pick(t0.Add(sim.Millisecond)); got != a {
+				t.Fatalf("priority %d, charged at %v: fresh Pick = %v, want a", prio, t0, got)
+			}
+			if got := s.Pick(t0.Add(40 * sim.Second)); got != b {
+				t.Fatalf("priority %d, charged at %v: Pick 40 s later = %v, want b, which ran less recently", prio, t0, got)
+			}
+		}
+	}
+}
+
 func TestContainerIdleClassStarvesUnderLoad(t *testing.T) {
 	s := NewContainerScheduler()
 	normal := rc.MustNew(nil, rc.TimeShare, "normal", rc.Attributes{Priority: 1})

@@ -117,6 +117,7 @@ var hotPaths = []struct{ pkg, name string }{
 	{"rescon/internal/sched", "BenchmarkPick8Entities"},
 	{"rescon/internal/sched", "BenchmarkPickEventServer"},
 	{"rescon/internal/sched", "BenchmarkPickEventServerCapped"},
+	{"rescon/internal/sched", "BenchmarkPickNetThread"},
 	{"rescon/internal/sched", "BenchmarkPickWideBindings"},
 	{"rescon/internal/sim", "BenchmarkEventCancelFarFuture"},
 	{"rescon/internal/sim", "BenchmarkWheelChurn1MPending"},

@@ -13,9 +13,10 @@ import (
 // non-negativity checks), the bounded per-container protocol queues and
 // listen-socket accept/SYN queues (for the queue-bound check), and the
 // connection-lifecycle conservation invariant (every established
-// connection is open or closed exactly once — none lost), and the
+// connection is open or closed exactly once — none lost), the
 // work-item free list (no item on it twice, none still queued or running
-// on a thread). The sources
+// on a thread), and each protocol queue's list (no listed queue empty,
+// and the network thread's pending set in step with it). The sources
 // are re-evaluated at every checker tick, so processes, sockets and
 // containers created after this call are still covered.
 func (k *Kernel) WatchInvariants(ch *fault.Checker) {
@@ -44,7 +45,7 @@ func (k *Kernel) WatchInvariants(ch *fault.Checker) {
 				out = append(out, fault.QueueState{
 					Name:  name,
 					Len:   cq.q.Len(),
-					Bound: p.netQ.backlog + 1,
+					Bound: DefaultNetBacklog + 1,
 				})
 			}
 		}
@@ -78,6 +79,41 @@ func (k *Kernel) WatchInvariants(ch *fault.Checker) {
 		return ""
 	})
 	ch.MustWatchCheck("item-recycling", k.checkItemRecycling)
+	ch.MustWatchCheck("net-pending", k.checkNetPending)
+}
+
+// checkNetPending audits every process's protocol queue: hasWork reads
+// only the length of its list, so no listed queue may be empty, and the
+// network thread is classed by its pending set, which must hold the
+// listed queues' containers in list order.
+func (k *Kernel) checkNetPending() string {
+	for _, p := range k.procs {
+		pq := p.netQ
+		if pq == nil {
+			continue
+		}
+		var set []*rc.Container
+		if pq.set != nil {
+			set = pq.set.Containers()
+		}
+		n := 0
+		for i, cq := range pq.queues {
+			if cq.q.Len() == 0 {
+				return fmt.Sprintf("%s: listed protocol queue %d (%v) is empty", p.name, i, cq.c)
+			}
+			if pq.set == nil || cq.c == nil {
+				continue
+			}
+			if n >= len(set) || set[n] != cq.c {
+				return fmt.Sprintf("%s: pending set %v does not follow the protocol queues at queue %d (%v)", p.name, set, i, cq.c)
+			}
+			n++
+		}
+		if n != len(set) {
+			return fmt.Sprintf("%s: pending set %v holds %d containers with no listed queue", p.name, set, len(set)-n)
+		}
+	}
+	return ""
 }
 
 // checkItemRecycling audits the work-item free list: an item on it twice,

@@ -103,3 +103,124 @@ func TestItemRecyclingInvariantCatchesDoubleRelease(t *testing.T) {
 	r.k.releaseItem(r.k.freeItems[0])
 	r.check(t, "free-list slots 0 and 1 hold the same work item")
 }
+
+// netViolations runs the invariants once and returns the net-pending
+// violations they report.
+func netViolations(ch *fault.Checker) []string {
+	ch.Check()
+	var got []string
+	for _, v := range ch.Violations() {
+		if strings.Contains(v, "net-pending") {
+			got = append(got, v)
+		}
+	}
+	return got
+}
+
+// newNetRig is an RC-mode kernel with the invariant checker watching it,
+// recording violations instead of panicking, and a process whose
+// protocol queue holds two packets for container a, then one for b.
+func newNetRig(t *testing.T) (*fault.Checker, *pktQueue) {
+	t.Helper()
+	eng, k := newKernel(ModeRC)
+	ch := fault.NewChecker(eng)
+	ch.FailFast = false
+	k.WatchInvariants(ch)
+	p := k.NewProcess("httpd")
+	p.ensureNetThread()
+	a, b := rc.MustNew(nil, rc.TimeShare, "a", rc.Attributes{Priority: 1}), rc.MustNew(nil, rc.TimeShare, "b", rc.Attributes{Priority: 1})
+	fillBacklog(t, p, a, 2)
+	fillBacklog(t, p, b, 1)
+	if v := netViolations(ch); len(v) > 0 {
+		t.Fatalf("violations on a correct kernel: %v", v)
+	}
+	return ch, p.netQ
+}
+
+// Protocol processing over connections in several containers keeps every
+// listed queue non-empty and the network thread's pending set in step.
+func TestNetPendingInvariantHolds(t *testing.T) {
+	eng, k := newKernel(ModeRC)
+	ch := fault.NewChecker(eng)
+	ch.FailFast = false
+	k.WatchInvariants(ch)
+	p := k.NewProcess("httpd")
+	var conns []*Conn
+	_, _ = k.Listen(p, ListenConfig{
+		Local: srvAddr,
+		OnAcceptable: func(l *ListenSocket) {
+			c, _ := l.Accept()
+			c.SetContainer(rc.MustNew(nil, rc.TimeShare, "conn", rc.Attributes{Priority: 1 + len(conns)%3}))
+			conns = append(conns, c)
+		},
+	})
+	for i := 0; i < 6; i++ {
+		k.ClientSend(SYNPacket(client(uint16(i+1)), srvAddr, false))
+	}
+	eng.RunUntil(sim.Time(5 * sim.Millisecond))
+	if len(conns) != 6 {
+		t.Fatalf("accepted %d connections, want 6", len(conns))
+	}
+	most := 0
+	ch.MustWatchCheck("pending-size", func() string {
+		most = max(most, len(p.netQ.set.Containers()))
+		return ""
+	})
+	ch.Start(5 * sim.Microsecond)
+	for round := 0; round < 4; round++ {
+		for i, c := range conns {
+			k.Arrive(DataPacket(client(uint16(i+1)), srvAddr, c.ID(), 100, nil))
+		}
+		eng.RunUntil(eng.Now().Add(2 * sim.Millisecond))
+		if n := len(p.netQ.set.Containers()); n != 0 {
+			t.Fatalf("round %d: %d containers still pending after the queue drained", round, n)
+		}
+	}
+	if v := ch.Violations(); len(v) > 0 {
+		t.Fatalf("violations on a correct kernel: %v", v)
+	}
+	if ch.Checks() < 100 || most < 2 {
+		t.Fatalf("checker ran %d times and saw at most %d containers pending, want the whole run covered with several pending", ch.Checks(), most)
+	}
+}
+
+// Planted bug: a drain that takes b's queue off the list but skips the
+// removal from the pending set is caught.
+func TestNetPendingInvariantCatchesSkippedRemoval(t *testing.T) {
+	ch, pq := newNetRig(t)
+	set := pq.set
+	pq.set = nil
+	pq.nextWork() // a's first packet
+	pq.nextWork() // b's only packet: its queue drains
+	pq.set = set
+	got := netViolations(ch)
+	if len(got) != 1 || !strings.Contains(got[0], "holds 1 containers with no listed queue") {
+		t.Fatalf("violations %v, want one about the container with no queue", got)
+	}
+}
+
+// Planted bug: a drained queue left on the list is caught.
+func TestNetPendingInvariantCatchesEmptyQueue(t *testing.T) {
+	ch, pq := newNetRig(t)
+	pq.queues[1].q.Clear()
+	got := netViolations(ch)
+	if len(got) != 1 || !strings.Contains(got[0], "listed protocol queue 1 ") {
+		t.Fatalf("violations %v, want one about the empty queue 1", got)
+	}
+	if !strings.Contains(got[0], `"b"`) {
+		t.Fatalf("violation %q does not name container b", got[0])
+	}
+}
+
+// Planted bug: a container added to the pending set out of the order
+// of the queues is caught.
+func TestNetPendingInvariantCatchesOrder(t *testing.T) {
+	ch, pq := newNetRig(t)
+	a := pq.set.Containers()[0]
+	pq.set.Remove(a)
+	pq.set.Add(a)
+	got := netViolations(ch)
+	if len(got) != 1 || !strings.Contains(got[0], "does not follow the protocol queues at queue 0 ") {
+		t.Fatalf("violations %v, want one about the pending set at queue 0", got)
+	}
+}

@@ -354,7 +354,7 @@ func (p *Process) NetBacklogBound() int {
 	if p.netQ == nil {
 		return 0
 	}
-	return p.netQ.backlog
+	return DefaultNetBacklog
 }
 
 // CPUTime returns the CPU actually consumed by the process's threads
@@ -563,9 +563,7 @@ func (t *Thread) next() *WorkItem {
 	}
 	if t.source != nil && t.source.hasWork() {
 		item := t.source.nextWork()
-		if item != nil {
-			t.proc.k.checkItem(item)
-		}
+		t.proc.k.checkItem(item)
 		return item
 	}
 	return nil

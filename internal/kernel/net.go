@@ -6,6 +6,7 @@ import (
 
 	"rescon/internal/netsim"
 	"rescon/internal/rc"
+	"rescon/internal/sched"
 	"rescon/internal/sim"
 	"rescon/internal/trace"
 )
@@ -134,12 +135,12 @@ func (p *Process) ensureNetThread() {
 	p.netQ = newPktQueue(p.k)
 	p.netThread = p.NewThread("knet")
 	p.netThread.source = p.netQ
-	if !p.k.ImplicitNetBinding {
+	if p.k.mode == ModeRC && !p.k.ImplicitNetBinding {
 		// The network thread's scheduling class tracks exactly the
 		// containers with pending protocol work (§4.7): pending traffic
 		// for only a priority-0 container leaves the thread in the idle
 		// class, with no staleness window.
-		p.netThread.ent.DynamicBinding = p.netQ.PendingContainers
+		p.netQ.set = sched.NewPendingSet(p.netThread.ent)
 	}
 }
 
@@ -566,7 +567,7 @@ func (k *Kernel) policeDemux(pkt *netsim.Packet, proc *Process, cont *rc.Contain
 	if !k.Police.Enabled || proc.netQ == nil || pkt.Kind != netsim.SYN {
 		return false
 	}
-	limit, on := k.policeLimit(proc.netQ.backlog)
+	limit, on := k.policeLimit(DefaultNetBacklog)
 	if !on || proc.netQ.backlogFor(cont) < limit {
 		return false
 	}
@@ -785,23 +786,26 @@ type pktWork struct {
 // pktQueue is the per-process pending-protocol queue. In ModeRC it is
 // ordered by container priority (§4.7: "the priority of these containers
 // determines the order in which they are serviced"); in ModeLRP it is a
-// single FIFO. Each container's backlog is bounded.
+// single FIFO. Each container's backlog is bounded by DefaultNetBacklog.
 type pktQueue struct {
-	k      *Kernel
+	k *Kernel
+	// queues lists a queue per container with pending work (one for the
+	// whole process outside ModeRC). None is empty: a queue leaves the
+	// list as it drains, and one new to the list cannot be full.
 	queues []*contQueue
 	// spare holds drained per-container queues for reuse, so per-
 	// connection containers do not allocate a queue per burst.
 	spare   []*contQueue
 	nextSeq uint64
-	backlog int
+	// set, when the network thread is classed by its pending work, is
+	// its scheduler binding: the non-nil containers of queues, in order.
+	set *sched.PendingSet
 	// cur and item are the work nextWork last handed to the network
 	// thread: the thread runs one item at a time, so one slot serves
 	// them all. finish is item's completion callback, bound once.
 	cur    pktWork
 	item   WorkItem
 	finish func()
-	// pending is PendingContainers' reused result.
-	pending []*rc.Container
 }
 
 type contQueue struct {
@@ -814,7 +818,7 @@ type contQueue struct {
 }
 
 func newPktQueue(k *Kernel) *pktQueue {
-	pq := &pktQueue{k: k, backlog: DefaultNetBacklog}
+	pq := &pktQueue{k: k}
 	pq.finish = pq.finishWork
 	return pq
 }
@@ -831,22 +835,20 @@ func (pq *pktQueue) queueFor(c *rc.Container) *contQueue {
 		pq.spare = pq.spare[:n-1]
 		*cq = contQueue{c: c, q: cq.q}
 	} else {
-		cq = &contQueue{c: c, q: netsim.NewQueue[pktWork](pq.backlog)}
+		cq = &contQueue{c: c, q: netsim.NewQueue[pktWork](DefaultNetBacklog)}
 	}
 	// A new flow joins the weighted-fair service at the current virtual
 	// time (the minimum of the active flows), so it neither inherits
 	// past credit nor starves standing backlogs.
-	first := true
-	for _, other := range pq.queues {
-		if other.q.Len() == 0 {
-			continue
-		}
-		if first || other.servedWeighted < cq.servedWeighted {
+	for i, other := range pq.queues {
+		if i == 0 || other.servedWeighted < cq.servedWeighted {
 			cq.servedWeighted = other.servedWeighted
-			first = false
 		}
 	}
 	pq.queues = append(pq.queues, cq)
+	if pq.set != nil && c != nil {
+		pq.set.Add(c)
+	}
 	return cq
 }
 
@@ -879,15 +881,9 @@ func (pq *pktQueue) enqueue(w *pktWork) bool {
 	return cq.q.Push(*w)
 }
 
-// hasWork reports whether any packet is pending.
-func (pq *pktQueue) hasWork() bool {
-	for _, cq := range pq.queues {
-		if cq.q.Len() > 0 {
-			return true
-		}
-	}
-	return false
-}
+// hasWork reports whether any packet is pending: no listed queue is
+// empty.
+func (pq *pktQueue) hasWork() bool { return len(pq.queues) > 0 }
 
 // nextWork hands out the next pending packet: the one whose container
 // has the highest priority runs first; among equal priorities the
@@ -901,10 +897,7 @@ func (pq *pktQueue) nextWork() *WorkItem {
 	bestWeighted := 0.0
 	var bestSeq uint64
 	for _, cq := range pq.queues {
-		head, ok := cq.q.Peek()
-		if !ok {
-			continue
-		}
+		head, _ := cq.q.Peek()
 		prio := 0
 		if cq.c != nil {
 			prio = cq.c.EffectivePriority()
@@ -938,6 +931,9 @@ func (pq *pktQueue) nextWork() *WorkItem {
 				pq.queues = append(pq.queues[:i], pq.queues[i+1:]...)
 				break
 			}
+		}
+		if pq.set != nil && best.c != nil {
+			pq.set.Remove(best.c)
 		}
 		best.c = nil
 		pq.spare = append(pq.spare, best)
@@ -990,9 +986,6 @@ func (pq *pktQueue) finishWork() {
 func (pq *pktQueue) topPriority() int {
 	best := -1
 	for _, cq := range pq.queues {
-		if cq.q.Len() == 0 {
-			continue
-		}
 		prio := 0
 		if cq.c != nil {
 			prio = cq.c.EffectivePriority()
@@ -1017,20 +1010,6 @@ func (pq *pktQueue) requeueFront(item *WorkItem) {
 	pq.cur = pktWork{}
 	w.label, w.container, w.cost, w.seq = item.Label, item.Container, item.Cost, 0
 	pq.queueFor(item.Container).q.PushFront(w)
-}
-
-// PendingContainers returns the containers that currently have pending
-// protocol work (nil entries are skipped by the scheduler). The slice is
-// reused: it is valid until the next call.
-func (pq *pktQueue) PendingContainers() []*rc.Container {
-	out := pq.pending[:0]
-	for _, cq := range pq.queues {
-		if cq.q.Len() > 0 && cq.c != nil {
-			out = append(out, cq.c)
-		}
-	}
-	pq.pending = out
-	return out
 }
 
 // Len returns total pending packets.

@@ -54,8 +54,11 @@ func BenchmarkPickWideBindings(b *testing.B) { benchScheduler(b, 8, 16) }
 // per connection: one server thread whose binding holds its process
 // default container and 32 connection leaves, rebinding to the next
 // connection per request, beside a kernel network thread classed by its
-// pending work (DynamicBinding). With capped set the connection leaves
-// sit under a limited parent, so every evaluation walks the chain.
+// pending set. Every op replaces the whole pending set, so it measures
+// the push and the miss path: six in seven network-thread evaluations
+// refill the key. BenchmarkPickNetThread has the traffic measured on the
+// simulated kernel. With capped set the connection leaves sit under a
+// limited parent, so every evaluation walks the chain.
 func benchEventServer(b *testing.B, capped bool) {
 	const conns = 32
 	s := NewContainerScheduler()
@@ -76,8 +79,8 @@ func benchEventServer(b *testing.B, capped bool) {
 	}
 	s.SetRunnable(server, true)
 
-	pending := make([]*rc.Container, 2)
-	net := &Entity{ID: 2, DynamicBinding: func() []*rc.Container { return pending }}
+	net := &Entity{ID: 2}
+	pending := NewPendingSet(net)
 	s.Register(net)
 	s.Bind(net, rc.MustNew(nil, rc.TimeShare, "netisr", rc.Attributes{Priority: 1}), now)
 	s.SetRunnable(net, true)
@@ -86,7 +89,11 @@ func benchEventServer(b *testing.B, capped bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Bind(server, binding[i%len(binding)], now)
-		pending[0], pending[1] = binding[(i+1)%len(binding)], binding[(i+2)%len(binding)]
+		for _, c := range pending.Containers() {
+			pending.Remove(c)
+		}
+		pending.Add(binding[(i+1)%len(binding)])
+		pending.Add(binding[(i+2)%len(binding)])
 		e := s.Pick(now)
 		if e == nil {
 			b.Fatal("no entity")
@@ -98,6 +105,57 @@ func benchEventServer(b *testing.B, capped bool) {
 
 func BenchmarkPickEventServer(b *testing.B)       { benchEventServer(b, false) }
 func BenchmarkPickEventServerCapped(b *testing.B) { benchEventServer(b, true) }
+
+// BenchmarkPickNetThread is shaped like the kernel network thread of a
+// keep-alive server: its pending set holds 12 of 24 connection leaves,
+// and every third decision one drains or one is added (the pending set
+// was unchanged between two evaluations two times in three on the
+// simulated kernel). When picked, the thread serves the oldest pending
+// leaf. An event-server thread bound to all the leaves runs beside it.
+func BenchmarkPickNetThread(b *testing.B) {
+	const conns, pendingLen = 24, 12
+	s := NewContainerScheduler()
+	now := sim.Time(0)
+	leaves := make([]*rc.Container, conns)
+	server := &Entity{ID: 1}
+	s.Register(server)
+	for i := range leaves {
+		leaves[i] = rc.MustNew(nil, rc.TimeShare, fmt.Sprintf("conn%d", i), rc.Attributes{Priority: 1})
+		s.Bind(server, leaves[i], now)
+	}
+	s.SetRunnable(server, true)
+	net := &Entity{ID: 2}
+	pending := NewPendingSet(net)
+	s.Register(net)
+	for _, c := range leaves[:pendingLen] {
+		pending.Add(c)
+	}
+	s.Bind(net, leaves[0], now)
+	s.SetRunnable(net, true)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The j-th drain takes leaf j and the j-th add brings leaf j+12, so
+		// the set rotates through the leaves, 11 or 12 of them pending.
+		switch j := i / 6; i % 6 {
+		case 0:
+			pending.Remove(leaves[j%conns])
+		case 3:
+			pending.Add(leaves[(j+pendingLen)%conns])
+		}
+		s.Bind(server, leaves[i%conns], now)
+		e := s.Pick(now)
+		if e == nil {
+			b.Fatal("no entity")
+		}
+		if e == net {
+			s.Bind(net, pending.Containers()[0], now)
+		}
+		s.Charge(e, e.Resource, 100*sim.Microsecond, now)
+		now = now.Add(100 * sim.Microsecond)
+	}
+}
 
 func BenchmarkDecaySchedulerPick(b *testing.B) {
 	s := NewDecayScheduler()

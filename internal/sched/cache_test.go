@@ -147,3 +147,59 @@ func TestCacheBindFreshLeaf(t *testing.T) {
 	}
 	wantPick(t, s, 0, a)
 }
+
+// pendingEntity registers a runnable entity classed by a pending set of
+// leaves, in order, with resource binding res.
+func pendingEntity(s *ContainerScheduler, id uint64, res *rc.Container, leaves ...*rc.Container) (*Entity, *PendingSet) {
+	e := &Entity{ID: id}
+	set := NewPendingSet(e)
+	for _, c := range leaves {
+		set.Add(c)
+	}
+	s.Register(e)
+	s.Bind(e, res, 0)
+	s.SetRunnable(e, true)
+	return e, set
+}
+
+func TestCachePendingAdd(t *testing.T) {
+	s := NewContainerScheduler()
+	res, c1, a1, b1 := cacheLeaf(1), cacheLeaf(1), cacheLeaf(1), cacheLeaf(1)
+	b := cacheEntity(s, 1, 0, b1)
+	a, set := pendingEntity(s, 2, res, c1)
+	s.Charge(a, res, 100*sim.Millisecond, 0)
+	s.Charge(a, c1, 100*sim.Millisecond, 0)
+	s.Charge(b, b1, 50*sim.Millisecond, 0)
+	pickFilling(t, s, 0, b, a, b)
+	set.Add(a1) // never charged: key 0
+	wantPick(t, s, 0, a)
+}
+
+func TestCachePendingKeyLeafDrained(t *testing.T) {
+	s := NewContainerScheduler()
+	res, a1, c1, b1 := cacheLeaf(1), cacheLeaf(1), cacheLeaf(1), cacheLeaf(1)
+	b := cacheEntity(s, 1, 0, b1)
+	a, set := pendingEntity(s, 2, res, a1, c1)
+	s.Charge(a, res, 100*sim.Millisecond, 0)
+	s.Charge(a, a1, 1*sim.Millisecond, 0)
+	s.Charge(a, c1, 100*sim.Millisecond, 0)
+	s.Charge(b, b1, 50*sim.Millisecond, 0)
+	pickFilling(t, s, 0, a, a, b)
+	set.Remove(a1)
+	wantPick(t, s, 0, b)
+}
+
+// The idle leaf gives the network entity its key and the normal leaf its
+// class; once the normal leaf drains, the entity is in the idle class.
+func TestCachePendingOnlyNormalLeafDrained(t *testing.T) {
+	s := NewContainerScheduler()
+	idle, n1, b1 := cacheLeaf(0), cacheLeaf(1), cacheLeaf(1)
+	b := cacheEntity(s, 1, 0, b1)
+	a, set := pendingEntity(s, 2, idle, n1)
+	s.Charge(a, idle, 1*sim.Millisecond, 0)
+	s.Charge(a, n1, 100*sim.Millisecond, 0)
+	s.Charge(b, b1, 50*sim.Millisecond, 0)
+	pickFilling(t, s, 0, a, a, b)
+	set.Remove(n1)
+	wantPick(t, s, 0, b)
+}

@@ -420,52 +420,65 @@ func (s *ContainerScheduler) pruneDeadline(e *Entity, b bindingEntry, by sim.Tim
 // evaluate classifies an entity and computes its in-class key. With
 // prune set it first prunes the scheduler binding.
 //
-// An entity without a DynamicBinding keeps its class and key from the
-// last evaluation when no container of its binding has a limit or a
-// share on its ancestor path: scaled usage only changes when charged, so
-// the key holds until the leaf that gave it is charged, the binding
-// changes (Bind folds a new leaf in, prune invalidates), prune could
-// drop an entry, or the scheduler's epoch moves (a container change or
-// a rebase). When only the leaf was charged, one pass refills it
-// without pruning.
+// An entity keeps its class and key from the last evaluation when no
+// container it was classed by has a limit or a share on its ancestor
+// path: scaled usage only changes when charged, so the key holds until
+// the leaf that gave it is charged, the containers change (Bind and a
+// pending-set add fold a new leaf in; prune and dropKey invalidate),
+// prune could drop an entry, or the scheduler's epoch moves (a container
+// change or a rebase). When only the leaf was charged, one pass refills
+// it without pruning.
 //
 // Otherwise pruning is folded into the evaluation pass: the scan checks
 // each entry against prune's rule, and only on the first entry that
 // fails does it prune and start over. Considering the entries before it
 // again is exact: consider's only effect beyond the verdict, filling
 // attribute caches, is idempotent.
+//
+// An entity with a pending set (kernel network threads, §4.7) is classed
+// by the set and its resource binding; its binding is pruned but does
+// not class it. Containers added since the key was filled are folded in
+// here, not at the add, so each registers with the scheduler at the first
+// evaluation that considers it.
 func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (schedClass, float64) {
 	v := newVerdict()
-	if e.DynamicBinding != nil {
+	keyHolds := e.keyEpoch == s.epoch && e.keyLeaf.scaled == e.keyScaled
+	if p := e.pending; p != nil {
 		if prune {
 			s.prune(e, now)
 		}
-		// Exact pending-work binding (kernel network threads, §4.7): the
-		// thread is classed by the containers it is about to serve, plus
-		// its current resource binding for in-progress work.
-		for _, c := range e.DynamicBinding() {
-			if c != nil {
-				s.consider(&v, c, now)
+		if keyHolds {
+			for _, c := range p.list[p.folded:] {
+				s.foldKey(e, c)
 			}
+			p.folded = len(p.list)
+			if e.keyEpoch == s.epoch {
+				return e.keyCls, e.key
+			}
+		}
+		for _, c := range p.list {
+			s.consider(&v, c, now)
 		}
 		if e.Resource != nil {
 			s.consider(&v, e.Resource, now)
 		}
-		return v.result()
-	}
-	fresh := s.pruned(e, now)
-	if fresh && e.keyEpoch == s.epoch && e.keyLeaf.scaled == e.keyScaled {
-		return e.keyCls, e.key
-	}
-	if fresh || !prune {
-		s.considerBinding(&v, e, now, false)
-	} else if !s.considerBinding(&v, e, now, true) {
-		s.prune(e, now)
-		v = newVerdict()
-		s.considerBinding(&v, e, now, false)
+		p.folded = len(p.list)
+	} else {
+		fresh := s.pruned(e, now)
+		if fresh && keyHolds {
+			return e.keyCls, e.key
+		}
+		if fresh || !prune {
+			s.considerBinding(&v, e, now, false)
+		} else if !s.considerBinding(&v, e, now, true) {
+			s.prune(e, now)
+			v = newVerdict()
+			s.considerBinding(&v, e, now, false)
+		}
+		v.nocache = v.nocache || !s.pruned(e, now)
 	}
 	e.keyEpoch = 0
-	if !v.nocache && v.leaf != nil && s.pruned(e, now) {
+	if !v.nocache && v.leaf != nil {
 		e.keyEpoch, e.keyCls, e.key = s.epoch, v.cls, v.key
 		e.keyLeaf, e.keyScaled = v.leaf, v.leaf.scaled
 	}
@@ -572,20 +585,31 @@ func (s *ContainerScheduler) Bind(e *Entity, c *rc.Container, now sim.Time) {
 	}
 	if !found {
 		e.binding = append(e.binding, bindingEntry{c: c, last: now})
+	}
+	switch {
+	case e.pending == nil && !found:
+		s.foldKey(e, c)
+	case e.pending != nil && old != c:
+		// A pending-set entity is classed by its resource binding: a
+		// remove, then an add.
+		if old != nil {
+			e.dropKey(old)
+		}
 		s.foldKey(e, c)
 	}
 	s.prune(e, now)
 }
 
-// foldKey folds a container just added to e's scheduler binding into the
-// entity's cached key, if it has one: the key is a minimum, so one more
-// leaf needs one comparison.
+// foldKey folds a container just added to the containers e is classed by
+// into the entity's cached key, if it has one: the key is a minimum, so
+// one more leaf needs one comparison. A destroyed container classes
+// nothing, and consider does not register it, so neither does foldKey.
 func (s *ContainerScheduler) foldKey(e *Entity, c *rc.Container) {
-	if e.keyEpoch != s.epoch {
+	if e.keyEpoch != s.epoch || c.Destroyed() {
 		return
 	}
 	st := s.attrs(c)
-	if st.chainCapped || st.chainShared || c.Destroyed() {
+	if st.chainCapped || st.chainShared {
 		e.keyEpoch = 0
 		return
 	}
@@ -593,6 +617,22 @@ func (s *ContainerScheduler) foldKey(e *Entity, c *rc.Container) {
 	e.keyCls = min(e.keyCls, cls)
 	if k < e.key {
 		e.key, e.keyLeaf, e.keyScaled = k, st, st.scaled
+	}
+}
+
+// dropKey drops e's cached key when c, leaving the containers the key
+// covers, could have given it: c gave the key, or c has the key's class
+// and the leaf that gave the key does not. Other leaves' keys only rise,
+// so otherwise the key holds. An unregistered c was never folded in.
+func (e *Entity) dropKey(c *rc.Container) {
+	st, ok := c.SchedState.(*cstate)
+	if e.keyEpoch == 0 || !ok {
+		return
+	}
+	cls, _ := leafKey(st)
+	leafCls, _ := leafKey(e.keyLeaf)
+	if st == e.keyLeaf || (cls == e.keyCls && leafCls != e.keyCls) {
+		e.keyEpoch = 0
 	}
 }
 

@@ -63,8 +63,8 @@ func (s *ContainerScheduler) tickets(e *Entity, now sim.Time) float64 {
 		}
 		best = max(best, st.weight)
 	}
-	if e.DynamicBinding != nil {
-		for _, c := range e.DynamicBinding() {
+	if p := e.pending; p != nil {
+		for _, c := range p.list {
 			consider(c)
 		}
 		consider(e.Resource)

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"rescon/internal/rc"
@@ -17,10 +18,14 @@ import (
 // every decay factor afresh, caches no entity's key and prunes in a pass
 // of its own. It shares the embedded scheduler's window and registration
 // state, and TestPickMatchesReference drives it beside a
-// ContainerScheduler over a twin container tree.
+// ContainerScheduler over a twin container tree. The network entity net
+// is classed by netPending, a list rebuilt at every call, and its
+// resource binding.
 type refScheduler struct {
 	*ContainerScheduler
-	usage map[*rc.Container]*refUsage
+	usage      map[*rc.Container]*refUsage
+	net        *Entity
+	netPending func() []*rc.Container
 }
 
 // refUsage is a leaf's decayed CPU usage in seconds, as of last.
@@ -121,11 +126,9 @@ func (s *refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
 			bestKey = min(bestKey, s.decayed(c, now))
 		}
 	}
-	if e.DynamicBinding != nil {
-		for _, c := range e.DynamicBinding() {
-			if c != nil {
-				consider(c)
-			}
+	if e == s.net {
+		for _, c := range s.netPending() {
+			consider(c)
 		}
 		if e.Resource != nil {
 			consider(e.Resource)
@@ -248,8 +251,8 @@ func (s *refScheduler) tickets(e *Entity) float64 {
 		}
 	}
 	switch {
-	case e.DynamicBinding != nil:
-		for _, c := range e.DynamicBinding() {
+	case e == s.net:
+		for _, c := range s.netPending() {
 			consider(c)
 		}
 		consider(e.Resource)
@@ -299,19 +302,34 @@ func (w *twinWorld) add(parent int, class rc.Class, attrs rc.Attributes) error {
 	return nil
 }
 
+// failer is the part of testing.T the differential test reports through,
+// so that a planted-bug test can catch the failure.
+type failer interface {
+	Helper()
+	Fatalf(format string, args ...any)
+}
+
 // differential drives a ContainerScheduler and a refScheduler through one
 // seeded operation sequence over twin trees, failing at the first
 // diverging decision.
 type differential struct {
-	t        *testing.T
-	rng      *sim.RNG
-	fast     twinWorld
-	ref      twinWorld
-	refs     *refScheduler // the reference policy over ref's scheduler
-	pending  []int         // container indices the network entity has work for
-	fallback map[int]bool
-	now      sim.Time
-	step     int
+	t    failer
+	rng  *sim.RNG
+	fast twinWorld
+	ref  twinWorld
+	refs *refScheduler // the reference policy over ref's scheduler
+	// pending lists the container indices the network entity has work
+	// for, in the order of set, the fast world's pending set; drained
+	// lists indices drained from it, most recent last.
+	pending []int
+	drained []int
+	set     *PendingSet
+	// staleDrain plants a bug: a drain leaves the set without dropping
+	// the entity's cached key.
+	staleDrain bool
+	fallback   map[int]bool
+	now        sim.Time
+	step       int
 	// jumps makes some time steps hundreds of virtual seconds long, so
 	// the run crosses rebases; rebases counts them.
 	jumps   bool
@@ -461,9 +479,10 @@ func (d *differential) op() {
 	case r < 88:
 		d.addContainer()
 	case r < 94: // the network thread's pending work changes
-		d.pending = d.pending[:0]
-		for n := d.rng.Intn(4); n > 0; n-- {
-			d.pending = append(d.pending, d.rng.Intn(len(d.fast.conts)))
+		if d.set != nil {
+			for n := 1 + d.rng.Intn(3); n > 0; n-- {
+				d.changePending()
+			}
 		}
 	default: // a thread blocks or wakes
 		e := d.rng.Intn(len(d.fast.ents))
@@ -471,6 +490,47 @@ func (d *differential) op() {
 		d.fast.s.SetRunnable(d.fast.ents[e], on)
 		d.ref.s.SetRunnable(d.ref.ents[e], on)
 	}
+}
+
+// changePending makes one change to the network entity's pending set, as
+// the kernel's protocol queue does: a container gains a queue and is
+// added at the end, one drains and leaves, or a drained one is added at
+// the end again (a partly processed packet parked back, requeueFront).
+func (d *differential) changePending() {
+	switch d.rng.Intn(3) {
+	case 0:
+		if i := d.rng.Intn(len(d.fast.conts)); !slices.Contains(d.pending, i) {
+			d.addPending(i)
+		}
+	case 1:
+		if len(d.pending) == 0 {
+			return
+		}
+		j := d.rng.Intn(len(d.pending))
+		i := d.pending[j]
+		d.pending = slices.Delete(d.pending, j, j+1)
+		d.drained = append(d.drained, i)
+		c := d.fast.conts[i]
+		if !d.staleDrain {
+			d.set.Remove(c)
+			return
+		}
+		k := slices.Index(d.set.list, c)
+		d.set.list = slices.Delete(d.set.list, k, k+1)
+		if k < d.set.folded {
+			d.set.folded--
+		}
+	case 2:
+		if n := len(d.drained); n > 0 && !slices.Contains(d.pending, d.drained[n-1]) {
+			d.addPending(d.drained[n-1])
+			d.drained = d.drained[:n-1]
+		}
+	}
+}
+
+func (d *differential) addPending(i int) {
+	d.pending = append(d.pending, i)
+	d.set.Add(d.fast.conts[i])
 }
 
 // check compares one whole scheduling decision: the pick, the next
@@ -523,7 +583,7 @@ func (d *differential) check() {
 	}
 }
 
-func newDifferential(t *testing.T, seed int64) *differential {
+func newDifferential(t failer, seed int64) *differential {
 	d := &differential{t: t, rng: sim.NewRNG(seed), fallback: map[int]bool{}}
 	capacity := 1 + d.rng.Intn(2)
 	lottery := d.rng.Intn(3) == 0
@@ -553,14 +613,16 @@ func newDifferential(t *testing.T, seed int64) *differential {
 		network := e == 0 && d.rng.Intn(2) == 0
 		for _, w := range []*twinWorld{&d.fast, &d.ref} {
 			ent := &Entity{ID: uint64(e + 1), Fallback: w.conts[fb]}
-			if network {
-				var buf []*rc.Container
-				ent.DynamicBinding = func() []*rc.Container {
-					buf = buf[:0]
+			if network && w == &d.fast {
+				d.set = NewPendingSet(ent)
+			} else if network {
+				d.refs.net = ent
+				d.refs.netPending = func() []*rc.Container {
+					var out []*rc.Container
 					for _, i := range d.pending {
-						buf = append(buf, w.conts[i])
+						out = append(out, w.conts[i])
 					}
-					return buf
+					return out
 				}
 			}
 			w.s.Register(ent)
@@ -582,11 +644,55 @@ func newDifferential(t *testing.T, seed int64) *differential {
 // across the window and the pruning age — every decision must match
 // refScheduler: the same pick, next release, classes, bindings and slice
 // budgets, and keys within keyTolerance once converted to decayed
-// seconds.
+// seconds. The network entity's pending set changes by push, as the
+// kernel's protocol queue changes it, and the reference rebuilds it.
 func TestPickMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 150; seed++ {
 		newDifferential(t, seed).run(300)
 	}
+}
+
+// divergence is what plantedFailer panics with on a failed check.
+type divergence string
+
+// plantedFailer turns the differential test's first failure into a
+// divergence panic, so a planted-bug test can catch it.
+type plantedFailer struct{}
+
+func (plantedFailer) Helper() {}
+func (plantedFailer) Fatalf(format string, args ...any) {
+	panic(divergence(fmt.Sprintf(format, args...)))
+}
+
+// Planted bug: a drain that takes the key leaf out of the network
+// entity's pending set without dropping its cached key keeps scheduling
+// it by a leaf it no longer serves, and the differential test catches it.
+func TestPickMatchesReferenceCatchesStaleDrain(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		if msg := runPlanted(seed); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
+			return
+		}
+	}
+	t.Fatal("no seed diverged with drains that keep the cached key")
+}
+
+// runPlanted runs the differential test for seed with stale drains and
+// returns its first failure, or "" when every decision matched.
+func runPlanted(seed int64) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			div, ok := r.(divergence)
+			if !ok {
+				panic(r)
+			}
+			msg = string(div)
+		}
+	}()
+	d := newDifferential(plantedFailer{}, seed)
+	d.staleDrain = true
+	d.run(300)
+	return ""
 }
 
 // TestPickMatchesReferenceAcrossRebase runs the differential test with

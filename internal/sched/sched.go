@@ -23,6 +23,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rescon/internal/rc"
@@ -49,15 +50,6 @@ type Entity struct {
 	// item was already queued.
 	Fallback *rc.Container
 
-	// DynamicBinding, when set, supplies the scheduler binding on demand
-	// instead of the observed-bindings-with-pruning mechanism. The kernel
-	// network thread uses it so that its scheduling class reflects
-	// exactly the containers with pending protocol work (§4.7) — pending
-	// only priority-0 traffic means idle class, with no staleness window.
-	// The returned slice is valid only until the next call: the scheduler
-	// consumes it at once, so the supplier may reuse one slice.
-	DynamicBinding func() []*rc.Container
-
 	// Proc is the classic scheduler's principal (the owning process).
 	// It is required by DecayScheduler and ignored by ContainerScheduler.
 	Proc *ProcPrincipal
@@ -78,6 +70,8 @@ type Entity struct {
 	// binding is the scheduler binding (§4.3): the containers the thread
 	// has recently had a resource binding to, with last-bound times.
 	binding []bindingEntry
+	// pending, set by NewPendingSet, classes the entity in binding's place.
+	pending *PendingSet
 
 	// The container scheduler's Pick cache (see ContainerScheduler.evaluate),
 	// valid only while the scheduler's epoch equals the epoch it was
@@ -86,13 +80,52 @@ type Entity struct {
 	pruneEpoch uint64
 	pruneBy    sim.Time
 	// keyCls and key are the entity's class and key, and keyLeaf the
-	// binding leaf that gave the key, whose scaled usage was keyScaled.
+	// leaf that gave the key, whose scaled usage was keyScaled.
 	keyEpoch  uint64
 	keyCls    schedClass
 	key       float64
 	keyLeaf   *cstate
 	keyScaled float64
 }
+
+// PendingSet is a scheduler binding that its owner keeps by pushing
+// changes: the kernel network thread's containers with pending protocol
+// work (§4.7), so that pending only priority-0 traffic means the idle
+// class, with no staleness window. The container scheduler classes the
+// entity by the set and its resource binding, and keeps its key cached
+// across changes (see ContainerScheduler.evaluate).
+type PendingSet struct {
+	e    *Entity
+	list []*rc.Container
+	// folded is how many leading entries of list the cached key covers.
+	folded int
+}
+
+// NewPendingSet makes an empty pending set e's scheduler binding.
+func NewPendingSet(e *Entity) *PendingSet {
+	e.pending = &PendingSet{e: e}
+	return e.pending
+}
+
+// Add appends c, which must be non-nil and not in the set.
+func (p *PendingSet) Add(c *rc.Container) { p.list = append(p.list, c) }
+
+// Remove takes c out of the set, keeping the others in order.
+func (p *PendingSet) Remove(c *rc.Container) {
+	i := slices.Index(p.list, c)
+	if i < 0 {
+		return
+	}
+	p.list = slices.Delete(p.list, i, i+1)
+	if i < p.folded {
+		p.folded--
+		p.e.dropKey(c)
+	}
+}
+
+// Containers returns the set in the order of its adds. The caller must
+// not modify it.
+func (p *PendingSet) Containers() []*rc.Container { return p.list }
 
 type bindingEntry struct {
 	c    *rc.Container

@@ -523,17 +523,7 @@ func (t *Thread) hasWork() bool {
 }
 
 func (t *Thread) updateRunnable() {
-	runnable := !t.exited && t.hasWork()
-	if runnable && t.proc.k.mode == ModeRC && !t.ent.HasLiveBinding() {
-		// Every container the thread recently served has been destroyed
-		// (e.g. its last connection closed). Fall back to the process
-		// default container so the pending work can be scheduled; the
-		// work item's own container takes over when the slice starts.
-		if d := t.proc.DefaultContainer; d != nil && !d.Destroyed() {
-			t.proc.k.sch.Bind(t.ent, d, t.proc.k.Now())
-		}
-	}
-	t.proc.k.sch.SetRunnable(t.ent, runnable)
+	t.proc.k.sch.SetRunnable(t.ent, !t.exited && t.hasWork())
 }
 
 // yieldIdleWork parks a partially processed idle-class work item back

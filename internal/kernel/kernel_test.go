@@ -83,6 +83,78 @@ func TestWorkChargedToContainer(t *testing.T) {
 	}
 }
 
+// Work queued for containers that are all destroyed before it runs is
+// scheduled against the process default container and charged to it, on
+// an application thread whose scheduler binding holds only destroyed
+// containers and on the network thread, whose pending work and resource
+// binding are destroyed. The network thread keeps no scheduler binding.
+func TestDestroyedBindingFallsBackToDefault(t *testing.T) {
+	eng, k := newKernel(ModeRC)
+	p := k.NewProcess("httpd")
+	def := p.DefaultContainer
+	newCont := func(name string) *rc.Container {
+		return rc.MustNew(nil, rc.TimeShare, name, rc.Attributes{Priority: DefaultPriority})
+	}
+	lc, cc, a1, a2 := newCont("listen"), newCont("conn"), newCont("a1"), newCont("a2")
+	var conn *Conn
+	served := false
+	_, err := k.Listen(p, ListenConfig{
+		Local:     srvAddr,
+		Container: lc,
+		OnAcceptable: func(l *ListenSocket) {
+			conn, _ = l.Accept()
+			conn.SetContainer(cc)
+			conn.OnRequest = func(*Conn, any) { served = true }
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knet := p.netThread.Entity()
+	noBinding := func(when string) {
+		t.Helper()
+		if bs := knet.Binding(); len(bs) != 0 {
+			t.Fatalf("%s: network thread binding %v, want none", when, bs)
+		}
+	}
+	noBinding("at creation")
+	k.ClientSend(SYNPacket(client(1), srvAddr, false))
+	th := p.NewThread("app")
+	th.PostFunc("w1", sim.Millisecond, rc.UserCPU, a1, nil)
+	eng.RunUntil(sim.Time(150 * sim.Millisecond))
+	// The default container ages out of the binding once a1 serves again.
+	th.PostFunc("w2", sim.Millisecond, rc.UserCPU, a1, nil)
+	eng.RunUntil(sim.Time(200 * sim.Millisecond))
+	if bs := th.Entity().Binding(); len(bs) != 1 || bs[0] != a1 || conn == nil {
+		t.Fatalf("setup: binding %v, conn %v", bs, conn)
+	}
+	// A stall keeps the CPU from the queued work while its containers go.
+	k.Arrive(DataPacket(client(1), srvAddr, conn.ID(), 100, nil))
+	k.cpu.RaiseInterrupt(intrWork{label: "stall", cost: 10 * sim.Millisecond})
+	done := false
+	th.PostFunc("orphan", 2*sim.Millisecond, rc.UserCPU, a2, func() { done = true })
+	eng.RunUntil(sim.Time(205 * sim.Millisecond))
+	for _, c := range []*rc.Container{lc, cc, a1, a2} {
+		if err := c.Release(); err != nil || !c.Destroyed() {
+			t.Fatalf("release %v: %v", c, err)
+		}
+	}
+	if knet.Resource == nil || !knet.Resource.Destroyed() || p.netQ.Len() != 1 {
+		t.Fatalf("setup: network thread bound to %v with %d packets pending", knet.Resource, p.netQ.Len())
+	}
+	noBinding("with the stall")
+	before := def.Usage()
+	eng.RunUntil(sim.Time(sim.Second))
+	if !done || !served {
+		t.Fatalf("application work done %v, packet served %v: want both", done, served)
+	}
+	u := def.Usage()
+	if du, dk := u.CPUUser-before.CPUUser, u.CPUKernel-before.CPUKernel; du != 2*sim.Millisecond || dk != k.costs.RecvProtocol {
+		t.Fatalf("default container charged %v user and %v kernel, want %v and %v", du, dk, 2*sim.Millisecond, k.costs.RecvProtocol)
+	}
+	noBinding("at the end")
+}
+
 func TestModeRCRequiresContainer(t *testing.T) {
 	_, k := newKernel(ModeRC)
 	p := k.NewProcess("p")

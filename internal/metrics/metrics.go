@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -124,107 +123,17 @@ func (s *Summary) Quantile(q float64) float64 {
 	return s.samples[idx]
 }
 
-// Median returns the 0.5 quantile.
-func (s *Summary) Median() float64 { return s.Quantile(0.5) }
-
 // Min returns the smallest sample, or 0 with no samples.
 func (s *Summary) Min() float64 { return s.Quantile(0) }
 
 // Max returns the largest sample, or 0 with no samples.
 func (s *Summary) Max() float64 { return s.Quantile(1) }
 
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, v := range s.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Reset discards all samples.
 func (s *Summary) Reset() {
 	s.samples = s.samples[:0]
 	s.sorted = false
 	s.sum = 0
-}
-
-// Histogram buckets duration samples on a fixed linear grid. It exists for
-// distribution-shaped output (e.g. per-connection service time spread).
-type Histogram struct {
-	width   sim.Duration
-	buckets []uint64
-	over    uint64
-	count   uint64
-	sum     sim.Duration
-}
-
-// NewHistogram returns a histogram with n buckets of the given width;
-// samples at or beyond n*width land in an overflow bucket. A
-// non-positive width or bucket count is a configuration error, reported
-// as an error rather than a panic so callers that derive the shape from
-// untrusted input can surface it as a finding.
-func NewHistogram(width sim.Duration, n int) (*Histogram, error) {
-	if width <= 0 || n <= 0 {
-		return nil, fmt.Errorf("metrics: invalid histogram shape width=%v n=%d", width, n)
-	}
-	return &Histogram{width: width, buckets: make([]uint64, n)}, nil
-}
-
-// MustNewHistogram is NewHistogram that panics on an invalid shape —
-// the documented programmer-error guard for histograms with constant
-// shapes, where the arguments are literals and failure means a typo.
-func MustNewHistogram(width sim.Duration, n int) *Histogram {
-	h, err := NewHistogram(width, n)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Observe records one duration sample. A negative sample is rejected
-// with an error and not recorded; durations in this codebase come from
-// virtual-clock subtraction, so a negative value means the caller's
-// bookkeeping is broken.
-func (h *Histogram) Observe(d sim.Duration) error {
-	if d < 0 {
-		return fmt.Errorf("metrics: negative histogram sample %v", d)
-	}
-	h.count++
-	h.sum += d
-	idx := int(d / h.width)
-	if idx >= len(h.buckets) {
-		h.over++
-		return nil
-	}
-	h.buckets[idx]++
-	return nil
-}
-
-// Count returns the total number of samples (including overflow).
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Overflow returns the number of samples beyond the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.over }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// NumBuckets returns the number of regular buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Mean returns the mean sample duration, or 0 with no samples.
-func (h *Histogram) Mean() sim.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / sim.Duration(h.count)
 }
 
 // Series is an (x, y) sequence — one figure curve.

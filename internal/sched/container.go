@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 
 	"rescon/internal/rc"
@@ -329,8 +328,8 @@ type verdict struct {
 	leaf    *cstate      // the leaf that gave key
 	// nocache is set when the verdict cannot be cached: a considered
 	// container has a limit or a share on its ancestor path, so its class
-	// depends on the window, or the binding was empty, and a later Bind
-	// replaces the fallback instead of joining it.
+	// depends on the window, or the entity fell back to Entity.Fallback,
+	// and a later Bind replaces the fallback instead of joining it.
 	nocache bool
 }
 
@@ -374,18 +373,11 @@ func (v *verdict) result() (schedClass, float64) {
 	}
 }
 
-// considerBinding folds the entity's scheduler binding (or its fallback,
-// when the binding is empty) into v. With checkKeep set it stops at the
-// first entry prune would drop and reports false; when it gets through,
-// prune has nothing to do, and it records until when that holds.
+// considerBinding folds the entity's scheduler binding into v. With
+// checkKeep set it stops at the first entry prune would drop and reports
+// false; when it gets through, prune has nothing to do, and it records
+// until when that holds.
 func (s *ContainerScheduler) considerBinding(v *verdict, e *Entity, now sim.Time, checkKeep bool) bool {
-	if len(e.binding) == 0 {
-		if e.Fallback == nil || e.Fallback.Destroyed() {
-			panic(fmt.Sprintf("sched: runnable entity %v has an empty scheduler binding and no fallback; the kernel must bind threads to a container", e))
-		}
-		s.consider(v, e.Fallback, now)
-		v.nocache = true
-	}
 	by := never
 	for _, b := range e.binding {
 		if checkKeep {
@@ -436,17 +428,15 @@ func (s *ContainerScheduler) pruneDeadline(e *Entity, b bindingEntry, by sim.Tim
 // attribute caches, is idempotent.
 //
 // An entity with a pending set (kernel network threads, §4.7) is classed
-// by the set and its resource binding; its binding is pruned but does
-// not class it. Containers added since the key was filled are folded in
-// here, not at the add, so each registers with the scheduler at the first
-// evaluation that considers it.
+// by the set and its resource binding, and keeps no scheduler binding.
+// Containers added since the key was filled are folded in here, not at
+// the add, so each registers with the scheduler at the first evaluation
+// that considers it. Either way, the entity's fallback is considered
+// where Entity.fallback says, uncached.
 func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (schedClass, float64) {
 	v := newVerdict()
 	keyHolds := e.keyEpoch == s.epoch && e.keyLeaf.scaled == e.keyScaled
 	if p := e.pending; p != nil {
-		if prune {
-			s.prune(e, now)
-		}
 		if keyHolds {
 			for _, c := range p.list[p.folded:] {
 				s.foldKey(e, c)
@@ -476,6 +466,10 @@ func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (sche
 			s.considerBinding(&v, e, now, false)
 		}
 		v.nocache = v.nocache || !s.pruned(e, now)
+	}
+	if c := e.fallback(); c != nil {
+		s.consider(&v, c, now)
+		v.nocache = true
 	}
 	e.keyEpoch = 0
 	if !v.nocache && v.leaf != nil {
@@ -565,7 +559,7 @@ func (s *ContainerScheduler) Charge(e *Entity, c *rc.Container, d sim.Duration, 
 // Bind implements Scheduler: the entity's resource binding moves to c and
 // c joins the scheduler binding (§4.3: the scheduler binding is set
 // implicitly by the system's observation of the thread's resource
-// bindings).
+// bindings). A pending-set entity keeps no scheduler binding.
 func (s *ContainerScheduler) Bind(e *Entity, c *rc.Container, now sim.Time) {
 	if c == nil {
 		panic("sched: Bind to nil container")
@@ -573,6 +567,14 @@ func (s *ContainerScheduler) Bind(e *Entity, c *rc.Container, now sim.Time) {
 	old := e.Resource
 	e.Resource = c
 	s.registerChain(c)
+	if e.pending != nil {
+		// It is classed by its resource binding: a remove, then an add.
+		if old != nil && old != c {
+			e.dropKey(old)
+		}
+		s.foldKey(e, c)
+		return
+	}
 	found, aged := false, old == c
 	for i := 0; i < len(e.binding) && !(found && aged); i++ {
 		switch b := &e.binding[i]; b.c {
@@ -585,16 +587,6 @@ func (s *ContainerScheduler) Bind(e *Entity, c *rc.Container, now sim.Time) {
 	}
 	if !found {
 		e.binding = append(e.binding, bindingEntry{c: c, last: now})
-	}
-	switch {
-	case e.pending == nil && !found:
-		s.foldKey(e, c)
-	case e.pending != nil && old != c:
-		// A pending-set entity is classed by its resource binding: a
-		// remove, then an add.
-		if old != nil {
-			e.dropKey(old)
-		}
 		s.foldKey(e, c)
 	}
 	s.prune(e, now)

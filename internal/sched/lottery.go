@@ -49,8 +49,8 @@ func (s *ContainerScheduler) lotteryPick(cands []*Entity, tickets []float64) *En
 	return cands[len(cands)-1]
 }
 
-// tickets returns the entity's ticket count: the largest weight among its
-// eligible (live, unthrottled) binding containers.
+// tickets returns the entity's ticket count: the largest weight among the
+// eligible (live, unthrottled) containers it is classed by or falls back to.
 func (s *ContainerScheduler) tickets(e *Entity, now sim.Time) float64 {
 	best := 0.0
 	consider := func(c *rc.Container) {
@@ -68,14 +68,11 @@ func (s *ContainerScheduler) tickets(e *Entity, now sim.Time) float64 {
 			consider(c)
 		}
 		consider(e.Resource)
-		return best
+	} else {
+		for _, b := range e.binding {
+			consider(b.c)
+		}
 	}
-	if len(e.binding) == 0 {
-		consider(e.Fallback)
-		return best
-	}
-	for _, b := range e.binding {
-		consider(b.c)
-	}
+	consider(e.fallback())
 	return best
 }

@@ -20,12 +20,15 @@ import (
 // state, and TestPickMatchesReference drives it beside a
 // ContainerScheduler over a twin container tree. The network entity net
 // is classed by netPending, a list rebuilt at every call, and its
-// resource binding.
+// resource binding, or its fallback when that is nil or destroyed; it
+// records no scheduler binding.
 type refScheduler struct {
 	*ContainerScheduler
 	usage      map[*rc.Container]*refUsage
 	net        *Entity
 	netPending func() []*rc.Container
+	// skipNetFallback plants a bug: the network entity never falls back.
+	skipNetFallback bool
 }
 
 // refUsage is a leaf's decayed CPU usage in seconds, as of last.
@@ -110,7 +113,7 @@ func (s *refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
 	bestDeficit := sim.Duration(0)
 	bestKey := math.Inf(1)
 	consider := func(c *rc.Container) {
-		if c.Destroyed() || s.throttled(c) {
+		if c == nil || c.Destroyed() || s.throttled(c) {
 			return
 		}
 		if d := s.pathDeficit(c, now); d > 0 {
@@ -130,9 +133,7 @@ func (s *refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
 		for _, c := range s.netPending() {
 			consider(c)
 		}
-		if e.Resource != nil {
-			consider(e.Resource)
-		}
+		consider(s.netResource(e))
 	} else {
 		if len(e.binding) == 0 {
 			consider(e.Fallback)
@@ -148,6 +149,16 @@ func (s *refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
 		return cls, bestKey
 	}
 	return classNone, 0
+}
+
+// netResource is the container the network entity is classed by
+// besides its pending work: its resource binding, or its fallback when
+// the resource binding is nil or destroyed.
+func (s *refScheduler) netResource(e *Entity) *rc.Container {
+	if (e.Resource == nil || e.Resource.Destroyed()) && !s.skipNetFallback {
+		return e.Fallback
+	}
+	return e.Resource
 }
 
 func (s *refScheduler) prune(e *Entity, now sim.Time) {
@@ -179,6 +190,9 @@ func (s *refScheduler) prune(e *Entity, now sim.Time) {
 func (s *refScheduler) bind(e *Entity, c *rc.Container, now sim.Time) {
 	e.Resource = c
 	s.registerChain(c)
+	if e == s.net {
+		return
+	}
 	found := false
 	for i := range e.binding {
 		if e.binding[i].c == c {
@@ -255,7 +269,7 @@ func (s *refScheduler) tickets(e *Entity) float64 {
 		for _, c := range s.netPending() {
 			consider(c)
 		}
-		consider(e.Resource)
+		consider(s.netResource(e))
 	case len(e.binding) == 0:
 		consider(e.Fallback)
 	default:
@@ -328,8 +342,11 @@ type differential struct {
 	// the entity's cached key.
 	staleDrain bool
 	fallback   map[int]bool
-	now        sim.Time
-	step       int
+	// netFallbacks counts the checks at which the network entity's
+	// resource binding was destroyed, so that it fell back.
+	netFallbacks int
+	now          sim.Time
+	step         int
 	// jumps makes some time steps hundreds of virtual seconds long, so
 	// the run crosses rebases; rebases counts them.
 	jumps   bool
@@ -470,8 +487,12 @@ func (d *differential) op() {
 			}
 			return w.conts[i].SetParent(w.conts[p])
 		})
-	case r < 83: // a container is released
+	case r < 83: // a container is released, often the network entity's resource binding
 		i, ok := d.liveContainer()
+		if d.set != nil && d.rng.Intn(2) == 0 {
+			res := d.fast.ents[0].Resource
+			i, ok = d.fast.index[res], !res.Destroyed()
+		}
 		if !ok || d.fallback[i] {
 			return
 		}
@@ -550,6 +571,9 @@ func (d *differential) check() {
 	tr, okr := d.ref.s.NextRelease(d.now)
 	if tf != tr || okf != okr {
 		d.fatalf("next release %v %v, reference %v %v", tf, okf, tr, okr)
+	}
+	if d.set != nil && d.fast.ents[0].Resource.Destroyed() {
+		d.netFallbacks++
 	}
 	for i, ef := range d.fast.ents {
 		er := d.ref.ents[i]
@@ -645,10 +669,17 @@ func newDifferential(t failer, seed int64) *differential {
 // refScheduler: the same pick, next release, classes, bindings and slice
 // budgets, and keys within keyTolerance once converted to decayed
 // seconds. The network entity's pending set changes by push, as the
-// kernel's protocol queue changes it, and the reference rebuilds it.
+// kernel's protocol queue changes it, and the reference rebuilds it; its
+// resource binding is often released, so that it falls back.
 func TestPickMatchesReference(t *testing.T) {
+	fallbacks := 0
 	for seed := int64(1); seed <= 150; seed++ {
-		newDifferential(t, seed).run(300)
+		d := newDifferential(t, seed)
+		d.run(300)
+		fallbacks += d.netFallbacks
+	}
+	if fallbacks < 1000 {
+		t.Fatalf("the network entity fell back at %d checks, want at least 1000", fallbacks)
 	}
 }
 
@@ -668,18 +699,35 @@ func (plantedFailer) Fatalf(format string, args ...any) {
 // entity's pending set without dropping its cached key keeps scheduling
 // it by a leaf it no longer serves, and the differential test catches it.
 func TestPickMatchesReferenceCatchesStaleDrain(t *testing.T) {
+	wantDivergence(t, "drains that keep the cached key", func(d *differential) { d.staleDrain = true })
+}
+
+// Planted bug: a scheduler whose network entity does not fall back when
+// its resource binding is destroyed leaves it out of the class its
+// fallback gives it, and the differential test catches it. The bug is
+// planted in the reference, so the scheduler under test must apply the
+// fallback to diverge from it.
+func TestPickMatchesReferenceCatchesSkippedFallback(t *testing.T) {
+	wantDivergence(t, "a reference that skips the network fallback", func(d *differential) { d.refs.skipNetFallback = true })
+}
+
+// wantDivergence requires the differential test, with the bug plant
+// plants, to diverge for some seed.
+func wantDivergence(t *testing.T, what string, plant func(*differential)) {
+	t.Helper()
 	for seed := int64(1); seed <= 150; seed++ {
-		if msg := runPlanted(seed); msg != "" {
+		if msg := runPlanted(seed, plant); msg != "" {
 			t.Logf("seed %d: %s", seed, msg)
 			return
 		}
 	}
-	t.Fatal("no seed diverged with drains that keep the cached key")
+	t.Fatalf("no seed diverged with %s", what)
 }
 
-// runPlanted runs the differential test for seed with stale drains and
-// returns its first failure, or "" when every decision matched.
-func runPlanted(seed int64) (msg string) {
+// runPlanted runs the differential test for seed with the bug plant
+// plants and returns its first failure, or "" when every decision
+// matched.
+func runPlanted(seed int64, plant func(*differential)) (msg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			div, ok := r.(divergence)
@@ -690,7 +738,7 @@ func runPlanted(seed int64) (msg string) {
 		}
 	}()
 	d := newDifferential(plantedFailer{}, seed)
-	d.staleDrain = true
+	plant(d)
 	d.run(300)
 	return ""
 }

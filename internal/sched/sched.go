@@ -43,11 +43,10 @@ type Entity struct {
 	// Owner is an opaque back-pointer for the kernel (the owning thread).
 	Owner any
 
-	// Fallback is the principal of last resort (the process default
-	// container): it is scheduled against when every container in the
-	// thread's binding has been destroyed before the thread could be
-	// rebound — e.g. a connection torn down while the thread's next work
-	// item was already queued.
+	// Fallback is the principal of last resort, the process default
+	// container, which the container scheduler falls back to (see
+	// fallback), e.g. when a connection is torn down while the thread's
+	// next work item for it is already queued.
 	Fallback *rc.Container
 
 	// Proc is the classic scheduler's principal (the owning process).
@@ -70,7 +69,8 @@ type Entity struct {
 	// binding is the scheduler binding (§4.3): the containers the thread
 	// has recently had a resource binding to, with last-bound times.
 	binding []bindingEntry
-	// pending, set by NewPendingSet, classes the entity in binding's place.
+	// pending, set by NewPendingSet, classes the entity in binding's
+	// place, and binding stays empty.
 	pending *PendingSet
 
 	// The container scheduler's Pick cache (see ContainerScheduler.evaluate),
@@ -101,8 +101,10 @@ type PendingSet struct {
 	folded int
 }
 
-// NewPendingSet makes an empty pending set e's scheduler binding.
+// NewPendingSet makes an empty pending set e's scheduler binding, in
+// place of any observed one.
 func NewPendingSet(e *Entity) *PendingSet {
+	e.binding, e.keyEpoch = nil, 0
 	e.pending = &PendingSet{e: e}
 	return e.pending
 }
@@ -139,16 +141,19 @@ func (e *Entity) Runnable() bool { return e.runnable }
 // dispatch loop maintains it.
 func (e *Entity) SetOnCPU(v bool) { e.onCPU = v }
 
-// HasLiveBinding reports whether any container in the scheduler binding
-// is still alive. A thread whose every recent activity has been torn down
-// needs a fresh resource binding before it can be scheduled again.
-func (e *Entity) HasLiveBinding() bool {
-	for _, b := range e.binding {
-		if !b.c.Destroyed() {
-			return true
-		}
+// fallback returns the container e is scheduled against besides the
+// ones it is classed by, or nil: Fallback while e's scheduler binding is
+// empty or, with a pending set, while its resource binding is nil or
+// destroyed. Both classing paths and the lottery tickets apply it here.
+func (e *Entity) fallback() *rc.Container {
+	if r := e.Resource; e.pending == nil && len(e.binding) > 0 ||
+		e.pending != nil && r != nil && !r.Destroyed() {
+		return nil
 	}
-	return false
+	if e.Fallback == nil || e.Fallback.Destroyed() {
+		panic(fmt.Sprintf("sched: entity %v needs its fallback and has no live one; the kernel must set Entity.Fallback", e))
+	}
+	return e.Fallback
 }
 
 // Binding returns the containers in the entity's scheduler binding.

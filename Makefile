@@ -131,4 +131,5 @@ rebalance-smoke:
 
 tier1: build race
 
-ci: build lint race chaos-smoke livechaos-smoke rebalance-smoke
+# Everything the CI workflow's test job runs, in the same order.
+ci: build lint race bench identity chaos-smoke scale-smoke live-smoke livechaos-smoke rebalance-smoke

@@ -105,15 +105,17 @@ func parseBench(fields []string) (Result, bool) {
 	return r, seenNs
 }
 
-// hotPaths are the allocation-free simulator inner loops pinned by
-// docs/PERFORMANCE.md: tolerance never applies to them — one alloc/op on
-// any of these multiplies into millions of allocations per experiment,
-// so the gate is hard zero.
+// hotPaths are the allocation-free simulator inner loops, and the live
+// Enforcer's admitted path, pinned by docs/PERFORMANCE.md: tolerance
+// never applies to them — one alloc/op on any of these multiplies into
+// millions of allocations per experiment or per served request, so the
+// gate is hard zero.
 var hotPaths = []struct{ pkg, name string }{
 	{"rescon", "BenchmarkSimEngineEventChurn"},
 	{"rescon/internal/netsim", "BenchmarkQueuePushPop"},
 	{"rescon/internal/rc", "BenchmarkChargeCPUDepth3"},
 	{"rescon/internal/rc", "BenchmarkSetAttributesChurn"},
+	{"rescon/internal/rcruntime", "BenchmarkEnforcerAdmit"},
 	{"rescon/internal/sched", "BenchmarkPick8Entities"},
 	{"rescon/internal/sched", "BenchmarkPickEventServer"},
 	{"rescon/internal/sched", "BenchmarkPickEventServerCapped"},

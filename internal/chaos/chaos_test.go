@@ -77,13 +77,22 @@ func TestSmokeAllModes(t *testing.T) {
 func TestValidateRejects(t *testing.T) {
 	good := Generate(3)
 	cases := map[string]func(*Scenario){
-		"bad mode":       func(sc *Scenario) { sc.Mode = "turbo" },
-		"zero cpus":      func(sc *Scenario) { sc.CPUs = 0 },
-		"zero horizon":   func(sc *Scenario) { sc.Horizon = 0 },
-		"bad mutation":   func(sc *Scenario) { sc.Mutation = "gremlins" },
-		"bad kind":       func(sc *Scenario) { sc.Workloads = []WorkloadSpec{{Kind: "ddos"}} },
-		"forward parent": func(sc *Scenario) { sc.Containers = []ContainerSpec{{Name: "x", Parent: 0}} },
-		"bad crash":      func(sc *Scenario) { sc.Crash = &CrashSpec{} },
+		"bad mode":         func(sc *Scenario) { sc.Mode = "turbo" },
+		"zero cpus":        func(sc *Scenario) { sc.CPUs = 0 },
+		"zero horizon":     func(sc *Scenario) { sc.Horizon = 0 },
+		"bad mutation":     func(sc *Scenario) { sc.Mutation = "gremlins" },
+		"bad kind":         func(sc *Scenario) { sc.Workloads = []WorkloadSpec{{Kind: "ddos"}} },
+		"forward parent":   func(sc *Scenario) { sc.Containers = []ContainerSpec{{Name: "x", Parent: 0}} },
+		"bad crash":        func(sc *Scenario) { sc.Crash = &CrashSpec{} },
+		"flood no rate":    func(sc *Scenario) { sc.Workloads = []WorkloadSpec{{Kind: WorkFlood}} },
+		"negative rate":    func(sc *Scenario) { sc.Workloads = []WorkloadSpec{{Kind: WorkFlood, Rate: -1}} },
+		"overflowing rate": func(sc *Scenario) { sc.Workloads = []WorkloadSpec{{Kind: WorkFlood, Rate: 1e-300}} },
+		"negative count":   func(sc *Scenario) { sc.Workloads = []WorkloadSpec{{Kind: WorkClients, Count: -1}} },
+		"negative think":   func(sc *Scenario) { sc.Workloads = []WorkloadSpec{{Kind: WorkClients, Think: -1}} },
+		"negative cgi":     func(sc *Scenario) { sc.Workloads = []WorkloadSpec{{Kind: WorkCGI, CGICPU: -1}} },
+		"negative downtime": func(sc *Scenario) {
+			sc.Crash = &CrashSpec{MTBF: sim.Second, Downtime: -1}
+		},
 		"timeshare parent": func(sc *Scenario) {
 			sc.Containers = []ContainerSpec{{Name: "a", Parent: -1}, {Name: "b", Parent: 0}}
 		},

@@ -132,8 +132,8 @@ func (sc LiveScenario) Validate() error {
 	if sc.HostileRounds < 0 || sc.CalmRounds < 0 || sc.HostileRounds+sc.CalmRounds == 0 {
 		return fmt.Errorf("chaos: live scenario needs rounds (hostile %d, calm %d)", sc.HostileRounds, sc.CalmRounds)
 	}
-	if sc.Grace < 0 {
-		return fmt.Errorf("chaos: negative grace %v", sc.Grace)
+	if sc.Think < 0 || sc.Grace < 0 || sc.Faults.StallFor < 0 {
+		return fmt.Errorf("chaos: negative think %v, grace %v or stall %v", sc.Think, sc.Grace, sc.Faults.StallFor)
 	}
 	if len(sc.Tenants) == 0 {
 		return fmt.Errorf("chaos: live scenario has no tenants")

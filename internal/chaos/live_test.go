@@ -31,6 +31,8 @@ func TestLiveScenarioValidate(t *testing.T) {
 		func(sc *LiveScenario) { sc.Window = 0 },
 		func(sc *LiveScenario) { sc.HostileRounds, sc.CalmRounds = 0, 0 },
 		func(sc *LiveScenario) { sc.Grace = -1 },
+		func(sc *LiveScenario) { sc.Think = -1 },
+		func(sc *LiveScenario) { sc.Faults.StallFor = -1 },
 		func(sc *LiveScenario) { sc.Tenants = nil },
 		func(sc *LiveScenario) { sc.Tenants[1].Name = sc.Tenants[0].Name },
 		func(sc *LiveScenario) { sc.Tenants[0].Limit = 1.5 },

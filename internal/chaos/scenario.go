@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 
 	"rescon/internal/fault"
 	"rescon/internal/kernel"
@@ -150,9 +151,11 @@ type RebalanceSpec struct {
 
 // Validate reports whether the scenario is structurally runnable:
 // recognized mode and mutation, a positive machine and horizon, parent
-// indices that refer to earlier fixed-share specs, and known workload
-// kinds. Attribute ranges (shares, limits) are validated by the
-// container layer when the runner builds the hierarchy.
+// indices that refer to earlier fixed-share specs, known workload kinds
+// with no negative count, rate or duration, a flood rate whose interval
+// fits a sim.Duration, and a crash plan with positive MTBF and
+// non-negative downtime. Attribute ranges (shares, limits) are
+// validated by the container layer when the runner builds the hierarchy.
 func (sc Scenario) Validate() error {
 	if _, err := ModeOf(sc.Mode); err != nil {
 		return err
@@ -177,9 +180,15 @@ func (sc Scenario) Validate() error {
 		default:
 			return fmt.Errorf("chaos: workload %d has unknown kind %q", i, w.Kind)
 		}
+		if w.Count < 0 || w.Rate < 0 || w.CGICPU < 0 || w.Think < 0 {
+			return fmt.Errorf("chaos: workload %d has a negative count, rate, CGI CPU or think time", i)
+		}
+		if w.Kind == WorkFlood && !(w.Rate > 0 && float64(sim.Second)/w.Rate < math.MaxInt64) {
+			return fmt.Errorf("chaos: workload %d is a flood without a rate whose interval fits a duration", i)
+		}
 	}
-	if sc.Crash != nil && sc.Crash.MTBF <= 0 {
-		return fmt.Errorf("chaos: crash plan without positive MTBF")
+	if sc.Crash != nil && (sc.Crash.MTBF <= 0 || sc.Crash.Downtime < 0) {
+		return fmt.Errorf("chaos: crash plan without positive MTBF or with negative downtime")
 	}
 	switch sc.Mutation {
 	case "", MutationPhantomCPU:

@@ -197,9 +197,10 @@ type Container struct {
 	// ProfileSlot).
 	Profile ProfileSlot
 
-	// SchedState is an opaque per-scheduler slot. The scheduler attaches
-	// its bookkeeping (usage, budget) here so that the rc package need not
-	// know about any particular scheduling policy.
+	// SchedState is an opaque slot for the container's one enforcement
+	// owner: the simulated scheduler (its usage and budget bookkeeping)
+	// or, in a live hierarchy, the rcruntime Enforcer (its window
+	// snapshot). The rc package need not know about either policy.
 	SchedState SchedHook
 
 	// chain caches the ancestor path (the container itself first, then

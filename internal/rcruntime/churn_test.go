@@ -9,61 +9,10 @@ import (
 	"rescon/internal/rc"
 )
 
-// TestEnforcerPruneSweepsDestroyed: destroyed containers do not pin
-// snapshot-table memory once the prune threshold is crossed, even when
-// the window never rolls.
-func TestEnforcerPruneSweepsDestroyed(t *testing.T) {
-	fc := &VirtualClock{}
-	e := New(fc, time.Hour) // a window that never rolls inside the test
-	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
-	keeper := rc.MustNew(root, rc.FixedShare, "keeper", rc.Attributes{Limit: 0.5})
-
-	// Populate a snapshot per short-lived limited leaf, then destroy them.
-	var doomed []*rc.Container
-	for i := 0; i < 70; i++ {
-		c := rc.MustNew(root, rc.FixedShare, "tenant", rc.Attributes{Limit: 0.01})
-		doomed = append(doomed, c)
-		if _, ok := e.admit(c, 0); !ok {
-			t.Fatalf("fresh leaf %d not admitted", i)
-		}
-	}
-	for _, c := range doomed {
-		e.Sync(func() {
-			if err := c.Release(); err != nil {
-				t.Errorf("release: %v", err)
-			}
-		})
-	}
-
-	// Arm the next sweep (the threshold self-tunes upward as the table
-	// grows, so force it for determinism) and trigger it with one
-	// ordinary admission.
-	e.Sync(func() { e.pruneAt = len(e.snapshots) })
-	if _, ok := e.admit(keeper, 0); !ok {
-		t.Fatal("keeper not admitted")
-	}
-
-	var live int
-	e.Sync(func() {
-		live = len(e.snapshots)
-		for c := range e.snapshots {
-			if c.Destroyed() {
-				t.Errorf("destroyed container %s survived the prune", c.Name())
-			}
-		}
-		if e.pruneAt != minPruneSize {
-			t.Errorf("pruneAt = %d after sweep, want reset to %d", e.pruneAt, minPruneSize)
-		}
-	})
-	if live > 1 {
-		t.Fatalf("%d snapshots survive, want only the keeper's", live)
-	}
-}
-
 // TestEnforcerChurnRace hammers the enforcer with concurrent admissions,
 // charges, and Sync'd container create/destroy churn — the tenant-reaper
 // pattern — under the race detector and a real clock with a tiny window
-// so rolls, prunes, and waiter wakeups all interleave.
+// so rolls, lazy window refreshes and blocked waits all interleave.
 func TestEnforcerChurnRace(t *testing.T) {
 	e := New(nil, 200*time.Microsecond)
 	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
@@ -113,13 +62,6 @@ func TestEnforcerChurnRace(t *testing.T) {
 	if got := time.Duration(root.Usage().CPU()); got == 0 {
 		t.Fatal("no work was ever charged through the churned hierarchy")
 	}
-	e.Sync(func() {
-		for c := range e.waiters {
-			if c.Destroyed() {
-				t.Errorf("destroyed container %s still holds parked waiters", c.Name())
-			}
-		}
-	})
 }
 
 // TestListenerDoubleClose: the policed wrapper absorbs repeated closes,

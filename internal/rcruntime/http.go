@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rescon/internal/rc"
@@ -177,6 +178,16 @@ func setRetryAfter(w http.ResponseWriter, wait time.Duration) {
 	w.Header().Set("Retry-After", strconv.FormatInt(retryAfterSeconds(wait), 10))
 }
 
+// reject sheds a request before its handler runs: it counts the shed,
+// sets Retry-After, answers code with msg, and records the event.
+func (rt *Runtime) reject(w http.ResponseWriter, c *rc.Container, counter *atomic.Uint64,
+	code int, cause, msg string, retryAfter, delay time.Duration) {
+	counter.Add(1)
+	setRetryAfter(w, retryAfter)
+	http.Error(w, msg, code)
+	rt.sink.RecordRequest(RequestEvent{Container: c.Name(), Code: code, Shed: true, Cause: cause, Delay: delay})
+}
+
 // Middleware wraps next so that every request is bound to a container
 // (via the Binder), admitted against the container subtree's window
 // budget, and charged for its handler wall-clock on completion. Requests
@@ -198,29 +209,15 @@ func (rt *Runtime) Middleware(next http.Handler) http.Handler {
 			c = rt.cfg.Root
 		}
 		if rt.draining.Load() {
-			rt.drainShed.Add(1)
 			w.Header().Set("Connection", "close")
-			setRetryAfter(w, rt.enf.WindowRemaining())
-			http.Error(w, "server draining", http.StatusServiceUnavailable)
-			rt.sink.RecordRequest(RequestEvent{
-				Container: c.Name(),
-				Code:      http.StatusServiceUnavailable,
-				Shed:      true,
-				Cause:     CauseDrain,
-			})
+			rt.reject(w, c, &rt.drainShed, http.StatusServiceUnavailable, CauseDrain,
+				"server draining", rt.enf.WindowRemaining(), 0)
 			return
 		}
 		if rt.breakers != nil {
 			if wait, allowed := rt.breakers.admit(c, rt.clock.Now()); !allowed {
-				rt.breakerShed.Add(1)
-				setRetryAfter(w, wait)
-				http.Error(w, "tenant circuit breaker open", http.StatusServiceUnavailable)
-				rt.sink.RecordRequest(RequestEvent{
-					Container: c.Name(),
-					Code:      http.StatusServiceUnavailable,
-					Shed:      true,
-					Cause:     CauseBreaker,
-				})
+				rt.reject(w, c, &rt.breakerShed, http.StatusServiceUnavailable, CauseBreaker,
+					"tenant circuit breaker open", wait, 0)
 				return
 			}
 		}
@@ -233,19 +230,11 @@ func (rt *Runtime) Middleware(next http.Handler) http.Handler {
 			delay = 0 // admitted on the first check: clock noise, not a wait
 		}
 		if !ok {
-			rt.shed.Add(1)
 			if rt.breakers != nil {
 				rt.breakers.onShed(c, rt.clock.Now())
 			}
-			setRetryAfter(w, rt.enf.WindowRemaining())
-			http.Error(w, "resource container budget exhausted", http.StatusTooManyRequests)
-			rt.sink.RecordRequest(RequestEvent{
-				Container: c.Name(),
-				Code:      http.StatusTooManyRequests,
-				Shed:      true,
-				Cause:     CauseShed,
-				Delay:     delay,
-			})
+			rt.reject(w, c, &rt.shed, http.StatusTooManyRequests, CauseShed,
+				"resource container budget exhausted", rt.enf.WindowRemaining(), delay)
 			return
 		}
 		if rt.breakers != nil {

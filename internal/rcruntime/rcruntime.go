@@ -10,7 +10,10 @@
 // The package has two layers:
 //
 //   - Enforcer is the cooperative core: Acquire brackets arbitrary
-//     sections of Go code with admission control and accounting.
+//     sections of Go code with admission control and accounting. Its
+//     only per-container state is the window snapshot it keeps in each
+//     limited container's SchedState slot; a blocked admission sleeps
+//     on the Clock until the window rolls.
 //   - Runtime is the production adapter for net/http servers: a
 //     Middleware that binds each request to a container (pluggable
 //     Binder, with dynamic §4.2 rebinding via Rebind), charges handler
@@ -91,10 +94,6 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 // may consume at most L×window of CPU per window.
 const DefaultWindow = 100 * time.Millisecond
 
-// minPruneSize is the snapshot-table size below which the enforcer does
-// not bother sweeping destroyed containers between window rolls.
-const minPruneSize = 64
-
 // Enforcer admits work against container CPU limits and accounts usage.
 // It is safe for concurrent use; all container mutations happen under its
 // lock (the rc package itself is not concurrency-safe).
@@ -104,13 +103,29 @@ type Enforcer struct {
 
 	mu          sync.Mutex
 	windowStart time.Time
-	snapshots   map[*rc.Container]time.Duration // subtree usage at window start
-	waiters     map[*rc.Container][]chan struct{}
-	// pruneAt is the snapshot-table size that triggers the next sweep of
-	// destroyed containers. Rolls prune too, but a long window (or one
-	// that never rolls because every acquire is admitted instantly) must
-	// not let destroyed containers pin memory in the meantime.
-	pruneAt int
+	gen         uint64 // windows rolled so far
+}
+
+// winState is the Enforcer's window state for one limited container,
+// kept in its SchedState slot (a live hierarchy has no simulated
+// scheduler) and taken lazily at the first check in a window, so that
+// rolling the window touches no container.
+type winState struct {
+	gen  uint64        // the window snap belongs to
+	snap time.Duration // subtree usage at that window's start
+}
+
+// Changed implements rc.SchedHook: attribute and topology changes leave
+// the snapshot valid (budgets are read afresh on every check).
+func (*winState) Changed() {}
+
+// refreshLocked moves st into the current window. Usage moves only
+// through Charge, which refreshes a stale state before charging, so the
+// usage read here equals the usage at the roll.
+func (e *Enforcer) refreshLocked(st *winState, c *rc.Container) {
+	if st.gen != e.gen {
+		st.gen, st.snap = e.gen, e.usage(c)
+	}
 }
 
 // New returns an enforcer using the given clock (nil for the wall clock)
@@ -122,13 +137,7 @@ func New(clock Clock, window time.Duration) *Enforcer {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	return &Enforcer{
-		clock:     clock,
-		window:    window,
-		snapshots: make(map[*rc.Container]time.Duration),
-		waiters:   make(map[*rc.Container][]chan struct{}),
-		pruneAt:   minPruneSize,
-	}
+	return &Enforcer{clock: clock, window: window}
 }
 
 // Window returns the enforcement window.
@@ -138,76 +147,39 @@ func (e *Enforcer) usage(c *rc.Container) time.Duration {
 	return time.Duration(c.Usage().CPU())
 }
 
-// rollLocked starts a new window if the current one has expired, waking
-// all throttled waiters.
+// rollLocked starts a new window if the current one has expired.
 func (e *Enforcer) rollLocked(now time.Time) {
-	if now.Sub(e.windowStart) < e.window {
-		return
-	}
-	e.windowStart = now
-	for c := range e.snapshots {
-		if c.Destroyed() {
-			delete(e.snapshots, c)
-			continue
-		}
-		e.snapshots[c] = e.usage(c)
-	}
-	for c, ws := range e.waiters {
-		for _, ch := range ws {
-			close(ch)
-		}
-		delete(e.waiters, c)
+	if now.Sub(e.windowStart) >= e.window {
+		e.windowStart = now
+		e.gen++
 	}
 }
 
-// overLimitLocked returns the first ancestor (or c itself) whose limit
-// budget for this window is exhausted, or nil.
-func (e *Enforcer) overLimitLocked(c *rc.Container, now time.Time) *rc.Container {
+// overLimitLocked reports whether c or an ancestor has exhausted its
+// limit budget for this window. A destroyed container is never over its
+// limit, and has no ancestors.
+func (e *Enforcer) overLimitLocked(c *rc.Container, now time.Time) bool {
 	e.rollLocked(now)
+	if c.Destroyed() {
+		return false
+	}
 	for p := c; p != nil; p = p.Parent() {
 		l := p.Attributes().Limit
 		if l <= 0 {
 			continue
 		}
-		snap, ok := e.snapshots[p]
+		st, ok := p.SchedState.(*winState)
 		if !ok {
-			snap = e.usage(p)
-			e.snapshots[p] = snap
+			st = &winState{gen: e.gen, snap: e.usage(p)}
+			p.SchedState = st
 		}
+		e.refreshLocked(st, p)
 		budget := time.Duration(l * float64(e.window))
-		if e.usage(p)-snap >= budget {
-			return p
+		if e.usage(p)-st.snap >= budget {
+			return true
 		}
 	}
-	return nil
-}
-
-// maybePruneLocked sweeps destroyed containers out of the snapshot and
-// waiter tables once they grow past the prune threshold. Rolls prune on
-// their own schedule; this bounds retention for containers released
-// mid-window, when the window is long or never rolls. Waiters parked on
-// a destroyed container are woken — its limit no longer applies.
-func (e *Enforcer) maybePruneLocked() {
-	if len(e.snapshots) < e.pruneAt {
-		return
-	}
-	for c := range e.snapshots {
-		if c.Destroyed() {
-			delete(e.snapshots, c)
-		}
-	}
-	for c, ws := range e.waiters {
-		if c.Destroyed() {
-			for _, ch := range ws {
-				close(ch)
-			}
-			delete(e.waiters, c)
-		}
-	}
-	e.pruneAt = 2 * len(e.snapshots)
-	if e.pruneAt < minPruneSize {
-		e.pruneAt = minPruneSize
-	}
+	return false
 }
 
 // Acquire blocks until c's subtree has limit budget, then returns a
@@ -234,9 +206,7 @@ func (e *Enforcer) admit(c *rc.Container, maxWait time.Duration) (waited, ok boo
 		if !started {
 			start, started = now, true
 		}
-		e.maybePruneLocked()
-		blocked := e.overLimitLocked(c, now)
-		if blocked == nil {
+		if !e.overLimitLocked(c, now) {
 			e.mu.Unlock()
 			return waited, true
 		}
@@ -245,21 +215,18 @@ func (e *Enforcer) admit(c *rc.Container, maxWait time.Duration) (waited, ok boo
 			return waited, false
 		}
 		waited = true
-		ch := make(chan struct{})
-		e.waiters[blocked] = append(e.waiters[blocked], ch)
+		// Budgets are restored only by a roll, and none can come before
+		// the window's remainder has passed: sleep that long (or to the
+		// end of our own wait), then check again.
 		wait := e.window - now.Sub(e.windowStart)
 		if maxWait >= 0 {
-			if rem := maxWait - now.Sub(start); rem < wait {
-				wait = rem
-			}
+			wait = min(wait, maxWait-now.Sub(start))
 		}
 		e.mu.Unlock()
-		// Wait for the window to roll (either by timer or by another
-		// acquirer rolling it first).
-		select {
-		case <-ch:
-		case <-e.sleepCh(wait):
+		if wait <= 0 {
+			wait = time.Millisecond
 		}
+		e.clock.Sleep(wait)
 	}
 }
 
@@ -272,9 +239,15 @@ func (e *Enforcer) Charge(c *rc.Container, actual time.Duration) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !c.Destroyed() {
-		c.ChargeCPU(rc.UserCPU, sim.Duration(actual))
+	if c.Destroyed() {
+		return
 	}
+	for p := c; p != nil; p = p.Parent() {
+		if st, ok := p.SchedState.(*winState); ok {
+			e.refreshLocked(st, p)
+		}
+	}
+	c.ChargeCPU(rc.UserCPU, sim.Duration(actual))
 }
 
 // OverBudget reports whether c's subtree (any limited ancestor,
@@ -284,9 +257,9 @@ func (e *Enforcer) OverBudget(c *rc.Container) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if c.Destroyed() {
-		return false
+		return false // without rolling the window, as a probe never has
 	}
-	return e.overLimitLocked(c, e.clock.Now()) != nil
+	return e.overLimitLocked(c, e.clock.Now())
 }
 
 // WindowRemaining returns the time left until the current enforcement
@@ -295,11 +268,7 @@ func (e *Enforcer) OverBudget(c *rc.Container) bool {
 func (e *Enforcer) WindowRemaining() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rem := e.window - e.clock.Now().Sub(e.windowStart)
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
+	return max(e.window-e.clock.Now().Sub(e.windowStart), 0)
 }
 
 // Sync runs fn while holding the enforcer's lock. The rc package is not
@@ -312,17 +281,4 @@ func (e *Enforcer) Sync(fn func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	fn()
-}
-
-// sleepCh returns a channel closed after d via the enforcer's clock.
-func (e *Enforcer) sleepCh(d time.Duration) <-chan struct{} {
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	ch := make(chan struct{})
-	go func() {
-		e.clock.Sleep(d)
-		close(ch)
-	}()
-	return ch
 }

@@ -106,92 +106,6 @@ func TestBudgetIsPerWindow(t *testing.T) {
 	}
 }
 
-// TestRollPrunesDestroyedContainers: a limited container that was being
-// tracked and is then destroyed must drop out of the snapshot table at
-// the next roll instead of leaking (and must not panic the roll).
-func TestRollPrunesDestroyedContainers(t *testing.T) {
-	fc := &VirtualClock{}
-	e := New(fc, 10*time.Millisecond)
-	capped := rc.MustNew(nil, rc.FixedShare, "capped", rc.Attributes{Limit: 0.5})
-	leaf := rc.MustNew(capped, rc.TimeShare, "leaf", rc.Attributes{Priority: 1})
-
-	e.Acquire(leaf)(time.Millisecond) // seeds the snapshot for "capped"
-	e.mu.Lock()
-	_, tracked := e.snapshots[capped]
-	e.mu.Unlock()
-	if !tracked {
-		t.Fatal("limited ancestor not tracked after an acquire")
-	}
-	_ = leaf.Release()
-	_ = capped.Release()
-	fc.Sleep(11 * time.Millisecond)
-	// Any acquire rolls the window and prunes.
-	other := rc.MustNew(nil, rc.TimeShare, "other", rc.Attributes{Priority: 1})
-	e.Acquire(other)(0)
-	e.mu.Lock()
-	_, tracked = e.snapshots[capped]
-	e.mu.Unlock()
-	if tracked {
-		t.Fatal("destroyed container still in the snapshot table after a roll")
-	}
-}
-
-// stuckClock is a fake clock whose Sleep never returns: the only way a
-// blocked acquirer can be admitted is the waiter-wake path. Advance moves
-// time without unblocking any sleeper.
-type stuckClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (s *stuckClock) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
-}
-
-func (s *stuckClock) Sleep(time.Duration) { select {} }
-
-func (s *stuckClock) Advance(d time.Duration) {
-	s.mu.Lock()
-	s.now = s.now.Add(d)
-	s.mu.Unlock()
-}
-
-// TestRollWakesBlockedWaiter: a goroutine blocked on an exhausted limit
-// is released when another acquirer rolls the window — it must not
-// depend on its own fallback sleep firing.
-func TestRollWakesBlockedWaiter(t *testing.T) {
-	sc := &stuckClock{}
-	e := New(sc, 10*time.Millisecond)
-	capped := rc.MustNew(nil, rc.FixedShare, "capped", rc.Attributes{Limit: 0.5})
-	leaf := rc.MustNew(capped, rc.TimeShare, "leaf", rc.Attributes{Priority: 1})
-
-	e.Acquire(leaf)(5 * time.Millisecond)
-	admitted := make(chan struct{})
-	go func() {
-		e.Acquire(leaf)(0)
-		close(admitted)
-	}()
-	// Wait until the waiter has parked itself on the exhausted container.
-	for {
-		e.mu.Lock()
-		parked := len(e.waiters[capped]) > 0
-		e.mu.Unlock()
-		if parked {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	sc.Advance(11 * time.Millisecond) // expire the window…
-	e.Acquire(leaf)(0)                // …and roll it from a different acquirer
-	select {
-	case <-admitted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked waiter was not woken by the window roll")
-	}
-}
-
 func TestDoBracketsAndCharges(t *testing.T) {
 	fc := &VirtualClock{}
 	e := New(fc, 10*time.Millisecond)

@@ -159,31 +159,3 @@ func TestWindowRemaining(t *testing.T) {
 		t.Fatalf("expired window remaining %v, want 0", rem)
 	}
 }
-
-// TestReleasedContainersPrunedMidWindow is the regression test for the
-// snapshot-table leak: containers released mid-window must not pin
-// memory until the next roll — with a long window (or a workload whose
-// acquires are always admitted instantly, so the fake clock never
-// advances and the window never rolls) the table would otherwise grow
-// without bound, one entry per limited container ever acquired.
-func TestReleasedContainersPrunedMidWindow(t *testing.T) {
-	fc := &VirtualClock{}
-	e := New(fc, time.Hour) // never rolls during the test
-	const churn = 1000
-	for i := 0; i < churn; i++ {
-		capped := rc.MustNew(nil, rc.FixedShare, "capped", rc.Attributes{Limit: 0.5})
-		leaf := rc.MustNew(capped, rc.TimeShare, "leaf", rc.Attributes{Priority: 1})
-		e.Acquire(leaf)(time.Millisecond)
-		_ = leaf.Release()
-		_ = capped.Release()
-	}
-	e.mu.Lock()
-	n := len(e.snapshots)
-	e.mu.Unlock()
-	if n >= churn {
-		t.Fatalf("snapshot table retained all %d released containers", n)
-	}
-	if n > 2*minPruneSize {
-		t.Fatalf("snapshot table holds %d entries after churn, want <= %d", n, 2*minPruneSize)
-	}
-}

@@ -1,8 +1,9 @@
 // Command rcserve boots a container-governed net/http server: every
 // request is bound to a resource container (by the X-RC-Tenant header or
 // the ?tenant= query parameter), charged for its wall-clock cost, and
-// shed with a 429 once its tenant's subtree exhausts the sliding-window
-// CPU budget. It is the production face of internal/rcruntime — the same
+// shed with a 429 once its tenant's subtree exhausts its CPU budget for
+// the current window (fixed windows of -window, the budget restored at
+// each roll). It is the production face of internal/rcruntime — the same
 // runtime the `rcbench -exp live` experiment drives under virtual time.
 //
 // Usage:
@@ -18,10 +19,12 @@
 // given CPU limit (fraction of the window; 0 means unlimited). Requests
 // naming no tenant, or an unknown one, are charged to the root.
 //
-// With -demo the server drives itself: it issues a short burst of
-// requests against its own listener (one well-behaved tenant, one
-// flooding tenant), prints the resulting stats, and exits — a smoke of
-// the governed path over real loopback TCP without an external client.
+// With -demo the server drives itself: it issues 20 sequential
+// /work?ms=2 requests as tenant "demo" against its own listener, prints
+// how many were served and shed and the resulting stats, and exits — a
+// smoke of the governed path over real loopback TCP without an external
+// client. The requests are charged to the root unless a -tenant
+// demo=limit declares the tenant; with a limit, the burst sheds.
 //
 // SIGINT or SIGTERM triggers a graceful drain: accepts stop, new
 // requests are shed with 503 + Connection: close, in-flight requests
@@ -200,27 +203,35 @@ func run(argv []string, out, errOut io.Writer) error {
 // writeFinalStats emits the runtime's closing books — request counters,
 // per-tenant CPU, and the drain report — as one JSON object on errOut.
 func writeFinalStats(errOut io.Writer, rt *rcruntime.Runtime, root *rc.Container, bound map[string]*rc.Container, rep rcruntime.DrainReport) {
+	body, st := statsBody(rt, root, bound)
+	body["drain_shed"] = st.DrainShed
+	body["panics"] = st.Panics
+	body["drain"] = map[string]any{
+		"waited":          rep.Waited.String(),
+		"leaked_requests": rep.LeakedRequests,
+		"open_conns":      rep.OpenConns,
+		"clean":           rep.Clean,
+	}
+	_ = json.NewEncoder(errOut).Encode(body)
+}
+
+// statsBody is what /stats and the closing books share: the request
+// counters and each tenant's CPU seconds (the root's as "root"). It
+// also returns the counters, for the fields only one output reports.
+func statsBody(rt *rcruntime.Runtime, root *rc.Container, bound map[string]*rc.Container) (map[string]any, rcruntime.Stats) {
 	st := rt.Stats()
 	usage := map[string]float64{"root": float64(root.Usage().CPU()) / float64(sim.Second)}
 	for name, c := range bound {
 		usage[name] = float64(c.Usage().CPU()) / float64(sim.Second)
 	}
-	_ = json.NewEncoder(errOut).Encode(map[string]any{
-		"served":     st.Served,
-		"shed":       st.Shed,
-		"drain_shed": st.DrainShed,
-		"panics":     st.Panics,
-		"delayed":    st.Delayed,
-		"accepted":   st.Accepted,
-		"refused":    st.Refused,
-		"cpu_s":      usage,
-		"drain": map[string]any{
-			"waited":          rep.Waited.String(),
-			"leaked_requests": rep.LeakedRequests,
-			"open_conns":      rep.OpenConns,
-			"clean":           rep.Clean,
-		},
-	})
+	return map[string]any{
+		"served":   st.Served,
+		"shed":     st.Shed,
+		"delayed":  st.Delayed,
+		"accepted": st.Accepted,
+		"refused":  st.Refused,
+		"cpu_s":    usage,
+	}, st
 }
 
 // requestBinder resolves the tenant from the X-RC-Tenant header, falling
@@ -262,28 +273,17 @@ func spin(d time.Duration) {
 // statsHandler reports runtime counters and per-tenant CPU usage.
 func statsHandler(rt *rcruntime.Runtime, root *rc.Container, bound map[string]*rc.Container) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		st := rt.Stats()
-		usage := map[string]float64{"root": float64(root.Usage().CPU()) / float64(sim.Second)}
-		for name, c := range bound {
-			usage[name] = float64(c.Usage().CPU()) / float64(sim.Second)
-		}
+		body, st := statsBody(rt, root, bound)
+		body["inflight"] = st.Inflight
+		body["window"] = rt.Window().String()
+		body["timestamp"] = time.Now().UTC().Format(time.RFC3339)
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"served":    st.Served,
-			"shed":      st.Shed,
-			"delayed":   st.Delayed,
-			"accepted":  st.Accepted,
-			"refused":   st.Refused,
-			"inflight":  st.Inflight,
-			"window":    rt.Window().String(),
-			"cpu_s":     usage,
-			"timestamp": time.Now().UTC().Format(time.RFC3339),
-		})
+		_ = json.NewEncoder(w).Encode(body)
 	}
 }
 
-// runDemo issues a short burst against the live server: a well-behaved
-// tenant alongside a flood, then prints where the requests ended up.
+// runDemo issues a burst of 20 requests as tenant "demo" against the
+// live server, then prints where the requests ended up and /stats.
 func runDemo(out io.Writer, addr string) error {
 	base := "http://" + addr
 	client := &http.Client{Timeout: 10 * time.Second}

@@ -11,24 +11,27 @@
 // single integer, a failing run is a pure function of its Scenario and
 // can be replayed, bisected and shrunk mechanically.
 //
-// The invariant battery extends the fault.Checker built-ins (CPU-charge
-// hierarchy conservation, non-negative usage, queue bounds, clock
-// monotonicity) with:
+// Every invariant is a named check, and a violation's failure class is
+// the name its check was registered under (see Classify). The classes
+// are fault.Checker's built-in monotonic-clock; kernel.WatchInvariants'
+// non-negative, hierarchy-conservation, queue-bound, conn-conservation
+// (connections established == closed + open, at every checker tick),
+// item-recycling and net-pending; the live harness's live-conservation,
+// live-leak, live-oscillation and live-starvation (live.go); and the
+// battery Run adds:
 //
-//   - CPU conservation: the telemetry profile's attributed processor
+//   - cpu-conservation: the telemetry profile's attributed processor
 //     time must equal the machine's busy + interrupt time (every cycle
 //     charged to some principal, no cycle charged twice) — the paper's
 //     central accounting claim, checked to cpuEpsilon.
-//   - Connection-lifecycle conservation: connections established ==
-//     connections closed + connections open, at every checker tick.
-//   - Isolation floor: when the scheduler is container-driven and
+//   - isolation-floor: when the scheduler is container-driven and
 //     nothing external (crashes, wire faults, disk queues) can stall
 //     it, a high-priority container with runnable work must make
 //     progress whenever the machine does.
-//   - Alert-flap: the alert monitor's flap counter stays zero — the
+//   - alert-flap: the alert monitor's flap counter stays zero — the
 //     hysteresis/damping pipeline must absorb every oscillation the
 //     scenario throws at it.
-//   - Missed-detection: the monitor's self-check stays clean — any
+//   - missed-detection: the monitor's self-check stays clean — any
 //     signal that sustained a threshold long enough to raise must have
 //     produced the corresponding event.
 //   - Rebalance safety (scenarios that arm the adaptive rebalancer):
@@ -40,7 +43,7 @@
 //     disarmed, and a disarmed controller must have restored the saved
 //     static attributes verbatim. The planted-bug mutations
 //     (MutationRebalance*) prove each class actually fires.
-//   - Determinism: re-running a scenario must produce a byte-identical
+//   - determinism: re-running a scenario must produce a byte-identical
 //     state digest (RunChecked), alert stream and rebalance decision
 //     journal included.
 //
@@ -60,27 +63,26 @@ import (
 	"strings"
 )
 
+// checkerPrefix opens every violation fault.Checker records; the time
+// of the check follows it, then ": ".
+const checkerPrefix = "fault: invariant violated at "
+
 // Classify maps a violation string to its failure class, the unit of
 // "fails the same way" used by Shrink and the rcchaos triage output.
+// The class is the name the violated check was registered under: the
+// name after the checker's "fault: invariant violated at <time>: "
+// prefix, or the name at the start of the message for the violations a
+// harness records itself ("<class>: <description>"). A message naming
+// no class is "unknown".
 func Classify(v string) string {
-	for _, c := range []string{"cpu-conservation", "conn-conservation", "item-recycling", "isolation-floor", "alert-flap", "missed-detection",
-		"rebalance-conservation", "rebalance-starvation", "rebalance-oscillation",
-		"live-conservation", "live-leak", "live-oscillation", "live-starvation", "determinism"} {
-		if strings.Contains(v, c) {
-			return c
-		}
+	if rest, ok := strings.CutPrefix(v, checkerPrefix); ok {
+		_, v, _ = strings.Cut(rest, ": ")
 	}
-	switch {
-	case strings.Contains(v, "queue"):
-		return "queue-bound"
-	case strings.Contains(v, "negative"):
-		return "non-negative"
-	case strings.Contains(v, "clock") || strings.Contains(v, "fired-event"):
-		return "monotonic-clock"
-	case strings.Contains(v, "conservation broken"):
-		return "hierarchy-conservation"
+	class, _, ok := strings.Cut(v, ": ")
+	if !ok {
+		return "unknown"
 	}
-	return "unknown"
+	return class
 }
 
 // Violations are the invariant violations one run recorded; empty
@@ -117,10 +119,9 @@ func (vs Violations) Classes() []string {
 }
 
 // digest finishes a run's state digest: it writes the violations to h
-// in sorted order and returns the sum. Sorted, because a couple of
-// kernel-internal collections are maps: when one bad tick trips several
-// queue checks at once their relative order is not guaranteed, and the
-// digest should not flag that as nondeterminism.
+// in sorted order and returns the sum. Sorted, so the digest depends on
+// which violations a run recorded, not on the order its checks
+// reported them in.
 func (vs Violations) digest(h hash.Hash64) uint64 {
 	sorted := slices.Clone(vs)
 	slices.Sort(sorted)
@@ -137,10 +138,10 @@ type outcome interface {
 }
 
 // runChecked runs sc twice from scratch and, if the two digests differ,
-// adds the determinism violation "<what>: run hashes differ: …" to the
-// first run's result, which it returns — the FoundationDB-style check
-// that a run really is a pure function of its scenario.
-func runChecked[S any, R outcome](sc S, run func(S) (R, error), what string) (R, error) {
+// adds the violation "determinism: run hashes differ: …" to the first
+// run's result, which it returns — the FoundationDB-style check that a
+// run really is a pure function of its scenario.
+func runChecked[S any, R outcome](sc S, run func(S) (R, error)) (R, error) {
 	r1, err := run(sc)
 	if err != nil {
 		return r1, err
@@ -151,7 +152,7 @@ func runChecked[S any, R outcome](sc S, run func(S) (R, error), what string) (R,
 	}
 	vs, h1 := r1.verdict()
 	if _, h2 := r2.verdict(); h1 != h2 {
-		*vs = append(*vs, fmt.Sprintf("%s: run hashes differ: %016x vs %016x", what, h1, h2))
+		*vs = append(*vs, fmt.Sprintf("determinism: run hashes differ: %016x vs %016x", h1, h2))
 	}
 	return r1, nil
 }

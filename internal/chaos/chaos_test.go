@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"rescon/internal/fault"
 	"rescon/internal/sim"
 )
 
@@ -234,21 +235,48 @@ func TestMutationCaughtAndShrinks(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
+	const at = "fault: invariant violated at 1.5s: "
 	cases := map[string]string{
-		"fault: invariant violated at 1s: cpu-conservation: telemetry attributes 2s": "cpu-conservation",
-		"fault: invariant violated at 1s: conn-conservation: established 5 != ...":   "conn-conservation",
-		"fault: invariant violated at 1s: isolation-floor: premium stalled":          "isolation-floor",
-		"fault: invariant violated at 1s: item-recycling: free-list slot 0 reused":   "item-recycling",
-		"determinism: run hashes differ":                                             "determinism",
-		`fault: invariant violated at 1s: queue "x" over bound: 9 > 8`:               "queue-bound",
-		"fault: invariant violated at 1s: container c has negative memory -1":        "non-negative",
-		"fault: invariant violated at 1s: clock moved backwards":                     "monotonic-clock",
-		"fault: invariant violated at 1s: CPU conservation broken at c":              "hierarchy-conservation",
-		"something else entirely":                                                    "unknown",
+		// fault.Checker's built-in and kernel.WatchInvariants' checks.
+		at + "monotonic-clock: clock moved backwards: 2s -> 1s":                                              "monotonic-clock",
+		at + "monotonic-clock: fired-event count decreased: 9 -> 8":                                          "monotonic-clock",
+		at + `non-negative: container(3 "c" time-share) has negative memory -1`:                              "non-negative",
+		at + `hierarchy-conservation: broken at container(1 "r" fixed-share): parent 1ms < children sum 2ms`: "hierarchy-conservation",
+		at + "queue-bound: accept:10.0.0.1:80 over bound: 9 > 8":                                             "queue-bound",
+		at + "queue-bound: httpd/netq:<nil> over bound: 1026 > 1025":                                         "queue-bound",
+		at + "conn-conservation: established 5 != closed 3 + open 1":                                         "conn-conservation",
+		at + "item-recycling: free-list slots 0 and 1 hold the same work item":                               "item-recycling",
+		// net-pending's messages name a queue; the class is still the
+		// check's, not queue-bound.
+		at + `net-pending: httpd: listed protocol queue 0 (container(2 "c" time-share)) is empty`: "net-pending",
+		at + "net-pending: httpd: pending set [] holds 1 containers with no listed queue":         "net-pending",
+		// chaos.Run's checks.
+		at + "cpu-conservation: telemetry attributes 2s but machine ran busy 1s + interrupt 0s": "cpu-conservation",
+		at + "alert-flap: alert stream flapped (1 total): hysteresis failed to suppress churn":  "alert-flap",
+		at + "missed-detection: cpu-busy sustained but never raised":                            "missed-detection",
+		at + "isolation-floor: premium stalled":                                                 "isolation-floor",
+		at + "rebalance-conservation: pool cpu allocates 0.9, saved 1":                          "rebalance-conservation",
+		at + "rebalance-starvation: member 0 below its floor":                                   "rebalance-starvation",
+		at + "rebalance-oscillation: 4 sign flips, still armed":                                 "rebalance-oscillation",
+		// The determinism double-run, both families.
+		"determinism: run hashes differ: 0000000000000001 vs 0000000000000002": "determinism",
+		"something else entirely": "unknown",
+		at + "no separator":       "unknown",
 	}
 	for v, want := range cases {
 		if got := Classify(v); got != want {
 			t.Errorf("Classify(%q) = %q, want %q", v, got, want)
 		}
+	}
+
+	// The checker's own rendering, at a time with a fraction.
+	eng := sim.NewEngine(1)
+	eng.RunUntil(sim.Time(1500 * sim.Microsecond))
+	ch := fault.NewChecker(eng)
+	ch.FailFast = false
+	ch.MustWatchCheck("net-pending", func() string { return "httpd: listed protocol queue 0 (c) is empty" })
+	ch.Check()
+	if v := ch.Violations(); len(v) != 1 || Classify(v[0]) != "net-pending" {
+		t.Errorf("checker violations %q, want one of class net-pending", v)
 	}
 }

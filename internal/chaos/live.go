@@ -497,7 +497,7 @@ func hashLiveRun(am *alert.Monitor, ctrl *rebalance.Controller, res *LiveResult,
 // determinism violation if the digests differ. The first run's result
 // is returned.
 func RunLiveChecked(sc LiveScenario) (*LiveResult, error) {
-	return runChecked(sc, RunLive, "live determinism")
+	return runChecked(sc, RunLive)
 }
 
 // ShrinkLive greedily minimizes a failing live scenario while

@@ -143,7 +143,11 @@ func TestClassifyLiveClasses(t *testing.T) {
 		"live-leak: drain clean=false leaked=1 inflight=1":                                   "live-leak",
 		"live-oscillation: watchdog engaged 2 time(s) during the settled calm phase":         "live-oscillation",
 		"live-starvation: unlimited calm tenant \"good\" issued 8 request(s), none admitted": "live-starvation",
-		"live determinism: run hashes differ: 0000000000000001 vs 0000000000000002":          "determinism",
+		"missed-detection: cpu-busy sustained but never raised":                              "missed-detection",
+		"rebalance-conservation: pool cpu allocates 0.9, saved 1":                            "rebalance-conservation",
+		"rebalance-starvation: member 0 below its floor":                                     "rebalance-starvation",
+		"rebalance-oscillation: 4 sign flips, still armed":                                   "rebalance-oscillation",
+		"determinism: run hashes differ: 0000000000000001 vs 0000000000000002":               "determinism",
 	}
 	for v, want := range cases {
 		if got := Classify(v); got != want {

@@ -504,5 +504,5 @@ func hashRun(tel *telemetry.Collector, mon *alert.Monitor, ctrl *rebalance.Contr
 // FoundationDB-style check that the simulation really is a pure
 // function of the scenario. The first run's result is returned.
 func RunChecked(sc Scenario) (*Result, error) {
-	return runChecked(sc, Run, fmt.Sprintf("fault: invariant violated at %v: determinism", sc.Horizon))
+	return runChecked(sc, Run)
 }

@@ -3,39 +3,21 @@ package fault
 import (
 	"fmt"
 
-	"rescon/internal/rc"
 	"rescon/internal/sim"
 )
-
-// QueueState is one bounded queue's instantaneous state, reported by a
-// queue source. Bound <= 0 means the queue is unbounded and only
-// non-negativity is checked.
-type QueueState struct {
-	Name  string
-	Len   int
-	Bound int
-}
 
 // Checker is a runtime invariant checker for fault-injection runs: it
 // verifies that the simulation's accounting stays consistent while faults
 // push the system into rarely exercised paths. Experiments enable it to
 // fail fast on drift instead of silently producing wrong curves.
 //
-// Invariants checked:
-//
-//  1. Virtual-clock monotonicity: the engine's clock and fired-event
-//     count never move backwards between checks (event-heap ordering).
-//  2. CPU-charge conservation: charges propagate from a container to all
-//     ancestors, so within every watched hierarchy each parent's CPU
-//     usage must be at least the sum of its children's. (Reparenting a
-//     container after it has been charged breaks this bookkeeping; watch
-//     hierarchies only where reparenting happens before work starts, as
-//     the experiments do.)
-//  3. Non-negative usage: CPU and memory charged to any watched
-//     container never go negative.
-//  4. Queue bounds: every watched bounded queue's length stays within
-//     its bound (sources add slack where PushFront's documented
-//     capacity bypass applies).
+// Every invariant is a named check (WatchCheck), and its name is the
+// failure class of its violations: a violation reads
+// "fault: invariant violated at <time>: <name>: <description>". The only
+// built-in is monotonic-clock: the engine's clock and fired-event count
+// never move backwards between checks (event-heap ordering). The
+// accounting invariants over a simulated kernel's containers and queues
+// are registered by kernel.WatchInvariants.
 type Checker struct {
 	eng *sim.Engine
 
@@ -44,8 +26,6 @@ type Checker struct {
 	// event that corrupted state. Default true.
 	FailFast bool
 
-	contSrcs  []func() []*rc.Container
-	queueSrcs []func() []QueueState
 	checkSrcs []namedCheck
 
 	lastNow   sim.Time
@@ -56,55 +36,30 @@ type Checker struct {
 	ticker     *sim.Ticker
 }
 
-// NewChecker returns a fail-fast checker bound to the engine.
+// NewChecker returns a fail-fast checker bound to the engine, with the
+// monotonic-clock check registered.
 func NewChecker(eng *sim.Engine) *Checker {
-	return &Checker{eng: eng, FailFast: true, lastNow: eng.Now(), lastFired: eng.Fired()}
+	ch := &Checker{eng: eng, FailFast: true, lastNow: eng.Now(), lastFired: eng.Fired()}
+	ch.MustWatchCheck("monotonic-clock", ch.checkClock)
+	return ch
 }
 
-// WatchContainers adds fixed container hierarchies to the watch set. Each
-// container's root subtree is checked, so passing any member of a
-// hierarchy watches the whole tree.
-func (ch *Checker) WatchContainers(cs ...*rc.Container) {
-	fixed := append([]*rc.Container(nil), cs...)
-	ch.WatchContainerSource(func() []*rc.Container { return fixed })
-}
-
-// WatchContainerSource adds a dynamic container source, re-evaluated at
-// every check — use it for hierarchies that appear during the run (e.g.
-// per-connection containers under a kernel's processes).
-func (ch *Checker) WatchContainerSource(fn func() []*rc.Container) {
-	ch.contSrcs = append(ch.contSrcs, fn)
-}
-
-// WatchQueue adds one bounded queue with a fixed bound (<= 0 checks only
-// non-negativity).
-func (ch *Checker) WatchQueue(name string, length func() int, bound int) {
-	ch.WatchQueueSource(func() []QueueState {
-		return []QueueState{{Name: name, Len: length(), Bound: bound}}
-	})
-}
-
-// WatchQueueSource adds a dynamic queue source, re-evaluated every check.
-func (ch *Checker) WatchQueueSource(fn func() []QueueState) {
-	ch.queueSrcs = append(ch.queueSrcs, fn)
-}
-
-// namedCheck is one custom invariant: fn returns "" while the invariant
-// holds, or a description of the violation.
+// namedCheck is one invariant: fn returns "" while the invariant holds,
+// or a description of the violation.
 type namedCheck struct {
 	name string
 	fn   func() string
 }
 
-// WatchCheck adds a named custom invariant, evaluated at every check
-// alongside the built-in ones. The function returns "" while the
-// invariant holds and a violation description otherwise; the name
-// prefixes the recorded violation so consumers (e.g. the chaos harness's
-// shrinker) can classify failures. Checks run in registration order.
-// A duplicate name is rejected with an error — silently overwriting (or
-// shadowing) an existing invariant would make the earlier registration
-// unreportable, which is exactly the failure mode a checker exists to
-// prevent.
+// WatchCheck adds a named invariant, evaluated at every check. The
+// function returns "" while the invariant holds and a violation
+// description otherwise; the name prefixes the recorded violation and is
+// its failure class, which consumers (e.g. the chaos harness's shrinker)
+// read back. Checks run in registration order, the built-in
+// monotonic-clock first. A duplicate name is rejected with an error —
+// silently overwriting (or shadowing) an existing invariant would make
+// the earlier registration unreportable, which is exactly the failure
+// mode a checker exists to prevent.
 func (ch *Checker) WatchCheck(name string, fn func() string) error {
 	if name == "" {
 		return fmt.Errorf("fault: WatchCheck with empty name")
@@ -155,86 +110,37 @@ func (ch *Checker) Checks() uint64 { return ch.checks }
 // FailFast disabled).
 func (ch *Checker) Violations() []string { return ch.violations }
 
-func (ch *Checker) violate(format string, args ...any) {
-	v := fmt.Sprintf("fault: invariant violated at %v: %s", ch.eng.Now(), fmt.Sprintf(format, args...))
-	if ch.FailFast {
-		panic(v)
-	}
-	ch.violations = append(ch.violations, v)
-}
-
-// Check runs every invariant once, against the current state.
+// Check runs every invariant once, against the current state, and
+// records at most one violation per check.
 func (ch *Checker) Check() {
 	ch.checks++
+	for _, nc := range ch.checkSrcs {
+		if msg := nc.fn(); msg != "" {
+			v := fmt.Sprintf("fault: invariant violated at %v: %s: %s", ch.eng.Now(), nc.name, msg)
+			if ch.FailFast {
+				panic(v)
+			}
+			ch.violations = append(ch.violations, v)
+		}
+	}
+}
 
-	// 1. Clock monotonicity.
+// checkClock is the monotonic-clock invariant. A reading that moved
+// backwards is not adopted, so the next check compares against the
+// last good one.
+func (ch *Checker) checkClock() string {
+	var msg string
 	if now := ch.eng.Now(); now < ch.lastNow {
-		ch.violate("clock moved backwards: %v -> %v", ch.lastNow, now)
+		msg = fmt.Sprintf("clock moved backwards: %v -> %v", ch.lastNow, now)
 	} else {
 		ch.lastNow = now
 	}
 	if fired := ch.eng.Fired(); fired < ch.lastFired {
-		ch.violate("fired-event count decreased: %d -> %d", ch.lastFired, fired)
+		if msg == "" {
+			msg = fmt.Sprintf("fired-event count decreased: %d -> %d", ch.lastFired, fired)
+		}
 	} else {
 		ch.lastFired = fired
 	}
-
-	// 2 & 3. Container hierarchy accounting. Roots are deduped so shared
-	// hierarchies are walked once per check.
-	seen := make(map[*rc.Container]bool)
-	for _, src := range ch.contSrcs {
-		for _, c := range src() {
-			if c == nil || c.Destroyed() {
-				continue
-			}
-			root := c.Root()
-			if seen[root] {
-				continue
-			}
-			seen[root] = true
-			ch.checkSubtree(root)
-		}
-	}
-
-	// 4. Queue bounds.
-	for _, src := range ch.queueSrcs {
-		for _, q := range src() {
-			if q.Len < 0 {
-				ch.violate("queue %q has negative length %d", q.Name, q.Len)
-			}
-			if q.Bound > 0 && q.Len > q.Bound {
-				ch.violate("queue %q over bound: %d > %d", q.Name, q.Len, q.Bound)
-			}
-		}
-	}
-
-	// 5. Custom invariants (WatchCheck), in registration order.
-	for _, nc := range ch.checkSrcs {
-		if msg := nc.fn(); msg != "" {
-			ch.violate("%s: %s", nc.name, msg)
-		}
-	}
-}
-
-func (ch *Checker) checkSubtree(c *rc.Container) {
-	u := c.Usage()
-	if u.CPUUser < 0 || u.CPUKernel < 0 {
-		ch.violate("container %v has negative CPU usage (user=%v kernel=%v)", c, u.CPUUser, u.CPUKernel)
-	}
-	if u.Memory < 0 {
-		ch.violate("container %v has negative memory %d", c, u.Memory)
-	}
-	kids := c.Children()
-	if len(kids) > 0 {
-		var kidCPU sim.Duration
-		for _, k := range kids {
-			kidCPU += k.Usage().CPU()
-		}
-		if own := u.CPU(); own < kidCPU {
-			ch.violate("CPU conservation broken at %v: parent %v < children sum %v", c, own, kidCPU)
-		}
-	}
-	for _, k := range kids {
-		ch.checkSubtree(k)
-	}
+	return msg
 }

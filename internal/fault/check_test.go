@@ -4,22 +4,15 @@ import (
 	"strings"
 	"testing"
 
-	"rescon/internal/rc"
 	"rescon/internal/sim"
 )
 
+// The built-in clock check holds over a run with events between checks.
 func TestCheckerCleanRun(t *testing.T) {
 	eng := sim.NewEngine(1)
-	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
-	kid := rc.MustNew(root, rc.TimeShare, "kid", rc.Attributes{Priority: 1})
-
 	ch := NewChecker(eng)
-	ch.WatchContainers(kid) // any member watches the whole tree
 	ch.Start(sim.Millisecond)
-
-	eng.Every(sim.Millisecond/2, func() {
-		kid.ChargeCPU(rc.UserCPU, 10*sim.Microsecond)
-	})
+	eng.Every(sim.Millisecond/2, func() {})
 	eng.RunUntil(sim.Time(0).Add(100 * sim.Millisecond))
 
 	if ch.Checks() == 0 {
@@ -30,86 +23,65 @@ func TestCheckerCleanRun(t *testing.T) {
 	}
 }
 
-func TestCheckerCatchesQueueOverBound(t *testing.T) {
+// A violation is prefixed with its check's name, the failure class, and
+// a check records at most one violation per tick.
+func TestCheckerNamesViolations(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ch := NewChecker(eng)
 	ch.FailFast = false
-	length := 0
-	ch.WatchQueue("q", func() int { return length }, 4)
-
+	bad := ""
+	ch.MustWatchCheck("first", func() string { return "" })
+	ch.MustWatchCheck("second", func() string { return bad })
 	ch.Check()
-	if len(ch.Violations()) != 0 {
-		t.Fatalf("violations on empty queue: %v", ch.Violations())
+	if v := ch.Violations(); len(v) != 0 {
+		t.Fatalf("violations from holding checks: %v", v)
 	}
-	length = 5
+	bad = "broken"
 	ch.Check()
-	if len(ch.Violations()) != 1 || !strings.Contains(ch.Violations()[0], "over bound") {
-		t.Fatalf("want one over-bound violation, got %v", ch.Violations())
-	}
-	length = -1
 	ch.Check()
-	if len(ch.Violations()) != 2 || !strings.Contains(ch.Violations()[1], "negative length") {
-		t.Fatalf("want negative-length violation, got %v", ch.Violations())
+	want := "fault: invariant violated at 0s: second: broken"
+	if v := ch.Violations(); len(v) != 2 || v[0] != want || v[1] != want {
+		t.Fatalf("violations %q, want %q twice", v, want)
 	}
 }
 
-func TestCheckerCatchesConservationBreak(t *testing.T) {
+// Planted bug: a clock reading behind the last check is reported as
+// monotonic-clock, the built-in check, and is not adopted.
+func TestCheckerCatchesClockMovingBack(t *testing.T) {
 	eng := sim.NewEngine(1)
-	// Charge a child under one root, then reparent it under a fresh root:
-	// the new parent never received the propagated charge, so parent CPU <
-	// sum of children — exactly the drift the checker exists to catch.
-	oldRoot := rc.MustNew(nil, rc.FixedShare, "old", rc.Attributes{})
-	kid := rc.MustNew(oldRoot, rc.TimeShare, "kid", rc.Attributes{Priority: 1})
-	kid.ChargeCPU(rc.KernelCPU, sim.Millisecond)
-	newRoot := rc.MustNew(nil, rc.FixedShare, "new", rc.Attributes{})
-	if err := kid.SetParent(newRoot); err != nil {
-		t.Fatal(err)
-	}
-
 	ch := NewChecker(eng)
 	ch.FailFast = false
-	ch.WatchContainers(newRoot)
-	ch.Check()
-	found := false
-	for _, v := range ch.Violations() {
-		if strings.Contains(v, "CPU conservation broken") {
-			found = true
-		}
+	if err := ch.WatchCheck("monotonic-clock", func() string { return "" }); err == nil {
+		t.Fatal("monotonic-clock is not registered")
 	}
-	if !found {
-		t.Fatalf("conservation break not detected: %v", ch.Violations())
+	ch.lastNow = sim.Time(sim.Second)
+	ch.Check()
+	ch.Check()
+	v := ch.Violations()
+	if len(v) != 2 || !strings.Contains(v[0], ": monotonic-clock: clock moved backwards: 1s -> 0s") {
+		t.Fatalf("violations %q, want two monotonic-clock violations", v)
+	}
+	ch.lastNow, ch.lastFired = 0, 1
+	ch.Check()
+	if v := ch.Violations(); len(v) != 3 || !strings.Contains(v[2], ": monotonic-clock: fired-event count decreased: 1 -> 0") {
+		t.Fatalf("violations %q, want a fired-event violation", v)
 	}
 }
 
 func TestCheckerFailFastPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ch := NewChecker(eng)
-	ch.WatchQueue("q", func() int { return 10 }, 4)
+	ch.MustWatchCheck("queue-bound", func() string { return "q over bound: 10 > 4" })
 	defer func() {
-		if r := recover(); r == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("FailFast violation did not panic")
+		}
+		if want := "fault: invariant violated at 0s: queue-bound: q over bound: 10 > 4"; r != want {
+			t.Fatalf("panic %q, want %q", r, want)
 		}
 	}()
 	ch.Check()
-}
-
-func TestCheckerSkipsDestroyedAndDedupsRoots(t *testing.T) {
-	eng := sim.NewEngine(1)
-	root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
-	a := rc.MustNew(root, rc.TimeShare, "a", rc.Attributes{Priority: 1})
-	b := rc.MustNew(root, rc.TimeShare, "b", rc.Attributes{Priority: 1})
-	dead := rc.MustNew(nil, rc.TimeShare, "dead", rc.Attributes{Priority: 1})
-	if err := dead.Release(); err != nil {
-		t.Fatal(err)
-	}
-
-	ch := NewChecker(eng)
-	ch.FailFast = false
-	ch.WatchContainers(a, b, dead, nil)
-	ch.Check()
-	if len(ch.Violations()) != 0 {
-		t.Fatalf("violations: %v", ch.Violations())
-	}
 }
 
 func TestCheckerStartStop(t *testing.T) {

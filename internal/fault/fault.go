@@ -9,16 +9,22 @@
 //     latency spike), from RNG streams forked off the engine seed — one
 //     stream per fault class, so enabling disk faults never perturbs the
 //     packet-fault schedule.
-//   - Checker (check.go) is a runtime invariant checker — CPU-charge
-//     conservation across the container hierarchy, virtual-clock
-//     monotonicity, queue-length bounds — that experiments enable to
-//     fail fast on accounting drift.
+//   - Checker (check.go) is a runtime invariant checker that
+//     experiments enable to fail fast on accounting drift. Every
+//     invariant is a named check whose name is its failure class;
+//     virtual-clock monotonicity is the only built-in, and
+//     kernel.WatchInvariants registers the kernel's (CPU-charge
+//     conservation across the container hierarchy, queue-length
+//     bounds, and more).
 //   - Crasher (crash.go) schedules deterministic crash-and-restart
 //     cycles for server processes.
+//   - LiveInjector (live.go) applies the same deterministic schedules
+//     to a real net/http server.
 //
-// The package depends only on internal/sim, internal/netsim and
-// internal/rc; the kernel consumes Injector through small structural
-// interfaces, so no import cycle arises.
+// The package depends only on internal/sim and internal/netsim. The
+// kernel imports it (Kernel.Faults and Disk.Faults hold an *Injector,
+// and WatchInvariants registers with a *Checker), so it must not
+// import the kernel or anything above it.
 package fault
 
 import (

@@ -133,16 +133,7 @@ func (s *ForkServer) serveOn(w *forkWorker, conn *kernel.Conn) {
 	// With containers, the connection's container simply travels to the
 	// worker: inheritance across protection domains (§4.8). Per-connection
 	// containers replace it with a fresh one first.
-	if s.rcMode() && s.cfg.PerConnContainers {
-		prio := kernel.DefaultPriority
-		if s.cfg.ConnPriority != nil {
-			prio = s.cfg.ConnPriority(conn.Client())
-		}
-		if cc, err := rc.New(s.cfg.Parent, rc.TimeShare,
-			connContainerName(conn.ID()), rc.Attributes{Priority: prio}); err == nil {
-			conn.SetContainer(cc)
-		}
-	}
+	s.cfg.newConnContainer(conn, nil)
 	conn.SetOnRequest(func(c *kernel.Conn, payload any) {
 		req, ok := payload.(*Request)
 		if !ok {
@@ -183,9 +174,7 @@ func (s *ForkServer) release(w *forkWorker, conn *kernel.Conn) {
 	if !conn.Closed() {
 		cc := conn.Container()
 		conn.Close()
-		if s.rcMode() && s.cfg.PerConnContainers && cc != nil && cc != s.master.DefaultContainer {
-			_ = cc.Release()
-		}
+		s.cfg.releaseConnContainer(cc, s.master.DefaultContainer)
 	}
 	w.busy = false
 	for len(s.backlog) > 0 {

@@ -59,8 +59,6 @@ func (s *MTServer) Process() *kernel.Process { return s.proc }
 // OpenConns returns the number of live connections.
 func (s *MTServer) OpenConns() int { return s.openConns }
 
-func (s *MTServer) rcMode() bool { return s.k.Mode() == kernel.ModeRC }
-
 // accept assigns the new connection to a pool thread ("idle threads
 // accept new connections from the listening socket").
 func (s *MTServer) accept(ls *kernel.ListenSocket) {
@@ -72,17 +70,7 @@ func (s *MTServer) accept(ls *kernel.ListenSocket) {
 			return
 		}
 		s.openConns++
-		if s.rcMode() && s.cfg.PerConnContainers {
-			prio := kernel.DefaultPriority
-			if s.cfg.ConnPriority != nil {
-				prio = s.cfg.ConnPriority(conn.Client())
-			}
-			cc, err := rc.New(s.cfg.Parent, rc.TimeShare,
-				connContainerName(conn.ID()), rc.Attributes{Priority: prio})
-			if err == nil {
-				conn.SetContainer(cc)
-			}
-		}
+		s.cfg.newConnContainer(conn, ls.Container())
 		conn.SetOnPeerClose(s.onPeerClose)
 		conn.SetOnRequest(func(c *kernel.Conn, payload any) {
 			req, ok := payload.(*Request)
@@ -134,7 +122,5 @@ func (s *MTServer) close(conn *kernel.Conn) {
 // also the upcall for a connection the client closes.
 func (s *MTServer) connClosed(conn *kernel.Conn) {
 	s.openConns--
-	if cc := conn.Container(); s.rcMode() && s.cfg.PerConnContainers && cc != nil && cc != s.proc.DefaultContainer {
-		_ = cc.Release()
-	}
+	s.cfg.releaseConnContainer(conn.Container(), s.proc.DefaultContainer)
 }

@@ -20,6 +20,41 @@ func connContainerName(id uint64) string {
 	return string(strconv.AppendUint(append(buf[:0], "conn-"...), id, 10))
 }
 
+// perConn reports whether the servers built from cfg give each
+// connection its own container: PerConnContainers, in ModeRC.
+func (cfg *Config) perConn() bool {
+	return cfg.PerConnContainers && cfg.Kernel.Mode() == kernel.ModeRC
+}
+
+// newConnContainer gives an accepted connection its own container
+// (§4.8), when cfg asks for one: a time-share child of cfg.Parent named
+// by connContainerName, whose priority comes from ConnPriority, else
+// from listen (the listening socket's container, if any), else
+// kernel.DefaultPriority. The event-driven, multi-threaded and forking
+// servers all use it.
+func (cfg *Config) newConnContainer(conn *kernel.Conn, listen *rc.Container) {
+	if !cfg.perConn() {
+		return
+	}
+	prio := kernel.DefaultPriority
+	if cfg.ConnPriority != nil {
+		prio = cfg.ConnPriority(conn.Client())
+	} else if listen != nil {
+		prio = listen.EffectivePriority()
+	}
+	if cc, err := rc.New(cfg.Parent, rc.TimeShare, connContainerName(conn.ID()), rc.Attributes{Priority: prio}); err == nil {
+		conn.SetContainer(cc)
+	}
+}
+
+// releaseConnContainer releases a closed connection's container cc when
+// it is a per-connection one: never the process default def.
+func (cfg *Config) releaseConnContainer(cc, def *rc.Container) {
+	if cfg.perConn() && cc != nil && cc != def {
+		_ = cc.Release()
+	}
+}
+
 // API selects the event-notification interface the server uses (§5.5).
 type API int
 
@@ -50,7 +85,8 @@ type Config struct {
 	API    API
 
 	// PerConnContainers creates one resource container per connection
-	// (§4.8), priority from ConnPriority. ModeRC only.
+	// (§4.8), priority from ConnPriority, else the listening socket's
+	// container, else kernel.DefaultPriority. ModeRC only.
 	PerConnContainers bool
 	// ConnPriority maps a client address to the numeric priority of its
 	// connection container; nil means kernel.DefaultPriority.
@@ -412,7 +448,7 @@ func (s *Server) handle(ev *event, next func()) {
 func (s *Server) handleAccept(ls *kernel.ListenSocket, next func()) {
 	costs := s.k.Costs()
 	cost := costs.ConnSetup
-	if s.rcMode() && s.cfg.PerConnContainers && s.cfg.ContainerOpsPerRequest {
+	if s.cfg.perConn() && s.cfg.ContainerOpsPerRequest {
 		// create container + bind socket + (later) destroy: Table 1 costs.
 		cost += costs.ContainerCreate + costs.ContainerRebind + costs.ContainerDestroy
 	}
@@ -425,20 +461,7 @@ func (s *Server) handleAccept(ls *kernel.ListenSocket, next func()) {
 			return
 		}
 		s.openConns++
-		if s.rcMode() && s.cfg.PerConnContainers {
-			prio := kernel.DefaultPriority
-			if s.cfg.ConnPriority != nil {
-				prio = s.cfg.ConnPriority(conn.Client())
-			} else if ls.Container() != nil {
-				// Inherit the listening socket's priority class.
-				prio = ls.Container().EffectivePriority()
-			}
-			cc, err := rc.New(s.cfg.Parent, rc.TimeShare,
-				connContainerName(conn.ID()), rc.Attributes{Priority: prio})
-			if err == nil {
-				conn.SetContainer(cc)
-			}
-		}
+		s.cfg.newConnContainer(conn, ls.Container())
 		conn.SetOnPeerClose(s.onPeerClose)
 		conn.SetOnRequest(s.onRequest)
 		next()
@@ -569,9 +592,7 @@ func (s *Server) closeConn(conn *kernel.Conn) {
 // also the upcall for a connection the client closes.
 func (s *Server) connClosed(conn *kernel.Conn) {
 	s.openConns--
-	if cc := conn.Container(); s.rcMode() && s.cfg.PerConnContainers && cc != nil && cc != s.defaultContainer() {
-		_ = cc.Release()
-	}
+	s.cfg.releaseConnContainer(conn.Container(), s.defaultContainer())
 }
 
 func (s *Server) handleCGI(conn *kernel.Conn, req *Request, next func()) {

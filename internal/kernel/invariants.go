@@ -2,75 +2,59 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"rescon/internal/fault"
 	"rescon/internal/rc"
+	"rescon/internal/sim"
 )
 
-// WatchInvariants registers the kernel's live state with the runtime
-// invariant checker: the container hierarchies reachable from every
-// process's default container (for the CPU-conservation and
-// non-negativity checks), the bounded per-container protocol queues and
-// listen-socket accept/SYN queues (for the queue-bound check), and the
-// connection-lifecycle conservation invariant (every established
-// connection is open or closed exactly once — none lost), the
-// work-item free list (no item on it twice, none still queued or running
-// on a thread), and each protocol queue's list (no listed queue empty,
-// and the network thread's pending set in step with it). The sources
-// are re-evaluated at every checker tick, so processes, sockets and
-// containers created after this call are still covered.
+// WatchInvariants registers the kernel's invariants with the runtime
+// invariant checker, each as a named check whose name is its failure
+// class:
+//
+//   - non-negative: no container in the hierarchies reachable from a
+//     process's default container has negative CPU usage or memory;
+//   - hierarchy-conservation: in those hierarchies every parent's CPU
+//     usage is at least the sum of its children's (charges propagate to
+//     all ancestors; reparenting a charged container breaks this);
+//   - queue-bound: every protocol queue holds at most DefaultNetBacklog
+//     packets (+1, see checkQueueBounds), and every open listen socket's
+//     accept and SYN queues stay within their caps;
+//   - conn-conservation: every established connection is open or closed
+//     exactly once — none lost;
+//   - item-recycling: no work item is on the free list twice, or still
+//     queued or running on a thread;
+//   - net-pending: no listed protocol queue is empty, and the network
+//     thread's pending set is in step with the list.
+//
+// The checks read the kernel's state afresh at every checker tick, so
+// processes, sockets and containers created after this call are still
+// covered.
 func (k *Kernel) WatchInvariants(ch *fault.Checker) {
-	ch.WatchContainerSource(func() []*rc.Container {
-		var out []*rc.Container
+	// non-negative and hierarchy-conservation share one walk per tick:
+	// the first check walks and keeps the second's verdict for it.
+	var roots []*rc.Container
+	var conservation string
+	ch.MustWatchCheck("non-negative", func() string {
+		var negative string
+		conservation = ""
 		for _, p := range k.procs {
-			if p.DefaultContainer != nil {
-				out = append(out, p.DefaultContainer)
-			}
-		}
-		return out
-	})
-	ch.WatchQueueSource(func() []fault.QueueState {
-		var out []fault.QueueState
-		for _, p := range k.procs {
-			if p.netQ == nil {
+			c := p.DefaultContainer
+			if c == nil || c.Destroyed() {
 				continue
 			}
-			for _, cq := range p.netQ.queues {
-				name := p.name + "/netq"
-				if cq.c != nil {
-					name = fmt.Sprintf("%s:%v", name, cq.c)
-				}
-				// +1 slack: requeueFront may return one borrowed item to a
-				// full queue (see netsim.Queue.PushFront).
-				out = append(out, fault.QueueState{
-					Name:  name,
-					Len:   cq.q.Len(),
-					Bound: DefaultNetBacklog + 1,
-				})
+			if root := c.Root(); !slices.Contains(roots, root) {
+				roots = append(roots, root)
+				checkAccounts(root, &negative, &conservation)
 			}
 		}
-		return out
+		clear(roots)
+		roots = roots[:0]
+		return negative
 	})
-	ch.WatchQueueSource(func() []fault.QueueState {
-		var out []fault.QueueState
-		for _, ls := range k.net.socks {
-			if ls.closed {
-				continue
-			}
-			out = append(out,
-				fault.QueueState{
-					Name:  "accept:" + ls.cfg.Local.String(),
-					Len:   ls.acceptQ.Len(),
-					Bound: ls.acceptQ.Cap(),
-				},
-				fault.QueueState{
-					Name:  "syn:" + ls.cfg.Local.String(),
-					Len:   ls.synQ.Len(),
-					Bound: ls.synQ.Cap(),
-				})
-		}
-		return out
-	})
+	ch.MustWatchCheck("hierarchy-conservation", func() string { return conservation })
+	ch.MustWatchCheck("queue-bound", k.checkQueueBounds)
 	ch.MustWatchCheck("conn-conservation", func() string {
 		est, closed, open := k.net.established, k.net.closed, uint64(k.net.conns.live)
 		if est != closed+open {
@@ -80,6 +64,61 @@ func (k *Kernel) WatchInvariants(ch *fault.Checker) {
 	})
 	ch.MustWatchCheck("item-recycling", k.checkItemRecycling)
 	ch.MustWatchCheck("net-pending", k.checkNetPending)
+}
+
+// checkAccounts walks the subtree at c and keeps, in *negative and
+// *conservation, the first violation of each accounting invariant.
+func checkAccounts(c *rc.Container, negative, conservation *string) {
+	u := c.Usage()
+	if *negative == "" {
+		if u.CPUUser < 0 || u.CPUKernel < 0 {
+			*negative = fmt.Sprintf("%v has negative CPU usage (user=%v kernel=%v)", c, u.CPUUser, u.CPUKernel)
+		} else if u.Memory < 0 {
+			*negative = fmt.Sprintf("%v has negative memory %d", c, u.Memory)
+		}
+	}
+	kids := c.Children()
+	if *conservation == "" && len(kids) > 0 {
+		var kidCPU sim.Duration
+		for _, kid := range kids {
+			kidCPU += kid.Usage().CPU()
+		}
+		if own := u.CPU(); own < kidCPU {
+			*conservation = fmt.Sprintf("broken at %v: parent %v < children sum %v", c, own, kidCPU)
+		}
+	}
+	for _, kid := range kids {
+		checkAccounts(kid, negative, conservation)
+	}
+}
+
+// checkQueueBounds audits every bounded queue the kernel keeps. A
+// protocol queue may hold one packet over DefaultNetBacklog: requeueFront
+// may return one borrowed item to a full queue (see
+// netsim.Queue.PushFront).
+func (k *Kernel) checkQueueBounds() string {
+	for _, p := range k.procs {
+		if p.netQ == nil {
+			continue
+		}
+		for _, cq := range p.netQ.queues {
+			if n := cq.q.Len(); n > DefaultNetBacklog+1 {
+				return fmt.Sprintf("%s/netq:%v over bound: %d > %d", p.name, cq.c, n, DefaultNetBacklog+1)
+			}
+		}
+	}
+	for _, ls := range k.net.socks {
+		if ls.closed {
+			continue
+		}
+		if n, limit := ls.acceptQ.Len(), ls.acceptQ.Cap(); n > limit {
+			return fmt.Sprintf("accept:%v over bound: %d > %d", ls.cfg.Local, n, limit)
+		}
+		if n, limit := ls.synQ.Len(), ls.synQ.Cap(); n > limit {
+			return fmt.Sprintf("syn:%v over bound: %d > %d", ls.cfg.Local, n, limit)
+		}
+	}
+	return ""
 }
 
 // checkNetPending audits every process's protocol queue: hasWork reads

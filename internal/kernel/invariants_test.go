@@ -224,3 +224,108 @@ func TestNetPendingInvariantCatchesOrder(t *testing.T) {
 		t.Fatalf("violations %v, want one about the pending set at queue 0", got)
 	}
 }
+
+// watchedKernel is an RC-mode kernel with the invariant checker watching
+// it, recording violations instead of panicking.
+func watchedKernel() (*sim.Engine, *Kernel, *fault.Checker) {
+	eng, k := newKernel(ModeRC)
+	ch := fault.NewChecker(eng)
+	ch.FailFast = false
+	k.WatchInvariants(ch)
+	return eng, k, ch
+}
+
+// A kernel charging work to containers under a process's default
+// container, and to a tree its default container joined, keeps every
+// invariant.
+func TestInvariantsCleanRun(t *testing.T) {
+	eng, k, ch := watchedKernel()
+	p := k.NewProcess("httpd")
+	group := rc.MustNew(nil, rc.FixedShare, "group", rc.Attributes{})
+	if err := p.DefaultContainer.SetParent(group); err != nil {
+		t.Fatal(err)
+	}
+	kid := rc.MustNew(group, rc.TimeShare, "kid", rc.Attributes{Priority: 1})
+	th := p.NewThread("worker")
+	eng.Every(sim.Millisecond/2, func() {
+		th.PostFunc("work", 100*sim.Microsecond, rc.UserCPU, kid, nil)
+		th.PostFunc("work", 50*sim.Microsecond, rc.KernelCPU, p.DefaultContainer, nil)
+	})
+	ch.Start(sim.Millisecond)
+	eng.RunUntil(sim.Time(0).Add(100 * sim.Millisecond))
+	if ch.Checks() == 0 || kid.Usage().CPU() == 0 {
+		t.Fatalf("checker ran %d times, kid charged %v: the run did nothing", ch.Checks(), kid.Usage().CPU())
+	}
+	if v := ch.Violations(); len(v) != 0 {
+		t.Fatalf("violations on a correct kernel: %v", v)
+	}
+}
+
+// Planted bug: a child charged under one root and then reparented under
+// the tree of a process's default container leaves the new parent's CPU
+// below its children's sum.
+func TestInvariantsCatchConservationBreak(t *testing.T) {
+	_, k, ch := watchedKernel()
+	p := k.NewProcess("httpd")
+	oldRoot := rc.MustNew(nil, rc.FixedShare, "old", rc.Attributes{})
+	kid := rc.MustNew(oldRoot, rc.TimeShare, "kid", rc.Attributes{Priority: 1})
+	kid.ChargeCPU(rc.KernelCPU, sim.Millisecond)
+	group := rc.MustNew(nil, rc.FixedShare, "group", rc.Attributes{})
+	if err := p.DefaultContainer.SetParent(group); err != nil {
+		t.Fatal(err)
+	}
+	if err := kid.SetParent(group); err != nil {
+		t.Fatal(err)
+	}
+	ch.Check()
+	v := ch.Violations()
+	if len(v) != 1 || !strings.Contains(v[0], `: hierarchy-conservation: broken at container(`) || !strings.Contains(v[0], `"group"`) {
+		t.Fatalf("violations %q, want one hierarchy-conservation violation at group", v)
+	}
+}
+
+// A root shared by several processes' default containers is walked
+// (once per check), and processes whose default container is destroyed
+// or missing are skipped.
+func TestInvariantsSkipDestroyedAndSharedRoots(t *testing.T) {
+	_, k, ch := watchedKernel()
+	group := rc.MustNew(nil, rc.FixedShare, "group", rc.Attributes{})
+	for _, name := range []string{"a", "b"} {
+		if err := k.NewProcess(name).DefaultContainer.SetParent(group); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead := rc.MustNew(nil, rc.TimeShare, "dead", rc.Attributes{Priority: 1})
+	if err := dead.Release(); err != nil {
+		t.Fatal(err)
+	}
+	k.NewProcess("dead").DefaultContainer = dead
+	k.NewProcess("none").DefaultContainer = nil
+	ch.Check()
+	if v := ch.Violations(); len(v) != 0 {
+		t.Fatalf("violations on a correct kernel: %v", v)
+	}
+}
+
+// Planted bug: an accept queue pushed past its cap (PushFront bypasses
+// the bound) is reported as queue-bound.
+func TestInvariantsCatchAcceptQueueOverBound(t *testing.T) {
+	_, k, ch := watchedKernel()
+	p := k.NewProcess("httpd")
+	ls, err := k.Listen(p, ListenConfig{Local: srvAddr, AcceptBacklog: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ls.acceptQ.Push(nil) {
+	}
+	ch.Check()
+	if v := ch.Violations(); len(v) != 0 {
+		t.Fatalf("violations on a full accept queue: %v", v)
+	}
+	ls.acceptQ.PushFront(nil)
+	ch.Check()
+	want := ": queue-bound: accept:" + srvAddr.String() + " over bound: 3 > 2"
+	if v := ch.Violations(); len(v) != 1 || !strings.HasSuffix(v[0], want) {
+		t.Fatalf("violations %q, want one ending %q", v, want)
+	}
+}

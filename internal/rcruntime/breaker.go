@@ -167,13 +167,20 @@ func (s *breakerSet) onAdmit(c *rc.Container) {
 	}
 }
 
-// openCount returns how many breakers are currently not closed.
+// openCount returns how many breakers are currently not closed, first
+// dropping the breakers of destroyed containers: no request reaches a
+// destroyed container's breaker, so an open one would never close. The
+// caller holds the Enforcer's lock, which guards Destroyed (lock order:
+// Enforcer, then breakers).
 func (s *breakerSet) openCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, b := range s.m {
-		if b.state != breakerClosed {
+	for c, b := range s.m {
+		switch {
+		case c.Destroyed():
+			delete(s.m, c)
+		case b.state != breakerClosed:
 			n++
 		}
 	}
@@ -214,11 +221,14 @@ func (rt *Runtime) BreakerOpens(c *rc.Container) uint64 {
 	return rt.breakers.opensOf(c)
 }
 
-// OpenBreakers returns the number of tenants whose breaker is currently
-// open or half-open — the monitor's breaker-pressure signal.
+// OpenBreakers returns the number of live tenants whose breaker is
+// currently open or half-open — the monitor's breaker-pressure signal.
+// A destroyed tenant's breaker is forgotten.
 func (rt *Runtime) OpenBreakers() int {
 	if rt.breakers == nil {
 		return 0
 	}
-	return rt.breakers.openCount()
+	var n int
+	rt.enf.Sync(func() { n = rt.breakers.openCount() })
+	return n
 }

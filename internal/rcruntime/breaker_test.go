@@ -115,6 +115,31 @@ func TestBreakerProbeShedReopens(t *testing.T) {
 
 // TestBreakerDisabledByDefault: without WithBreakers the accessors are
 // inert and repeated sheds never turn into 503s.
+// TestBreakerForgetsDestroyedTenant: a destroyed tenant's open breaker
+// sees no further request, so it would never close; OpenBreakers drops
+// it instead of counting it forever.
+func TestBreakerForgetsDestroyedTenant(t *testing.T) {
+	fc := &VirtualClock{}
+	root, t1, _, binder := breakerTree(t)
+	rt, h := govern(t, fc, Config{Root: root, Window: 10 * time.Millisecond, MaxDelay: NoDelay},
+		WithBinder(binder),
+		WithBreakers(BreakerConfig{OpenAfter: 2}))
+	get(h, "t1", "5ms")
+	get(h, "t1", "1ms")
+	get(h, "t1", "1ms")
+	if rt.OpenBreakers() != 1 {
+		t.Fatalf("open breakers = %d after tripping t1, want 1", rt.OpenBreakers())
+	}
+	rt.Enforcer().Sync(func() { _ = t1.Release() })
+	fc.Sleep(time.Second)
+	if n := rt.OpenBreakers(); n != 0 {
+		t.Fatalf("open breakers = %d after t1 was destroyed, want 0", n)
+	}
+	if n := len(rt.breakers.m); n != 0 {
+		t.Fatalf("%d breakers kept after t1 was destroyed, want none", n)
+	}
+}
+
 func TestBreakerDisabledByDefault(t *testing.T) {
 	fc := &VirtualClock{}
 	root, leaf, binder := tenantTree(t)

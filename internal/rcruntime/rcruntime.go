@@ -28,8 +28,9 @@
 //
 //   - per-activity CPU accounting (wall-clock of bracketed sections,
 //     aggregated up the container hierarchy);
-//   - hard CPU limits per subtree, enforced by admission delay over a
-//     sliding window — the cooperative analogue of §5.6's sandboxes;
+//   - hard CPU limits per subtree, enforced by admission delay within
+//     fixed, rolling windows — the cooperative analogue of §5.6's
+//     sandboxes;
 //   - load shedding before work is invested: 429 at the middleware, and
 //     connection refusal at accept for the cost of a close(2) alone;
 //   - the same billing/snapshot tooling (rc.Capture, rc.WriteJSON).

@@ -80,7 +80,7 @@ func TestWindowRollRestoresBudget(t *testing.T) {
 
 // TestBudgetIsPerWindow drives three consecutive windows of exhaustion on
 // the fake clock: each window admits its budget, then blocks until the
-// roll, and the total admitted tracks budget × windows — the sliding
+// roll, and the total admitted tracks budget × windows — the per-window
 // snapshot accounting, not a cumulative-usage comparison (which would
 // deadlock after the first window).
 func TestBudgetIsPerWindow(t *testing.T) {

@@ -235,9 +235,10 @@ type (
 	// FaultInjector draws seed-stable wire and disk fault schedules;
 	// assign it to Kernel.Faults and Kernel.Disk().Faults.
 	FaultInjector = fault.Injector
-	// InvariantChecker periodically asserts CPU-charge conservation,
-	// virtual-clock monotonicity and queue bounds at runtime; wire a
-	// kernel in with Kernel.WatchInvariants.
+	// InvariantChecker periodically runs named invariant checks at
+	// runtime (virtual-clock monotonicity built in); Kernel.WatchInvariants
+	// registers the kernel's CPU-charge conservation, queue bounds and
+	// the rest.
 	InvariantChecker = fault.Checker
 	// CrashPlan configures a crash-and-restart schedule (MTBF, downtime).
 	CrashPlan = fault.CrashPlan

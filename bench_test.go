@@ -23,7 +23,7 @@ import (
 
 func table1Env() (*kernel.Process, *kernel.Process, *kernel.Thread) {
 	eng := sim.NewEngine(1)
-	k := kernel.New(eng, kernel.ModeRC, kernel.DefaultCosts())
+	k := kernel.New(eng, kernel.ModeRC)
 	p := k.NewProcess("bench")
 	p2 := k.NewProcess("bench2")
 	return p, p2, p.NewThread("t")

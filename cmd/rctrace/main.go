@@ -120,7 +120,7 @@ func main() {
 // parsing and exit codes, so tests can drive it with a bytes.Buffer.
 func run(cfg config, stdout io.Writer) error {
 	eng := sim.NewEngine(cfg.seed)
-	k := kernel.New(eng, cfg.mode, kernel.DefaultCosts())
+	k := kernel.New(eng, cfg.mode)
 	tel := telemetry.New()
 	k.AttachTelemetry(tel)
 	tr := tel.Tracer()

@@ -14,8 +14,8 @@ func main() {
 	// A deterministic simulated machine running the resource-container
 	// kernel (ModeRC). ModeUnmodified and ModeLRP give the paper's two
 	// comparison systems. Functional options tune the machine —
-	// WithCPUs(4) for SMP, WithCosts for a custom cost model; here,
-	// WithTelemetry attaches structured tracing and CPU profiling.
+	// WithCPUs(4) for SMP; here, WithTelemetry attaches structured
+	// tracing and CPU profiling.
 	s := rescon.NewSim(rescon.ModeRC, 42,
 		rescon.WithTelemetry())
 

@@ -600,9 +600,6 @@ func (m *Monitor) SelfCheck() string {
 	return ""
 }
 
-// jstr renders a JSON string with deterministic escaping.
-func jstr(s string) string { return strconv.Quote(s) }
-
 // jnum renders a float deterministically: integral values print without
 // an exponent or trailing zeros, others use strconv's shortest form.
 func jnum(v float64) string {
@@ -623,14 +620,14 @@ func (m *Monitor) WriteJSONL(w io.Writer) error {
 	var b strings.Builder
 	names := make([]string, len(m.checks))
 	for i, c := range m.checks {
-		names[i] = jstr(c.Name)
+		names[i] = strconv.Quote(c.Name)
 	}
 	fmt.Fprintf(&b, `{"type":"meta","seed":%d,"mode":%s,"interval_ns":%d,"checks":[%s],"ticks":%d,"events_total":%d,"flaps":%d,"damped":%d}`+"\n",
-		m.seed, jstr(m.mode), m.intervalNs, strings.Join(names, ","), m.ticks, len(m.events), m.flaps, m.damped)
+		m.seed, strconv.Quote(m.mode), m.intervalNs, strings.Join(names, ","), m.ticks, len(m.events), m.flaps, m.damped)
 	for _, e := range m.events {
 		fmt.Fprintf(&b, `{"type":"alert","at_ns":%d,"check":%s,"target":%s,"level":%s,"prev":%s,"value":%s,"threshold":%s,"flap":%t,"detail":%s}`+"\n",
-			int64(e.At), jstr(e.Check), jstr(e.Target), jstr(e.Level.String()), jstr(e.Prev.String()),
-			jnum(e.Value), jnum(e.Threshold), e.Flap, jstr(e.Detail))
+			int64(e.At), strconv.Quote(e.Check), strconv.Quote(e.Target), strconv.Quote(e.Level.String()), strconv.Quote(e.Prev.String()),
+			jnum(e.Value), jnum(e.Threshold), e.Flap, strconv.Quote(e.Detail))
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

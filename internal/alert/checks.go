@@ -65,7 +65,7 @@ const (
 	// Scheduler run-queue depth (runnable threads).
 	DefaultRunQueueWarn = 8
 	DefaultRunQueueCrit = 32
-	// Disk queue occupancy of DefaultDiskQueueLimit.
+	// Disk queue occupancy of DiskQueueLimit.
 	DefaultDiskQueueWarn = 0.5
 	DefaultDiskQueueCrit = 0.9
 	// Starvation raise window: the watched container must look starved
@@ -246,8 +246,8 @@ func Attach(k *kernel.Kernel) (*Monitor, error) {
 			n := k.Disk().QueueLen()
 			return append(obs, Observation{
 				Target: "(disk)",
-				Value:  float64(n) / float64(kernel.DefaultDiskQueueLimit),
-				Format: "queued=%d limit=%d", Args: [3]Arg{Int(int64(n)), Int(kernel.DefaultDiskQueueLimit)},
+				Value:  float64(n) / float64(kernel.DiskQueueLimit),
+				Format: "queued=%d limit=%d", Args: [3]Arg{Int(int64(n)), Int(kernel.DiskQueueLimit)},
 			})
 		}),
 	})

@@ -34,7 +34,7 @@ func floodScene(t *testing.T, mode kernel.Mode, seed int64, withWatchdog, hog bo
 		wcfg.Clampable = []*rc.Container{parent}
 	}
 	eng := sim.NewEngine(seed)
-	k := kernel.New(eng, mode, kernel.DefaultCosts())
+	k := kernel.New(eng, mode)
 	k.AttachTelemetry(telemetry.New())
 	mon, err := Attach(k)
 	if err != nil {
@@ -90,7 +90,7 @@ func TestFloodRaisesCritical(t *testing.T) {
 func TestQuietBaselineStaysOk(t *testing.T) {
 	for _, mode := range []kernel.Mode{kernel.ModeUnmodified, kernel.ModeLRP, kernel.ModeRC} {
 		eng := sim.NewEngine(7)
-		k := kernel.New(eng, mode, kernel.DefaultCosts())
+		k := kernel.New(eng, mode)
 		k.AttachTelemetry(telemetry.New())
 		mon, err := Attach(k)
 		if err != nil {

@@ -81,7 +81,7 @@ func Run(sc Scenario) (*Result, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine(int64(sc.Seed))
-	k := kernel.NewSMP(eng, mode, kernel.DefaultCosts(), sc.CPUs)
+	k := kernel.NewSMP(eng, mode, sc.CPUs)
 	tel := telemetry.New()
 	k.AttachTelemetry(tel)
 	tel.SetRun(int64(sc.Seed), sc.Mode)
@@ -185,9 +185,7 @@ func Run(sc Scenario) (*Result, error) {
 	}
 
 	if sc.Faults != (fault.Config{}) {
-		inj := fault.NewInjector(eng, sc.Faults)
-		k.Faults = inj
-		k.Disk().Faults = inj
+		k.Faults = fault.NewInjector(eng, sc.Faults)
 	}
 
 	// Server, premium listener, and crash-restart plumbing. The premium

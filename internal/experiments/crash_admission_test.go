@@ -24,7 +24,7 @@ import (
 //     panics the test on the first violated tick.
 func TestCrashAdmissionNoLeaks(t *testing.T) {
 	eng := sim.NewEngine(42)
-	k := kernel.New(eng, kernel.ModeRC, kernel.DefaultCosts())
+	k := kernel.New(eng, kernel.ModeRC)
 	check := fault.NewChecker(eng) // FailFast: a violation panics the test
 	k.WatchInvariants(check)
 	check.Start(0)

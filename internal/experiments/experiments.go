@@ -77,7 +77,7 @@ func newEnv(mode kernel.Mode, opt Options) *env { return newSMPEnv(mode, 1, opt)
 // invariant checker when opt.Invariants is set.
 func newSMPEnv(mode kernel.Mode, ncpus int, opt Options) *env {
 	eng := sim.NewEngine(opt.Seed)
-	e := &env{eng: eng, k: kernel.NewSMP(eng, mode, kernel.DefaultCosts(), ncpus)}
+	e := &env{eng: eng, k: kernel.NewSMP(eng, mode, ncpus)}
 	if opt.Invariants {
 		e.check = fault.NewChecker(eng)
 		e.k.WatchInvariants(e.check)

@@ -140,7 +140,6 @@ func faultScenario(opt Options, cfg fault.Config, uncached bool) (faultRow, erro
 	e := newEnv(kernel.ModeRC, opt)
 	inj := fault.NewInjector(e.eng, cfg)
 	e.k.Faults = inj
-	e.k.Disk().Faults = inj
 	e.k.Police.Enabled = true
 	if _, err := httpsim.NewServer(httpsim.Config{
 		Kernel: e.k, Name: "httpd", Addr: ServerAddr, API: httpsim.EventAPI,

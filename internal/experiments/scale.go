@@ -112,7 +112,7 @@ func connEstablished(*kernel.Conn) {}
 // the connection table to zero.
 func scalePoint(n int, mode kernel.Mode, policed bool, opt Options) (float64, error) {
 	eng := sim.NewEngine(opt.Seed)
-	k := kernel.New(eng, mode, kernel.DefaultCosts())
+	k := kernel.New(eng, mode)
 	if policed {
 		k.Police.Enabled = true
 	}

@@ -20,7 +20,7 @@ func Table1() (*metrics.Table, error) {
 	const iters = 100_000
 
 	eng := sim.NewEngine(1)
-	k := kernel.New(eng, kernel.ModeRC, kernel.DefaultCosts())
+	k := kernel.New(eng, kernel.ModeRC)
 	p := k.NewProcess("bench")
 	p2 := k.NewProcess("bench2")
 	th := p.NewThread("t")

@@ -23,7 +23,7 @@ import (
 func telemetryScene(t *testing.T, mode kernel.Mode, seed int64, floodRate sim.Rate) *telemetry.Collector {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	k := kernel.New(eng, mode, kernel.DefaultCosts())
+	k := kernel.New(eng, mode)
 	tel := telemetry.New()
 	k.AttachTelemetry(tel)
 

@@ -22,9 +22,9 @@
 //     to a real net/http server.
 //
 // The package depends only on internal/sim and internal/netsim. The
-// kernel imports it (Kernel.Faults and Disk.Faults hold an *Injector,
-// and WatchInvariants registers with a *Checker), so it must not
-// import the kernel or anything above it.
+// kernel imports it (Kernel.Faults holds an *Injector, and
+// WatchInvariants registers with a *Checker), so it must not import the
+// kernel or anything above it.
 package fault
 
 import (

@@ -35,7 +35,7 @@ type faultRunResult struct {
 func faultRun(t *testing.T, seed int64) faultRunResult {
 	t.Helper()
 	eng := sim.NewEngine(seed)
-	k := kernel.New(eng, kernel.ModeRC, kernel.DefaultCosts())
+	k := kernel.New(eng, kernel.ModeRC)
 	k.Tracer = trace.New(1 << 16)
 	inj := fault.NewInjector(eng, fault.Config{
 		DropRate:      0.10,
@@ -46,7 +46,6 @@ func faultRun(t *testing.T, seed int64) faultRunResult {
 		DiskSlowRate:  0.10,
 	})
 	k.Faults = inj
-	k.Disk().Faults = inj
 	k.Police.Enabled = true
 
 	ch := fault.NewChecker(eng)

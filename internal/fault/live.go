@@ -40,11 +40,11 @@ const (
 	labelLivePanic  = 0xFA17D409
 )
 
-// Live fault-duration defaults.
+// Live fault durations.
 const (
-	// DefaultLiveStallFor is the injected pre-read connection stall.
-	DefaultLiveStallFor = 5 * time.Millisecond
-	// DefaultLiveHandlerStallFor is the injected handler stall.
+	// LiveStallFor is the injected pre-read connection stall.
+	LiveStallFor = 5 * time.Millisecond
+	// DefaultLiveHandlerStallFor is the default injected handler stall.
 	DefaultLiveHandlerStallFor = 20 * time.Millisecond
 )
 
@@ -73,10 +73,8 @@ type LiveConfig struct {
 	// first Read fails with ErrInjectedReset) before the request is read.
 	ResetRate float64
 	// StallRate is the probability an accepted connection's first Read is
-	// preceded by a StallFor sleep on the injector's Sleeper.
+	// preceded by a LiveStallFor sleep on the injector's Sleeper.
 	StallRate float64
-	// StallFor is the injected pre-read stall. Default 5 ms.
-	StallFor time.Duration
 	// HandlerStallRate is the probability a request's handler is preceded
 	// by a HandlerStallFor sleep — a runaway request, charged to whatever
 	// container the request is bound to.
@@ -89,9 +87,6 @@ type LiveConfig struct {
 }
 
 func (c LiveConfig) withDefaults() LiveConfig {
-	if c.StallFor <= 0 {
-		c.StallFor = DefaultLiveStallFor
-	}
 	if c.HandlerStallFor <= 0 {
 		c.HandlerStallFor = DefaultLiveHandlerStallFor
 	}
@@ -170,7 +165,7 @@ func (f *LiveInjector) connFate() (reset bool, stall time.Duration) {
 	}
 	if f.cfg.StallRate > 0 && f.stallRNG.Float64() < f.cfg.StallRate {
 		f.stats.ReadStalls++
-		stall = f.cfg.StallFor
+		stall = LiveStallFor
 	}
 	return reset, stall
 }

@@ -40,7 +40,7 @@ type fcgiJob struct {
 }
 
 // DispatchCost is the IPC cost of handing a request to a pool worker,
-// substantially cheaper than a fork (CostModel.UserCGIDispatch).
+// substantially cheaper than a fork (UserCGIDispatchCost).
 const DispatchCost = 50 * sim.Microsecond
 
 // NewFastCGIPool creates n persistent worker processes for the server.

@@ -94,7 +94,7 @@ func (s *ForkServer) accept(ls *kernel.ListenSocket) {
 	if s.rcMode() {
 		cont = s.master.DefaultContainer
 	}
-	mThread.PostFunc("accept", s.k.Costs().ConnSetup, rc.KernelCPU, cont, func() {
+	mThread.PostFunc("accept", kernel.ConnSetupCost, rc.KernelCPU, cont, func() {
 		conn, ok := ls.Accept()
 		if !ok {
 			return
@@ -152,7 +152,7 @@ func (s *ForkServer) serveRequest(w *forkWorker, conn *kernel.Conn, req *Request
 	if s.rcMode() {
 		cont = conn.Container()
 	}
-	cost := s.k.Costs().UserStatic
+	cost := kernel.UserStaticCost
 	if req.Kind != Static {
 		cost = req.CGICPU
 	}

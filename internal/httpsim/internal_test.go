@@ -46,7 +46,7 @@ func TestSortEventsStable(t *testing.T) {
 
 func TestTakeBestPriorityOrderInRCMode(t *testing.T) {
 	eng := sim.NewEngine(1)
-	k := kernel.New(eng, kernel.ModeRC, kernel.DefaultCosts())
+	k := kernel.New(eng, kernel.ModeRC)
 	s := &Server{cfg: Config{Kernel: k}, k: k}
 	hi := rc.MustNew(nil, rc.TimeShare, "hi", rc.Attributes{Priority: 30})
 	lo := rc.MustNew(nil, rc.TimeShare, "lo", rc.Attributes{Priority: 1})
@@ -71,7 +71,7 @@ func TestTakeBestPriorityOrderInRCMode(t *testing.T) {
 
 func TestTakeBestFIFOWithoutContainers(t *testing.T) {
 	eng := sim.NewEngine(1)
-	k := kernel.New(eng, kernel.ModeUnmodified, kernel.DefaultCosts())
+	k := kernel.New(eng, kernel.ModeUnmodified)
 	s := &Server{cfg: Config{Kernel: k}, k: k}
 	s.pending = []*event{{seq: 0}, {seq: 1}}
 	if ev := s.takeBest(); ev.seq != 0 {
@@ -81,7 +81,7 @@ func TestTakeBestFIFOWithoutContainers(t *testing.T) {
 
 func TestTakeBestEmpty(t *testing.T) {
 	eng := sim.NewEngine(1)
-	k := kernel.New(eng, kernel.ModeRC, kernel.DefaultCosts())
+	k := kernel.New(eng, kernel.ModeRC)
 	s := &Server{cfg: Config{Kernel: k}, k: k}
 	if s.takeBest() != nil {
 		t.Fatal("takeBest on empty pending should return nil")
@@ -90,7 +90,7 @@ func TestTakeBestEmpty(t *testing.T) {
 
 func TestEventPriorityFallsBackToZero(t *testing.T) {
 	eng := sim.NewEngine(1)
-	k := kernel.New(eng, kernel.ModeUnmodified, kernel.DefaultCosts())
+	k := kernel.New(eng, kernel.ModeUnmodified)
 	s := &Server{cfg: Config{Kernel: k}, k: k}
 	if got := s.eventPriority(&event{conn: &kernel.Conn{}}); got != 0 {
 		t.Fatalf("priority of container-less event: %d", got)
@@ -121,7 +121,7 @@ type peerCloseRig struct {
 
 func newPeerCloseRig() *peerCloseRig {
 	eng := sim.NewEngine(1)
-	return &peerCloseRig{eng: eng, k: kernel.New(eng, kernel.ModeRC, kernel.DefaultCosts()), src: kernel.Addr("10.1.0.1", 1025)}
+	return &peerCloseRig{eng: eng, k: kernel.New(eng, kernel.ModeRC), src: kernel.Addr("10.1.0.1", 1025)}
 }
 
 // connect establishes the client's connection and runs d.

@@ -64,7 +64,7 @@ func (s *MTServer) OpenConns() int { return s.openConns }
 func (s *MTServer) accept(ls *kernel.ListenSocket) {
 	th := s.workers[s.nextRR%len(s.workers)]
 	s.nextRR++
-	th.PostFunc("accept", s.k.Costs().ConnSetup, rc.KernelCPU, ls.Container(), func() {
+	th.PostFunc("accept", kernel.ConnSetupCost, rc.KernelCPU, ls.Container(), func() {
 		conn, ok := ls.Accept()
 		if !ok || conn.Closed() {
 			return
@@ -91,7 +91,7 @@ func (s *MTServer) serve(th *kernel.Thread, conn *kernel.Conn, req *Request) {
 	if conn.Closed() {
 		return
 	}
-	cost := s.k.Costs().UserStatic
+	cost := kernel.UserStaticCost
 	label := "static"
 	if req.Kind != Static {
 		cost = req.CGICPU

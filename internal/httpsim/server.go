@@ -334,8 +334,7 @@ func (s *Server) loop() {
 // selectCycle: one select() call, then handle the returned batch in fd
 // order.
 func (s *Server) selectCycle() {
-	costs := s.k.Costs()
-	cost := costs.SelectBase + sim.Duration(s.openConns+1)*costs.SelectPerFD
+	cost := kernel.SelectBaseCost + sim.Duration(s.openConns+1)*kernel.SelectPerFDCost
 	s.thread.PostFunc("select", cost, rc.KernelCPU, s.defaultContainer(), func() {
 		batch := s.pending
 		s.pending = nil
@@ -377,7 +376,7 @@ func (s *Server) runBatch(batch []*event, i int) {
 // resource containers the kernel orders events by container priority;
 // without them it is FIFO.
 func (s *Server) pollCycle() {
-	s.thread.PostFunc("getevent", s.k.Costs().EventPoll, rc.KernelCPU, s.defaultContainer(), s.pollDone)
+	s.thread.PostFunc("getevent", kernel.EventPollCost, rc.KernelCPU, s.defaultContainer(), s.pollDone)
 }
 
 // polled handles the event a getevent call returned.
@@ -446,11 +445,10 @@ func (s *Server) handle(ev *event, next func()) {
 }
 
 func (s *Server) handleAccept(ls *kernel.ListenSocket, next func()) {
-	costs := s.k.Costs()
-	cost := costs.ConnSetup
+	cost := kernel.ConnSetupCost
 	if s.cfg.perConn() && s.cfg.ContainerOpsPerRequest {
 		// create container + bind socket + (later) destroy: Table 1 costs.
-		cost += costs.ContainerCreate + costs.ContainerRebind + costs.ContainerDestroy
+		cost += kernel.ContainerCreateCost + kernel.ContainerRebindCost + kernel.ContainerDestroyCost
 	}
 	s.thread.PostFunc("accept", cost, rc.KernelCPU, ls.Container(), func() {
 		conn, ok := ls.Accept()
@@ -483,7 +481,7 @@ func (s *Server) handleRequest(ev *event, next func()) {
 		s.handleModule(conn, req, next)
 	default:
 		ev.next = next
-		s.thread.PostFunc("static", s.k.Costs().UserStatic, rc.UserCPU, conn.Container(), ev.staticDone)
+		s.thread.PostFunc("static", kernel.UserStaticCost, rc.UserCPU, conn.Container(), ev.staticDone)
 	}
 }
 
@@ -604,8 +602,7 @@ func (s *Server) handleCGI(conn *kernel.Conn, req *Request, next func()) {
 		})
 		return
 	}
-	costs := s.k.Costs()
-	s.thread.PostFunc("cgi-dispatch", costs.UserCGIDispatch, rc.UserCPU, conn.Container(), func() {
+	s.thread.PostFunc("cgi-dispatch", kernel.UserCGIDispatchCost, rc.UserCPU, conn.Container(), func() {
 		s.spawnCGI(conn, req)
 		next()
 	})

@@ -14,7 +14,7 @@ var srvAddr = kernel.Addr("10.0.0.1", 80)
 
 func newSim(mode kernel.Mode) (*sim.Engine, *kernel.Kernel) {
 	eng := sim.NewEngine(42)
-	return eng, kernel.New(eng, mode, kernel.DefaultCosts())
+	return eng, kernel.New(eng, mode)
 }
 
 // measure runs clients against a server for warmup+window and returns the

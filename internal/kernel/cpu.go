@@ -351,7 +351,7 @@ func (c *CPU) completeSlice() {
 		done()
 	}
 	if delivered != nil {
-		c.k.eng.After(c.k.costs.WireDelay, delivered)
+		c.k.eng.After(WireDelay, delivered)
 	}
 	c.dispatch()
 }

@@ -129,7 +129,7 @@ func TestRCChargesInterruptDemuxToContainer(t *testing.T) {
 	k.ClientSend(SYNPacket(client(1), srvAddr, false))
 	eng.Run()
 	u := cont.Usage()
-	want := k.Costs().Demux + k.Costs().SYNProtocol
+	want := DemuxCost + SYNProtocolCost
 	if u.CPUKernel != want {
 		t.Fatalf("container kernel CPU %v, want demux+SYN = %v", u.CPUKernel, want)
 	}

@@ -3,18 +3,18 @@ package kernel
 import (
 	"fmt"
 
-	"rescon/internal/fault"
 	"rescon/internal/rc"
 	"rescon/internal/sim"
 	"rescon/internal/trace"
 )
 
-// Disk cost model defaults: a late-1990s SCSI disk — ~8 ms average
-// positioning, ~25 MB/s media rate (≈40 µs per KB).
+// The disk's calibration: a late-1990s SCSI disk — ~8 ms average
+// positioning, ~25 MB/s media rate (≈40 µs per KiB) — and the bound on
+// its pending queue.
 const (
-	DefaultDiskSeek       = 8 * sim.Millisecond
-	DefaultDiskPerKB      = 40 * sim.Microsecond
-	DefaultDiskQueueLimit = 256
+	DiskSeek       = 8 * sim.Millisecond
+	DiskPerKiB     = 40 * sim.Microsecond
+	DiskQueueLimit = 256
 )
 
 // Disk models the machine's disk: one head, requests served one at a
@@ -25,14 +25,6 @@ const (
 // FIFO, as in the unmodified kernel.
 type Disk struct {
 	k *Kernel
-	// SeekTime and PerKB override the default cost model.
-	SeekTime sim.Duration
-	PerKB    sim.Duration
-
-	// Faults, when set, injects media errors and latency spikes into
-	// reads. The fate of a request is drawn when the head reaches it, in
-	// service order, so the schedule is deterministic.
-	Faults *fault.Injector
 
 	queue    []*diskReq
 	nextSeq  uint64
@@ -58,8 +50,6 @@ func (k *Kernel) Disk() *Disk {
 	if k.disk == nil {
 		k.disk = &Disk{
 			k:          k,
-			SeekTime:   DefaultDiskSeek,
-			PerKB:      DefaultDiskPerKB,
 			serviceTab: make(map[*rc.Container]float64),
 		}
 	}
@@ -91,7 +81,7 @@ func (d *Disk) Read(c *rc.Container, bytes int, onDone func()) bool {
 // when the read fails with an injected media error, so callers can shed
 // the request instead of leaving the client to time out.
 func (d *Disk) ReadWithError(c *rc.Container, bytes int, onDone, onErr func()) bool {
-	if len(d.queue) >= DefaultDiskQueueLimit {
+	if len(d.queue) >= DiskQueueLimit {
 		if c != nil {
 			c.ChargeDrop()
 		}
@@ -110,15 +100,17 @@ func (d *Disk) start() {
 	}
 	req := d.pick()
 	d.busy = true
-	cost := d.SeekTime + sim.Duration(req.bytes)*d.PerKB/1024
+	cost := DiskSeek + sim.Duration(req.bytes)*DiskPerKiB/1024
 	failed := false
-	if d.Faults != nil {
-		fail, extra := d.Faults.DiskFate(req.bytes)
+	// A read's fate is drawn when the head reaches it, in service order,
+	// so the schedule is deterministic.
+	if d.k.Faults != nil {
+		fail, extra := d.k.Faults.DiskFate(req.bytes)
 		if fail {
 			// A media error surfaces after the head has moved: the seek is
 			// paid, the transfer never happens.
 			failed = true
-			cost = d.SeekTime
+			cost = DiskSeek
 			// Name the principal, not the container value: container IDs
 			// come from a global counter and are not stable across runs in
 			// one process, which would break trace-dump determinism.

@@ -15,7 +15,7 @@ func TestDiskSingleRead(t *testing.T) {
 		t.Fatal("read rejected")
 	}
 	eng.Run()
-	want := DefaultDiskSeek + 64*DefaultDiskPerKB
+	want := DiskSeek + 64*DiskPerKiB
 	if doneAt != sim.Time(want) {
 		t.Fatalf("read finished at %v, want %v", doneAt, want)
 	}
@@ -96,14 +96,14 @@ func TestDiskQueueLimit(t *testing.T) {
 	_, k := newKernel(ModeRC)
 	c := rc.MustNew(nil, rc.TimeShare, "c", rc.Attributes{Priority: 1})
 	accepted := 0
-	for i := 0; i < DefaultDiskQueueLimit+10; i++ {
+	for i := 0; i < DiskQueueLimit+10; i++ {
 		if k.Disk().Read(c, 1024, nil) {
 			accepted++
 		}
 	}
 	// One request is in service plus a full queue.
-	if accepted != DefaultDiskQueueLimit+1 {
-		t.Fatalf("accepted %d, want %d", accepted, DefaultDiskQueueLimit+1)
+	if accepted != DiskQueueLimit+1 {
+		t.Fatalf("accepted %d, want %d", accepted, DiskQueueLimit+1)
 	}
 	if c.Usage().PacketsDropped != 9 {
 		t.Fatalf("drops %d, want 9", c.Usage().PacketsDropped)

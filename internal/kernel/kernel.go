@@ -13,7 +13,8 @@
 //     order, with its resource binding set per packet (§4.7).
 //
 // Everything runs in virtual time on internal/sim's event engine, with
-// CPU costs from CostModel, so experiment results are deterministic.
+// the calibrated CPU costs of costs.go, so experiment results are
+// deterministic.
 package kernel
 
 import (
@@ -58,7 +59,6 @@ func (m Mode) String() string {
 type Kernel struct {
 	eng    *sim.Engine
 	mode   Mode
-	costs  CostModel
 	sch    sched.Scheduler
 	cpu    *CPU // primary processor (receives interrupts)
 	cpus   []*CPU
@@ -86,7 +86,8 @@ type Kernel struct {
 	watched []*rc.Container
 
 	// Faults, when set, decides the fate of every client-injected packet
-	// (drop/duplicate/delay/reorder).
+	// (drop/duplicate/delay/reorder) and of every disk read (media
+	// error, latency spike).
 	Faults *fault.Injector
 
 	// Police is the admission-control / load-shedding policy applied at
@@ -150,19 +151,19 @@ type Policing struct {
 func (k *Kernel) PolicedDrops() uint64 { return k.policedDrops }
 
 // New returns a uniprocessor kernel (the paper's testbed, §5.2) in the
-// given mode with the given cost model.
-func New(eng *sim.Engine, mode Mode, costs CostModel) *Kernel {
-	return NewSMP(eng, mode, costs, 1)
+// given mode.
+func New(eng *sim.Engine, mode Mode) *Kernel {
+	return NewSMP(eng, mode, 1)
 }
 
 // NewSMP returns a kernel with ncpus processors. Interrupts are handled
 // by CPU 0, as on the symmetric multiprocessors of the period; threads
 // migrate freely (no affinity).
-func NewSMP(eng *sim.Engine, mode Mode, costs CostModel, ncpus int) *Kernel {
+func NewSMP(eng *sim.Engine, mode Mode, ncpus int) *Kernel {
 	if ncpus < 1 {
 		ncpus = 1
 	}
-	k := &Kernel{eng: eng, mode: mode, costs: costs}
+	k := &Kernel{eng: eng, mode: mode}
 	switch mode {
 	case ModeRC:
 		k.cs = sched.NewContainerScheduler()
@@ -219,9 +220,6 @@ func (k *Kernel) Engine() *sim.Engine { return k.eng }
 
 // Mode returns the kernel's resource-management model.
 func (k *Kernel) Mode() Mode { return k.mode }
-
-// Costs returns the kernel's cost model.
-func (k *Kernel) Costs() CostModel { return k.costs }
 
 // Scheduler returns the active CPU scheduler.
 func (k *Kernel) Scheduler() sched.Scheduler { return k.sch }

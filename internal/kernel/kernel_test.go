@@ -11,7 +11,7 @@ import (
 
 func newKernel(mode Mode) (*sim.Engine, *Kernel) {
 	eng := sim.NewEngine(1)
-	return eng, New(eng, mode, DefaultCosts())
+	return eng, New(eng, mode)
 }
 
 // traceInterrupts attaches a tracer that records only interrupt starts.
@@ -149,8 +149,8 @@ func TestDestroyedBindingFallsBackToDefault(t *testing.T) {
 		t.Fatalf("application work done %v, packet served %v: want both", done, served)
 	}
 	u := def.Usage()
-	if du, dk := u.CPUUser-before.CPUUser, u.CPUKernel-before.CPUKernel; du != 2*sim.Millisecond || dk != k.costs.RecvProtocol {
-		t.Fatalf("default container charged %v user and %v kernel, want %v and %v", du, dk, 2*sim.Millisecond, k.costs.RecvProtocol)
+	if du, dk := u.CPUUser-before.CPUUser, u.CPUKernel-before.CPUKernel; du != 2*sim.Millisecond || dk != RecvProtocolCost {
+		t.Fatalf("default container charged %v user and %v kernel, want %v and %v", du, dk, 2*sim.Millisecond, RecvProtocolCost)
 	}
 	noBinding("at the end")
 }

@@ -207,7 +207,7 @@ func (ls *ListenSocket) Accepted() uint64 { return ls.accepted }
 func (ls *ListenSocket) Pending() int { return ls.acceptQ.Len() }
 
 // Accept pops an established connection from the accept queue. The
-// syscall's CPU cost (CostModel.ConnSetup) is the caller's to account —
+// syscall's CPU cost (ConnSetupCost) is the caller's to account —
 // servers post it as a work item in whose completion they call Accept.
 func (ls *ListenSocket) Accept() (*Conn, bool) {
 	c, ok := ls.acceptQ.Pop()
@@ -309,7 +309,7 @@ func (c *Conn) SetContainer(rcc *rc.Container) { c.container = rcc }
 func (c *Conn) Closed() bool { return c.closed }
 
 // Close tears the connection down. The teardown CPU cost is part of
-// CostModel.ConnSetup, accounted by the server's accept/close work items.
+// ConnSetupCost, accounted by the server's accept/close work items.
 func (c *Conn) Close() {
 	if c.closed {
 		return
@@ -344,7 +344,7 @@ func (c *Conn) Send(t *Thread, size int, chargeTo *rc.Container, onDelivered fun
 		chargeTo.ChargePacketOut(size)
 	}
 	item := c.k.newItem()
-	item.Label, item.Cost, item.Kind = "send", c.k.costs.SendProtocol, rc.KernelCPU
+	item.Label, item.Cost, item.Kind = "send", SendProtocolCost, rc.KernelCPU
 	item.Stage, item.Container, item.onDelivered = trace.StageSocket, chargeTo, onDelivered
 	t.post(item)
 }
@@ -370,12 +370,12 @@ func (k *Kernel) ClientSend(pkt *netsim.Packet) {
 			} else if extra > 0 {
 				k.Tracer.Emitf(k.Now(), trace.KindFault, "wire fault: delayed %s (+%v)", p.Header(), extra)
 			}
-			k.eng.After(k.costs.WireDelay+extra, func() { k.Arrive(&p) })
+			k.eng.After(WireDelay+extra, func() { k.Arrive(&p) })
 		}
 		return
 	}
 	k.wire.Push(*pkt)
-	k.eng.After(k.costs.WireDelay, k.wireArrive)
+	k.eng.After(WireDelay, k.wireArrive)
 }
 
 // arriveFromWire delivers the oldest packet on the wire.
@@ -397,7 +397,7 @@ func (k *Kernel) Arrive(pkt *netsim.Packet) {
 			// admitted SYNs pay protocol processing.
 			k.cpu.RaiseInterrupt(intrWork{
 				label:           "intr+throttle",
-				cost:            k.costs.Interrupt,
+				cost:            InterruptCost,
 				chargePreempted: true,
 				handler:         intrThrottle,
 				pkt:             *pkt,
@@ -408,7 +408,7 @@ func (k *Kernel) Arrive(pkt *netsim.Packet) {
 		// the unlucky running principal.
 		k.cpu.RaiseInterrupt(intrWork{
 			label:           "intr+proto",
-			cost:            k.costs.Interrupt + k.protoCost(pkt),
+			cost:            InterruptCost + k.protoCost(pkt),
 			chargePreempted: true,
 			handler:         intrProto,
 			pkt:             *pkt,
@@ -416,7 +416,7 @@ func (k *Kernel) Arrive(pkt *netsim.Packet) {
 	case ModeLRP, ModeRC:
 		k.cpu.RaiseInterrupt(intrWork{
 			label:           "intr+demux",
-			cost:            k.costs.Interrupt + k.costs.Demux,
+			cost:            InterruptCost + DemuxCost,
 			chargePreempted: true,
 			// Early demultiplexing identifies who the packet is for, so
 			// the profile can attribute this interrupt-level work to its
@@ -459,11 +459,11 @@ func (k *Kernel) emitPktOver(kind trace.Kind, cont *rc.Container, pkt *netsim.Pa
 func (k *Kernel) protoCost(pkt *netsim.Packet) sim.Duration {
 	switch pkt.Kind {
 	case netsim.SYN:
-		return k.costs.SYNProtocol
+		return SYNProtocolCost
 	case netsim.FIN:
-		return k.costs.FINProtocol
+		return FINProtocolCost
 	default:
-		return k.costs.RecvProtocol
+		return RecvProtocolCost
 	}
 }
 
@@ -487,14 +487,14 @@ func (k *Kernel) earlyDemux(pkt *netsim.Packet) {
 		} else if proc != nil {
 			r = k.tel.Resolve(&proc.profile, proc.name)
 		}
-		k.tel.Charge(r, trace.StageInterrupt, k.costs.Interrupt)
-		k.tel.Charge(r, trace.StageIP, k.costs.Demux)
+		k.tel.Charge(r, trace.StageInterrupt, InterruptCost)
+		k.tel.Charge(r, trace.StageIP, DemuxCost)
 	}
 	if proc == nil {
 		return // no matching socket: packet dropped silently
 	}
 	if k.mode == ModeRC && cont != nil {
-		cont.ChargeCPU(rc.KernelCPU, k.costs.Demux)
+		cont.ChargeCPU(rc.KernelCPU, DemuxCost)
 		cont.ChargePacketIn(pkt.Size)
 	}
 	if k.policeDemux(pkt, proc, cont, ls) {
@@ -732,7 +732,7 @@ func (k *Kernel) handleSYN(pkt *netsim.Packet, ls *ListenSocket) {
 	// The client learns about the established connection one wire delay
 	// later (the SYN-ACK): a SYN may carry a client callback as payload.
 	if cb, ok := pkt.Payload.(func(*Conn)); ok {
-		k.eng.After(k.costs.WireDelay, func() { cb(conn) })
+		k.eng.After(WireDelay, func() { cb(conn) })
 	}
 }
 

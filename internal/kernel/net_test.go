@@ -225,11 +225,17 @@ func TestKernelAccessors(t *testing.T) {
 	if k.Engine() != eng || k.Mode() != ModeRC || k.Scheduler() == nil {
 		t.Fatal("accessors broken")
 	}
-	if k.Costs().PerRequestCost() != k.Costs().Interrupt+k.Costs().RecvProtocol+k.Costs().UserStatic+k.Costs().SendProtocol {
-		t.Fatal("PerRequestCost wrong")
+	// The calibration costs.go documents (§5.2–§5.3, Fig. 14).
+	perConn := InterruptCost + SYNProtocolCost + ConnSetupCost
+	perReq := InterruptCost + RecvProtocolCost + UserStaticCost + SendProtocolCost
+	if perConn != 233*sim.Microsecond || perConn+perReq != 338*sim.Microsecond {
+		t.Fatalf("non-persistent request costs %v + %v, want 233 µs + 105 µs = 338 µs", perConn, perReq)
 	}
-	if k.Costs().PerRequestConnCost() != k.Costs().Interrupt+k.Costs().SYNProtocol+k.Costs().ConnSetup {
-		t.Fatal("PerRequestConnCost wrong")
+	if perReq != 105*sim.Microsecond {
+		t.Fatalf("persistent request costs %v, want 105 µs", perReq)
+	}
+	if f := InterruptCost + DemuxCost; f != 3800*sim.Nanosecond {
+		t.Fatalf("interrupt + demux = %v, want 3.8 µs", f)
 	}
 	p := k.NewProcess("app")
 	if p.Name() != "app" {

@@ -9,7 +9,7 @@ import (
 
 func newSMP(mode Mode, ncpus int) (*sim.Engine, *Kernel) {
 	eng := sim.NewEngine(1)
-	return eng, NewSMP(eng, mode, DefaultCosts(), ncpus)
+	return eng, NewSMP(eng, mode, ncpus)
 }
 
 func TestSMPParallelExecution(t *testing.T) {
@@ -138,7 +138,7 @@ func TestSMPMTServerScales(t *testing.T) {
 	// multiprocessor event-driven servers need one thread per processor.
 	run := func(ncpus, threads int) sim.Time {
 		eng := sim.NewEngine(9)
-		k := NewSMP(eng, ModeUnmodified, DefaultCosts(), ncpus)
+		k := NewSMP(eng, ModeUnmodified, ncpus)
 		p := k.NewProcess("mt")
 		var workers []*Thread
 		for i := 0; i < threads; i++ {

@@ -13,7 +13,7 @@ import (
 func TestKernelAccountingConservation(t *testing.T) {
 	for _, ncpus := range []int{1, 2} {
 		eng := sim.NewEngine(31)
-		k := NewSMP(eng, ModeRC, DefaultCosts(), ncpus)
+		k := NewSMP(eng, ModeRC, ncpus)
 		p := k.NewProcess("httpd")
 		root := rc.MustNew(nil, rc.FixedShare, "root", rc.Attributes{})
 		if err := p.DefaultContainer.SetParent(root); err != nil {
@@ -97,7 +97,7 @@ func TestKernelAccountingConservation(t *testing.T) {
 func TestKernelStressDeterministic(t *testing.T) {
 	run := func() (sim.Duration, sim.Duration, uint64) {
 		eng := sim.NewEngine(77)
-		k := New(eng, ModeRC, DefaultCosts())
+		k := New(eng, ModeRC)
 		p := k.NewProcess("httpd")
 		accepted := uint64(0)
 		_, _ = k.Listen(p, ListenConfig{

@@ -11,8 +11,8 @@ import (
 // operating on per-process descriptor tables, exactly the shape a real
 // kernel would expose. bench_test.go measures their real cost (our
 // Table 1); a simulated server that creates, binds and destroys a
-// container per connection charges CostModel.ContainerCreate,
-// ContainerRebind and ContainerDestroy for it (§5.4).
+// container per connection charges ContainerCreateCost,
+// ContainerRebindCost and ContainerDestroyCost for it (§5.4).
 
 // ErrWrongMode is returned when container syscalls are used on a kernel
 // without container support.

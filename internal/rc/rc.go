@@ -560,3 +560,21 @@ func (c *Container) QoSWeight() float64 {
 	}
 	return c.attrs.QoSWeight
 }
+
+// LimitFrac returns the container's CPU limit as a fraction of the whole
+// machine: its own Limit times the Limit of every limited ancestor, since
+// a Limit is a fraction of the parent's allocation (§4.5). It is 0 when
+// the container has no Limit of its own. The product runs leaf to root.
+func (c *Container) LimitFrac() float64 {
+	l := c.attrs.Limit
+	if l <= 0 {
+		return 0
+	}
+	parentFrac := 1.0
+	for p := c.parent; p != nil; p = p.parent {
+		if pl := p.attrs.Limit; pl > 0 {
+			parentFrac *= pl
+		}
+	}
+	return l * parentFrac
+}

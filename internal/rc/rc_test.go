@@ -343,6 +343,23 @@ func TestQoSWeightDefault(t *testing.T) {
 	}
 }
 
+func TestLimitFrac(t *testing.T) {
+	flat := MustNew(nil, FixedShare, "flat", Attributes{Limit: 0.3})
+	if f := flat.LimitFrac(); f != 0.3 {
+		t.Fatalf("flat LimitFrac %v, want 0.3", f)
+	}
+	root := MustNew(nil, FixedShare, "root", Attributes{})
+	group := MustNew(root, FixedShare, "group", Attributes{Limit: 0.5})
+	mid := MustNew(group, FixedShare, "mid", Attributes{})
+	leaf := MustNew(mid, FixedShare, "leaf", Attributes{Limit: 0.2})
+	if f := leaf.LimitFrac(); f != 0.1 {
+		t.Fatalf("nested LimitFrac %v, want 0.2×0.5 = 0.1 past unlimited ancestors", f)
+	}
+	if f := mid.LimitFrac(); f != 0 {
+		t.Fatalf("LimitFrac %v without an own limit, want 0", f)
+	}
+}
+
 // Property: charging a leaf always leaves every ancestor's total CPU equal
 // to the sum of the charges made beneath it.
 func TestChargeConservationProperty(t *testing.T) {

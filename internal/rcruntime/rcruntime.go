@@ -91,8 +91,9 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// DefaultWindow is the limit-enforcement window: a subtree with Limit L
-// may consume at most L×window of CPU per window.
+// DefaultWindow is the limit-enforcement window: a subtree whose
+// rc.(*Container).LimitFrac is L may consume at most L×window of CPU per
+// window.
 const DefaultWindow = 100 * time.Millisecond
 
 // Enforcer admits work against container CPU limits and accounts usage.
@@ -165,8 +166,8 @@ func (e *Enforcer) overLimitLocked(c *rc.Container, now time.Time) bool {
 		return false
 	}
 	for p := c; p != nil; p = p.Parent() {
-		l := p.Attributes().Limit
-		if l <= 0 {
+		f := p.LimitFrac()
+		if f <= 0 {
 			continue
 		}
 		st, ok := p.SchedState.(*winState)
@@ -175,7 +176,7 @@ func (e *Enforcer) overLimitLocked(c *rc.Container, now time.Time) bool {
 			p.SchedState = st
 		}
 		e.refreshLocked(st, p)
-		budget := time.Duration(l * float64(e.window))
+		budget := time.Duration(f * float64(e.window))
 		if e.usage(p)-st.snap >= budget {
 			return true
 		}

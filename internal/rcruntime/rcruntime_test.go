@@ -60,6 +60,23 @@ func TestHierarchicalLimit(t *testing.T) {
 	}
 }
 
+// TestNestedLimitIsFractionOfParent: a Limit is a fraction of the
+// parent's allocation (§4.5), as the simulated scheduler reads it, so a
+// 0.2 leaf under a 0.5 group gets 0.2×0.5×100 ms = 10 ms a window, and
+// 15 ms puts it over budget while the group is still under its 50 ms.
+func TestNestedLimitIsFractionOfParent(t *testing.T) {
+	e := New(&VirtualClock{}, 100*time.Millisecond)
+	group := rc.MustNew(nil, rc.FixedShare, "group", rc.Attributes{Limit: 0.5})
+	leaf := rc.MustNew(group, rc.FixedShare, "leaf", rc.Attributes{Limit: 0.2})
+	e.Acquire(leaf)(15 * time.Millisecond)
+	if !e.OverBudget(leaf) {
+		t.Fatal("leaf under budget after 15 ms, want over its 10 ms")
+	}
+	if e.OverBudget(group) {
+		t.Fatal("group over budget after 15 ms of its 50 ms")
+	}
+}
+
 // TestWindowRollRestoresBudget: once the window rolls, previously
 // exhausted budget is restored and admission is immediate again — usage
 // from the old window must not count against the new one.

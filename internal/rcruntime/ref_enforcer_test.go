@@ -72,7 +72,15 @@ func (e *refEnforcer) overLimitLocked(c *rc.Container, now time.Time) *rc.Contai
 			snap = e.usage(p)
 			e.snapshots[p] = snap
 		}
-		if e.usage(p)-snap >= time.Duration(l*float64(e.window)) {
+		// A Limit is a fraction of the parent's allocation: scale it by
+		// every limited ancestor's, multiplied leaf to root.
+		parentFrac := 1.0
+		for q := p.Parent(); q != nil; q = q.Parent() {
+			if ql := q.Attributes().Limit; ql > 0 {
+				parentFrac *= ql
+			}
+		}
+		if e.usage(p)-snap >= time.Duration(l*parentFrac*float64(e.window)) {
 			return p
 		}
 	}

@@ -847,9 +847,6 @@ func (r *Controller) AuditRestore() string {
 	return ""
 }
 
-// jstr renders a JSON string with deterministic escaping.
-func jstr(s string) string { return strconv.Quote(s) }
-
 // WriteJSONL writes the decision journal as one JSON object per line: a
 // meta header (pools, counters) followed by every decision in emission
 // order. Encoding is hand-rolled so field order and number formatting
@@ -862,13 +859,13 @@ func (r *Controller) WriteJSONL(w io.Writer) error {
 	var b strings.Builder
 	names := make([]string, len(r.pools))
 	for i, p := range r.pools {
-		names[i] = jstr(p.name)
+		names[i] = strconv.Quote(p.name)
 	}
 	fmt.Fprintf(&b, `{"type":"meta","pools":[%s],"ticks":%d,"steps":%d,"flips":%d,"freezes":%d,"resumes":%d,"disarms":%d,"errors":%d,"truncated":%d}`+"\n",
 		strings.Join(names, ","), r.ticks, r.steps, r.flips, r.freezes, r.resumes, r.disarms, r.actErrors, r.truncated)
 	for _, rec := range r.journal {
 		fmt.Fprintf(&b, `{"type":"rebalance","at_ns":%d,"pool":%s,"member":%s,"action":%s,"delta":%d,"alloc":%d,"detail":%s}`+"\n",
-			int64(rec.at), jstr(rec.pool), jstr(rec.member), jstr(rec.action), rec.delta, rec.alloc, jstr(rec.detail))
+			int64(rec.at), strconv.Quote(rec.pool), strconv.Quote(rec.member), strconv.Quote(rec.action), rec.delta, rec.alloc, strconv.Quote(rec.detail))
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -184,21 +184,14 @@ func (s *ContainerScheduler) attrs(c *rc.Container) *cstate {
 		st.chainShared = st.chainShared || ps.chainShared
 	}
 	st.weight = weight(c)
-	chain := c.Ancestors()
 	st.capBudget = -1
-	if l := own.Limit; l > 0 {
-		parentFrac := 1.0
-		for _, p := range chain[1:] {
-			if pl := p.Attributes().Limit; pl > 0 {
-				parentFrac *= pl
-			}
-		}
-		st.capBudget = sim.Duration(l * parentFrac * float64(DefaultWindow) * float64(s.Capacity))
+	if f := c.LimitFrac(); f > 0 {
+		st.capBudget = sim.Duration(f * float64(DefaultWindow) * float64(s.Capacity))
 	}
 	st.effShare = 0
 	if sh := own.Share; sh > 0 {
 		f := sh
-		for _, p := range chain[1:] {
+		for _, p := range c.Ancestors()[1:] {
 			if sh := p.Attributes().Share; sh > 0 {
 				f *= sh
 			}

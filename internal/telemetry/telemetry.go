@@ -380,9 +380,6 @@ func (c *Collector) WriteProfile(w io.Writer, topN int) {
 	t.Render(w)
 }
 
-// jstr renders a JSON string with deterministic escaping.
-func jstr(s string) string { return strconv.Quote(s) }
-
 // WriteJSONL writes the full structured dump as one JSON object per
 // line: a meta header, every retained trace event, every timeline
 // sample, and every profile row. Encoding is hand-rolled so field order
@@ -394,20 +391,20 @@ func (c *Collector) WriteJSONL(w io.Writer) error {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, `{"type":"meta","seed":%d,"mode":%s,"interval_ns":%d,"events_total":%d}`+"\n",
-		c.seed, jstr(c.mode), int64(SampleInterval), c.tracer.Total())
+		c.seed, strconv.Quote(c.mode), int64(SampleInterval), c.tracer.Total())
 	for _, e := range c.tracer.Events() {
 		fmt.Fprintf(&b, `{"type":"event","at_ns":%d,"kind":%s,"cpu":%d,"stage":%s,"principal":%s,"conn":%d,"cost_ns":%d,"detail":%s}`+"\n",
-			int64(e.At), jstr(string(e.Kind)), e.CPU, jstr(e.Stage.String()),
-			jstr(e.Principal), e.Conn, int64(e.Cost), jstr(e.Detail))
+			int64(e.At), strconv.Quote(string(e.Kind)), e.CPU, strconv.Quote(e.Stage.String()),
+			strconv.Quote(e.Principal), e.Conn, int64(e.Cost), strconv.Quote(e.Detail))
 	}
 	for _, s := range c.Samples() {
 		fmt.Fprintf(&b, `{"type":"sample","at_ns":%d,"principal":%s,"cpu_ns":%d,"backlog":%d,"backlog_hi":%d,"listenq":%d,"diskq":%d,"drops":%d,"dispatches":%d}`+"\n",
-			int64(s.At), jstr(s.Principal), int64(s.CPU), s.Backlog, s.BacklogHi,
+			int64(s.At), strconv.Quote(s.Principal), int64(s.CPU), s.Backlog, s.BacklogHi,
 			s.ListenQ, s.DiskQ, s.Drops, s.Dispatches)
 	}
 	for _, r := range c.ProfileRows() {
 		fmt.Fprintf(&b, `{"type":"profile","principal":%s,"stage":%s,"cpu_ns":%d}`+"\n",
-			jstr(r.Principal), jstr(r.Stage.String()), int64(r.CPU))
+			strconv.Quote(r.Principal), strconv.Quote(r.Stage.String()), int64(r.CPU))
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -453,18 +450,18 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			name = string(e.Kind)
 		}
 		args := fmt.Sprintf(`{"principal":%s,"stage":%s,"conn":%d}`,
-			jstr(e.Principal), jstr(e.Stage.String()), e.Conn)
+			strconv.Quote(e.Principal), strconv.Quote(e.Stage.String()), e.Conn)
 		if e.Cost > 0 {
 			emit(fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"X","ts":%s,"dur":%s,"pid":1,"tid":%d,"args":%s}`,
-				jstr(name), jstr(string(e.Kind)), us(int64(e.At)), us(int64(e.Cost)), tid, args))
+				strconv.Quote(name), strconv.Quote(string(e.Kind)), us(int64(e.At)), us(int64(e.Cost)), tid, args))
 		} else {
 			emit(fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"i","s":"t","ts":%s,"pid":1,"tid":%d,"args":%s}`,
-				jstr(name), jstr(string(e.Kind)), us(int64(e.At)), tid, args))
+				strconv.Quote(name), strconv.Quote(string(e.Kind)), us(int64(e.At)), tid, args))
 		}
 	}
 	for _, s := range c.Samples() {
 		emit(fmt.Sprintf(`{"name":%s,"ph":"C","ts":%s,"pid":1,"args":{"cpu_ms":%s,"backlog":%d,"listenq":%d,"diskq":%d,"drops":%d}}`,
-			jstr("timeline:"+s.Principal), us(int64(s.At)), us(int64(s.CPU)), s.Backlog, s.ListenQ, s.DiskQ, s.Drops))
+			strconv.Quote("timeline:"+s.Principal), us(int64(s.At)), us(int64(s.CPU)), s.Backlog, s.ListenQ, s.DiskQ, s.Drops))
 	}
 	b.WriteString("\n]}\n")
 	_, err := io.WriteString(w, b.String())

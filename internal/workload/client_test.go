@@ -56,7 +56,7 @@ func echoServer(t *testing.T, k *kernel.Kernel) *kernel.Process {
 
 func newTestKernel() (*sim.Engine, *kernel.Kernel) {
 	eng := sim.NewEngine(11)
-	return eng, kernel.New(eng, kernel.ModeUnmodified, kernel.DefaultCosts())
+	return eng, kernel.New(eng, kernel.ModeUnmodified)
 }
 
 func TestClientClosedLoop(t *testing.T) {

@@ -118,8 +118,6 @@ type (
 	Kernel = kernel.Kernel
 	// Mode selects the resource-management model.
 	Mode = kernel.Mode
-	// CostModel holds the calibrated CPU costs of every processing stage.
-	CostModel = kernel.CostModel
 	// Address is a transport endpoint.
 	Address = netsim.Addr
 	// Filter is a CIDR filter of the new sockaddr namespace (§4.8).
@@ -144,9 +142,6 @@ func Addr(ip string, port uint16) Address { return kernel.Addr(ip, port) }
 
 // CIDR builds a client filter from a dotted-quad prefix and mask length.
 func CIDR(prefix string, bits int) Filter { return kernel.FilterCIDR(prefix, bits) }
-
-// DefaultCosts returns the cost model calibrated to the paper's testbed.
-func DefaultCosts() CostModel { return kernel.DefaultCosts() }
 
 // Server models (internal/httpsim).
 type (
@@ -233,7 +228,7 @@ type (
 	// error/latency-spike rates.
 	FaultConfig = fault.Config
 	// FaultInjector draws seed-stable wire and disk fault schedules;
-	// assign it to Kernel.Faults and Kernel.Disk().Faults.
+	// assign it to Kernel.Faults.
 	FaultInjector = fault.Injector
 	// InvariantChecker periodically runs named invariant checks at
 	// runtime (virtual-clock monotonicity built in); Kernel.WatchInvariants
@@ -522,16 +517,10 @@ type Sim struct {
 type SimOption func(*simOptions)
 
 type simOptions struct {
-	costs CostModel
 	ncpus int
 	tel   *telemetry.Collector
 	wd    *alert.WatchdogConfig
 	reb   *rebalance.Config
-}
-
-// WithCosts replaces the default (paper-calibrated) cost model.
-func WithCosts(costs CostModel) SimOption {
-	return func(o *simOptions) { o.costs = costs }
 }
 
 // WithCPUs simulates a multiprocessor machine: interrupts go to CPU 0,
@@ -570,15 +559,15 @@ func WithRebalancer(cfg RebalanceConfig) SimOption {
 }
 
 // NewSim creates a deterministic simulation in the given kernel mode,
-// customized by functional options: WithCosts, WithCPUs, WithTelemetry,
+// customized by functional options: WithCPUs, WithTelemetry,
 // WithWatchdog, WithRebalancer.
 func NewSim(mode Mode, seed int64, opts ...SimOption) *Sim {
-	o := simOptions{costs: kernel.DefaultCosts(), ncpus: 1}
+	o := simOptions{ncpus: 1}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	eng := sim.NewEngine(seed)
-	k := kernel.NewSMP(eng, mode, o.costs, o.ncpus)
+	k := kernel.NewSMP(eng, mode, o.ncpus)
 	s := &Sim{Engine: eng, Kernel: k}
 	if o.tel == nil && (o.wd != nil || o.reb != nil) {
 		o.tel = telemetry.New()

@@ -177,11 +177,7 @@ func TestWithAlertsPublicAPI(t *testing.T) {
 }
 
 func TestFacadeConstructors(t *testing.T) {
-	costs := DefaultCosts()
-	if costs.PerRequestCost() <= 0 {
-		t.Fatal("bad default costs")
-	}
-	s := NewSim(ModeLRP, 3, WithCosts(costs))
+	s := NewSim(ModeLRP, 3)
 	if s.Kernel.Mode() != ModeLRP {
 		t.Fatal("mode not applied")
 	}

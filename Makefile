@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint loc test race bench bench-baseline bench-check identity identity-update results chaos-smoke chaos-nightly scale-smoke scale-full live-smoke livechaos-smoke livechaos-nightly rebalance-smoke tier1 ci
+.PHONY: all build vet lint loc test race bench bench-baseline bench-check identity identity-update results chaos-smoke chaos-nightly fuzz-nightly scale-smoke scale-full live-smoke livechaos-smoke livechaos-nightly rebalance-smoke tier1 ci
 
 all: ci
 
@@ -85,6 +85,15 @@ chaos-smoke:
 CHAOS_NIGHTLY_SEED ?= 1
 chaos-nightly:
 	$(GO) run ./cmd/rcchaos -run 500 -seed $(CHAOS_NIGHTLY_SEED)
+
+# Nightly fuzz of the chaos repro loaders, one target after the other,
+# five minutes each on one worker. -fuzzminimizetime 1s bounds the
+# minimization of each new interesting input, which otherwise takes up
+# to a minute with no executions reported. A failing input is written
+# under internal/chaos/testdata/fuzz.
+fuzz-nightly:
+	$(GO) test -run - -fuzz '^FuzzLoadScenario$$' -fuzztime 5m -fuzzminimizetime 1s -parallel 1 ./internal/chaos
+	$(GO) test -run - -fuzz '^FuzzLoadLiveScenario$$' -fuzztime 5m -fuzzminimizetime 1s -parallel 1 ./internal/chaos
 
 # Datacenter-scale smoke: ramp each kernel mode to 100k concurrent
 # connections (quick axis) under the race detector. Verifies the

@@ -46,7 +46,7 @@ func ExampleNewContainer() {
 		rescon.Attributes{Share: 0.5, Limit: 0.5})
 	conn, _ := rescon.NewContainer(guest, rescon.TimeShare, "conn-1",
 		rescon.Attributes{Priority: rescon.DefaultPriority})
-	conn.ChargeCPU(0, 3*rescon.Millisecond)
+	conn.ChargeCPU(0, 3*rescon.Millisecond, nil)
 	fmt.Println("guest CPU:", guest.Usage().CPU())
 	fmt.Println("leaf:", conn.IsLeaf(), "depth:", conn.Depth())
 	// Output:

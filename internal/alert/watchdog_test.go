@@ -132,7 +132,7 @@ func TestWatchdogReengageCancelsCountdown(t *testing.T) {
 // charge gives each clampable the CPU of one tick.
 func charge(r *wdRig, cs []*rc.Container, ms ...int) {
 	for i, c := range cs {
-		c.ChargeCPU(rc.UserCPU, sim.Duration(ms[i])*sim.Millisecond)
+		c.ChargeCPU(rc.UserCPU, sim.Duration(ms[i])*sim.Millisecond, nil)
 	}
 	r.tick()
 }

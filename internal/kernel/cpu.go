@@ -184,7 +184,7 @@ func (c *CPU) completeIntr() {
 	now := c.k.Now()
 	c.k.interruptTime += w.cost
 	if w.container != nil {
-		w.container.ChargeCPU(rc.KernelCPU, w.cost)
+		w.container.ChargeCPU(rc.KernelCPU, w.cost, c.k.cs.Window())
 	}
 	if w.chargePreempted && c.preempted != nil {
 		// The classic misaccounting: interrupt time lands on the
@@ -221,7 +221,7 @@ func telPrincipal(th *Thread, item *WorkItem) string {
 // item.
 func (c *CPU) chargeSlice(th *Thread, item *WorkItem, d sim.Duration, now sim.Time) {
 	if item.Container != nil {
-		item.Container.ChargeCPU(item.Kind, d)
+		item.Container.ChargeCPU(item.Kind, d, c.k.cs.Window())
 	}
 	c.k.sch.Charge(th.ent, item.Container, d, now)
 	th.cpuTime += d

@@ -269,7 +269,7 @@ func TestInvariantsCatchConservationBreak(t *testing.T) {
 	p := k.NewProcess("httpd")
 	oldRoot := rc.MustNew(nil, rc.FixedShare, "old", rc.Attributes{})
 	kid := rc.MustNew(oldRoot, rc.TimeShare, "kid", rc.Attributes{Priority: 1})
-	kid.ChargeCPU(rc.KernelCPU, sim.Millisecond)
+	kid.ChargeCPU(rc.KernelCPU, sim.Millisecond, nil)
 	group := rc.MustNew(nil, rc.FixedShare, "group", rc.Attributes{})
 	if err := p.DefaultContainer.SetParent(group); err != nil {
 		t.Fatal(err)

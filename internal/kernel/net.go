@@ -186,8 +186,8 @@ func (ls *ListenSocket) dropSYN(src netsim.Addr) {
 // expireSyns releases embryonic slots whose retransmit timer has expired.
 func (ls *ListenSocket) expireSyns(now sim.Time) {
 	for {
-		head, ok := ls.synQ.Peek()
-		if !ok || head.After(now) {
+		head := ls.synQ.Peek()
+		if head == nil || head.After(now) {
 			return
 		}
 		ls.synQ.Pop()
@@ -494,7 +494,7 @@ func (k *Kernel) earlyDemux(pkt *netsim.Packet) {
 		return // no matching socket: packet dropped silently
 	}
 	if k.mode == ModeRC && cont != nil {
-		cont.ChargeCPU(rc.KernelCPU, DemuxCost)
+		cont.ChargeCPU(rc.KernelCPU, DemuxCost, k.cs.Window())
 		cont.ChargePacketIn(pkt.Size)
 	}
 	if k.policeDemux(pkt, proc, cont, ls) {
@@ -897,7 +897,7 @@ func (pq *pktQueue) nextWork() *WorkItem {
 	bestWeighted := 0.0
 	var bestSeq uint64
 	for _, cq := range pq.queues {
-		head, _ := cq.q.Peek()
+		head := cq.q.Peek() // never nil: drained queues leave the list
 		prio := 0
 		if cq.c != nil {
 			prio = cq.c.EffectivePriority()

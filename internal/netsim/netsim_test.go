@@ -185,13 +185,13 @@ func TestQueueBounded(t *testing.T) {
 
 func TestQueuePeek(t *testing.T) {
 	q := NewQueue[string](0)
-	if _, ok := q.Peek(); ok {
-		t.Fatal("peek on empty succeeded")
+	if v := q.Peek(); v != nil {
+		t.Fatalf("peek on empty returned %q", *v)
 	}
 	q.Push("a")
 	q.Push("b")
-	if v, ok := q.Peek(); !ok || v != "a" {
-		t.Fatalf("Peek: %q %v", v, ok)
+	if v := q.Peek(); v == nil || *v != "a" {
+		t.Fatalf("Peek: %v", v)
 	}
 	if q.Len() != 2 {
 		t.Fatal("Peek consumed an item")

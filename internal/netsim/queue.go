@@ -124,13 +124,13 @@ func (q *Queue[T]) PopInto(dst []T) int {
 	return n
 }
 
-// Peek returns the oldest item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
+// Peek returns a pointer to the oldest item, valid until the queue next
+// changes, or nil when the queue is empty.
+func (q *Queue[T]) Peek() *T {
 	if q.n == 0 {
-		return zero, false
+		return nil
 	}
-	return q.buf[q.head], true
+	return &q.buf[q.head]
 }
 
 // At returns the i-th oldest item without removing it; i must be in

@@ -13,7 +13,7 @@ func BenchmarkChargeCPUDepth3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		leaf.ChargeCPU(UserCPU, sim.Microsecond)
+		leaf.ChargeCPU(UserCPU, sim.Microsecond, nil)
 	}
 }
 
@@ -66,7 +66,7 @@ func BenchmarkSetAttributesChurn(b *testing.B) {
 
 func BenchmarkUsageRead(b *testing.B) {
 	c := MustNew(nil, TimeShare, "c", Attributes{Priority: 1})
-	c.ChargeCPU(UserCPU, sim.Millisecond)
+	c.ChargeCPU(UserCPU, sim.Millisecond, nil)
 	var u Usage
 	for i := 0; i < b.N; i++ {
 		u = c.Usage()

@@ -54,7 +54,7 @@ var (
 )
 
 // Class distinguishes the two container kinds of the prototype (§5.1).
-type Class int
+type Class uint8
 
 const (
 	// TimeShare containers time-share the CPU granted to their parent with
@@ -183,24 +183,13 @@ type ProfileSlot struct {
 type Container struct {
 	id       uint64
 	name     string
-	class    Class
 	parent   *Container
 	children []*Container
 	attrs    Attributes
 	usage    Usage
-	// refs is an int32 so that refs, destroyed and Profile share one
-	// word-aligned block and the struct stays in its 256-byte size class.
-	refs      int32
-	destroyed bool
 
-	// Profile caches the container's row in a telemetry profile (see
-	// ProfileSlot).
-	Profile ProfileSlot
-
-	// SchedState is an opaque slot for the container's one enforcement
-	// owner: the simulated scheduler (its usage and budget bookkeeping)
-	// or, in a live hierarchy, the rcruntime Enforcer (its window
-	// snapshot). The rc package need not know about either policy.
+	// SchedState is an opaque slot for the simulated scheduler's state
+	// (its usage and budget bookkeeping); rc need not know the policy.
 	SchedState SchedHook
 
 	// chain caches the ancestor path (the container itself first, then
@@ -211,18 +200,30 @@ type Container struct {
 	// pointers.
 	chain []*Container
 
+	// winSnap is the subtree CPU usage when generation winGen of the
+	// joined Window began. winGen, refs and epoch are 32-bit so that the
+	// struct stays in its 256-byte size class.
+	winSnap sim.Duration
+	winGen  uint32
+	refs    int32
 	// epoch counts changes to anything an ancestor-derived value could
 	// depend on: this container's (or any ancestor's) attributes, parent
 	// link, or destruction. Schedulers key their per-container caches
 	// (effective cap budgets, share products) on it.
-	epoch uint64
+	epoch uint32
+	// Profile caches the container's row in a telemetry profile (see
+	// ProfileSlot).
+	Profile   ProfileSlot
+	class     Class
+	destroyed bool
+	joined    bool // joined a Window
 }
 
 // Epoch returns the container's cache-invalidation epoch. It advances
 // whenever the container's attributes or any link on its ancestor path
 // change; cached values derived from the ancestor chain are valid only
 // while the epoch is unchanged.
-func (c *Container) Epoch() uint64 { return c.epoch }
+func (c *Container) Epoch() uint64 { return uint64(c.epoch) }
 
 // SchedHook is the scheduler's per-container state as the rc package
 // sees it: something to tell when the container changes.
@@ -452,23 +453,61 @@ func (c *Container) SetAttributes(attrs Attributes) error {
 func (c *Container) Usage() Usage { return c.usage }
 
 // ChargeCPU adds CPU time of the given kind to the container and all of
-// its ancestors. Charging a destroyed container is a silent no-op — in the
+// its ancestors, first moving each joined ancestor with a stale snapshot
+// into w's current generation (w is nil where no window is kept; see
+// Window). Charging a destroyed container is a silent no-op — in the
 // kernel, in-flight work can complete after the last descriptor closes.
 // The walk uses the precomputed ancestor slice: ChargeCPU runs once per
 // scheduled CPU slice, so it must not re-derive the path each time.
-func (c *Container) ChargeCPU(kind CPUKind, d sim.Duration) {
+func (c *Container) ChargeCPU(kind CPUKind, d sim.Duration, w *Window) {
 	if d < 0 {
 		panic(fmt.Sprintf("rc: negative CPU charge %v", d))
 	}
+	if c.destroyed {
+		return
+	}
+	chain := c.Ancestors()
+	if w != nil {
+		for _, p := range chain {
+			if p.joined && p.winGen != w.gen {
+				p.winGen, p.winSnap = w.gen, p.usage.CPU()
+			}
+		}
+	}
 	if kind == UserCPU {
-		for _, p := range c.Ancestors() {
+		for _, p := range chain {
 			p.usage.CPUUser += d
 		}
 		return
 	}
-	for _, p := range c.Ancestors() {
+	for _, p := range chain {
 		p.usage.CPUKernel += d
 	}
+}
+
+// Window is a CPU limit window (§4.1): a joined container's usage in it is
+// its subtree usage since the current generation began. ChargeCPU retakes
+// each container's own snapshot lazily, so rolling touches no container.
+// A container joins at most one window, and every charge must pass it.
+type Window struct{ gen uint32 }
+
+// Roll starts the window's next generation.
+func (w *Window) Roll() { w.gen++ }
+
+// Join makes c a member from now on; joining again is a no-op. Join at
+// registration or first check, never at first read, or charges are lost.
+func (w *Window) Join(c *Container) {
+	if !c.joined {
+		c.joined, c.winGen, c.winSnap = true, w.gen, c.usage.CPU()
+	}
+}
+
+// Usage returns c's subtree CPU in the current generation, 0 if unjoined.
+func (w *Window) Usage(c *Container) sim.Duration {
+	if !c.joined || c.winGen != w.gen {
+		return 0
+	}
+	return c.usage.CPU() - c.winSnap
 }
 
 // ChargePacketIn accounts one received packet of the given size.

@@ -253,8 +253,8 @@ func TestChargeCPUPropagates(t *testing.T) {
 	root := mustTop(t, "root", Attributes{})
 	mid, _ := New(root, FixedShare, "mid", Attributes{})
 	leaf, _ := New(mid, TimeShare, "leaf", Attributes{})
-	leaf.ChargeCPU(UserCPU, 3*sim.Millisecond)
-	leaf.ChargeCPU(KernelCPU, 2*sim.Millisecond)
+	leaf.ChargeCPU(UserCPU, 3*sim.Millisecond, nil)
+	leaf.ChargeCPU(KernelCPU, 2*sim.Millisecond, nil)
 	for _, c := range []*Container{leaf, mid, root} {
 		u := c.Usage()
 		if u.CPUUser != 3*sim.Millisecond || u.CPUKernel != 2*sim.Millisecond {
@@ -273,7 +273,7 @@ func TestChargeCPUNegativePanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	c.ChargeCPU(UserCPU, -1)
+	c.ChargeCPU(UserCPU, -1, nil)
 }
 
 func TestChargePackets(t *testing.T) {
@@ -372,9 +372,9 @@ func TestChargeConservationProperty(t *testing.T) {
 		for i, ch := range charges {
 			d := sim.Duration(ch) * sim.Microsecond
 			if i%2 == 0 {
-				leafA.ChargeCPU(UserCPU, d)
+				leafA.ChargeCPU(UserCPU, d, nil)
 			} else {
-				leafB.ChargeCPU(KernelCPU, d)
+				leafB.ChargeCPU(KernelCPU, d, nil)
 			}
 			total += d
 		}

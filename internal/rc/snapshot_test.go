@@ -13,8 +13,8 @@ func snapshotTree(t *testing.T) *Container {
 	t.Helper()
 	root := MustNew(nil, FixedShare, "guest", Attributes{Share: 0.5, Limit: 0.5})
 	conn := MustNew(root, TimeShare, "conn-1", Attributes{Priority: 10})
-	conn.ChargeCPU(UserCPU, 3*sim.Millisecond)
-	conn.ChargeCPU(KernelCPU, 2*sim.Millisecond)
+	conn.ChargeCPU(UserCPU, 3*sim.Millisecond, nil)
+	conn.ChargeCPU(KernelCPU, 2*sim.Millisecond, nil)
 	conn.ChargePacketIn(1500)
 	conn.ChargePacketOut(1024)
 	conn.ChargeDiskRead(4096, 9*sim.Millisecond)

@@ -19,20 +19,16 @@ type enforcer interface {
 	Sync(fn func())
 }
 
-// skipRefresh is the Enforcer with the window refresh planted out of
-// Charge: a charge after a roll lands before the container's snapshot
-// is retaken, so the next check reads a snapshot that already holds it.
+// skipRefresh is the Enforcer with its charges planted outside its
+// window: no charge moves a container's snapshot past a roll, so after
+// one its window usage reads 0 however much it is charged.
 type skipRefresh struct{ *Enforcer }
 
 func (e skipRefresh) Charge(c *rc.Container, actual time.Duration) {
 	if actual < 0 {
 		return
 	}
-	e.Sync(func() {
-		if !c.Destroyed() {
-			c.ChargeCPU(rc.UserCPU, sim.Duration(actual))
-		}
-	})
+	e.Sync(func() { c.ChargeCPU(rc.UserCPU, sim.Duration(actual), nil) })
 }
 
 // diffWorld is one enforcer over its own clock and its own copy of the
@@ -174,9 +170,9 @@ func runDiff(seed int64, ops int, mk func(Clock, time.Duration) enforcer) string
 
 const diffSeeds, diffOps = 12, 1500
 
-// TestEnforcerMatchesReference: the per-container window state admits,
-// delays and refuses exactly as the map-based reference does on every
-// operation of seeded random runs.
+// TestEnforcerMatchesReference: the Enforcer, whose window is an
+// rc.Window, admits, delays and refuses exactly as the map-based
+// reference does on every operation of seeded random runs.
 func TestEnforcerMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= diffSeeds; seed++ {
 		if d := runDiff(seed, diffOps, func(c Clock, w time.Duration) enforcer { return New(c, w) }); d != "" {
@@ -186,8 +182,8 @@ func TestEnforcerMatchesReference(t *testing.T) {
 }
 
 // TestEnforcerDifferentialCatchesSkippedRefresh: the differential test
-// has teeth — an Enforcer whose Charge skips the stale-state refresh
-// diverges from the reference.
+// has teeth — an Enforcer whose Charge bypasses its window, so that no
+// snapshot is refreshed, diverges from the reference.
 func TestEnforcerDifferentialCatchesSkippedRefresh(t *testing.T) {
 	planted := func(c Clock, w time.Duration) enforcer { return skipRefresh{New(c, w)} }
 	for seed := int64(1); seed <= diffSeeds; seed++ {
@@ -195,7 +191,7 @@ func TestEnforcerDifferentialCatchesSkippedRefresh(t *testing.T) {
 			return
 		}
 	}
-	t.Fatal("planted Charge without refresh matched the reference on every seed")
+	t.Fatal("planted Charge outside the window matched the reference on every seed")
 }
 
 // TestDestroyedContainerAdmittedAtOnce pins a deliberate difference from

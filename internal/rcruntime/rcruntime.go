@@ -11,9 +11,9 @@
 //
 //   - Enforcer is the cooperative core: Acquire brackets arbitrary
 //     sections of Go code with admission control and accounting. Its
-//     only per-container state is the window snapshot it keeps in each
-//     limited container's SchedState slot; a blocked admission sleeps
-//     on the Clock until the window rolls.
+//     limit window is an rc.Window, which a limited container joins at
+//     its first check; a blocked admission sleeps on the Clock until
+//     the window rolls.
 //   - Runtime is the production adapter for net/http servers: a
 //     Middleware that binds each request to a container (pluggable
 //     Binder, with dynamic §4.2 rebinding via Rebind), charges handler
@@ -105,29 +105,7 @@ type Enforcer struct {
 
 	mu          sync.Mutex
 	windowStart time.Time
-	gen         uint64 // windows rolled so far
-}
-
-// winState is the Enforcer's window state for one limited container,
-// kept in its SchedState slot (a live hierarchy has no simulated
-// scheduler) and taken lazily at the first check in a window, so that
-// rolling the window touches no container.
-type winState struct {
-	gen  uint64        // the window snap belongs to
-	snap time.Duration // subtree usage at that window's start
-}
-
-// Changed implements rc.SchedHook: attribute and topology changes leave
-// the snapshot valid (budgets are read afresh on every check).
-func (*winState) Changed() {}
-
-// refreshLocked moves st into the current window. Usage moves only
-// through Charge, which refreshes a stale state before charging, so the
-// usage read here equals the usage at the roll.
-func (e *Enforcer) refreshLocked(st *winState, c *rc.Container) {
-	if st.gen != e.gen {
-		st.gen, st.snap = e.gen, e.usage(c)
-	}
+	win         rc.Window
 }
 
 // New returns an enforcer using the given clock (nil for the wall clock)
@@ -145,15 +123,11 @@ func New(clock Clock, window time.Duration) *Enforcer {
 // Window returns the enforcement window.
 func (e *Enforcer) Window() time.Duration { return e.window }
 
-func (e *Enforcer) usage(c *rc.Container) time.Duration {
-	return time.Duration(c.Usage().CPU())
-}
-
 // rollLocked starts a new window if the current one has expired.
 func (e *Enforcer) rollLocked(now time.Time) {
 	if now.Sub(e.windowStart) >= e.window {
 		e.windowStart = now
-		e.gen++
+		e.win.Roll()
 	}
 }
 
@@ -170,14 +144,9 @@ func (e *Enforcer) overLimitLocked(c *rc.Container, now time.Time) bool {
 		if f <= 0 {
 			continue
 		}
-		st, ok := p.SchedState.(*winState)
-		if !ok {
-			st = &winState{gen: e.gen, snap: e.usage(p)}
-			p.SchedState = st
-		}
-		e.refreshLocked(st, p)
+		e.win.Join(p)
 		budget := time.Duration(f * float64(e.window))
-		if e.usage(p)-st.snap >= budget {
+		if time.Duration(e.win.Usage(p)) >= budget {
 			return true
 		}
 	}
@@ -241,15 +210,7 @@ func (e *Enforcer) Charge(c *rc.Container, actual time.Duration) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c.Destroyed() {
-		return
-	}
-	for p := c; p != nil; p = p.Parent() {
-		if st, ok := p.SchedState.(*winState); ok {
-			e.refreshLocked(st, p)
-		}
-	}
-	c.ChargeCPU(rc.UserCPU, sim.Duration(actual))
+	c.ChargeCPU(rc.UserCPU, sim.Duration(actual), &e.win)
 }
 
 // OverBudget reports whether c's subtree (any limited ancestor,

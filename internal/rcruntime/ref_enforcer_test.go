@@ -8,11 +8,12 @@ import (
 	"rescon/internal/sim"
 )
 
-// refEnforcer is the map-based enforcer the package shipped before the
-// per-container window state: a global snapshot table resnapshotted in
-// full on every roll, a self-tuning prune sweep for destroyed
-// containers, and a parked channel (plus a sleeping goroutine) per
-// blocked wait. It is kept as the oracle of the differential test.
+// refEnforcer is the map-based enforcer the package shipped before its
+// window moved into the containers: a global snapshot table
+// resnapshotted in full on every roll, a self-tuning prune sweep for
+// destroyed containers, and a parked channel (plus a sleeping
+// goroutine) per blocked wait. It is kept as the oracle of the
+// differential test.
 type refEnforcer struct {
 	clock  Clock
 	window time.Duration
@@ -148,7 +149,7 @@ func (e *refEnforcer) Charge(c *rc.Container, actual time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !c.Destroyed() {
-		c.ChargeCPU(rc.UserCPU, sim.Duration(actual))
+		c.ChargeCPU(rc.UserCPU, sim.Duration(actual), nil)
 	}
 }
 

@@ -36,8 +36,7 @@ type cstate struct {
 	// scheduler's base T₀. Its decayed usage at now is
 	// scaled·e^{−(now−T₀)/τ}; at any one now that factor is common to
 	// every leaf, so scaled orders leaves as decayed usage does.
-	scaled   float64
-	snapshot sim.Duration // subtree CPU usage at the start of the window
+	scaled float64
 
 	// Cached attribute aggregates over the ancestor chain, so the Pick
 	// path does not recompute O(depth²) products or walk the chain on
@@ -73,6 +72,7 @@ type ContainerScheduler struct {
 	// budgets are fractions of the whole machine, so they scale with it.
 	Capacity int
 
+	win          rc.Window // cap budgets and guarantee progress read it
 	windowStart  sim.Time
 	registered   []*rc.Container
 	sawThrottled bool
@@ -107,13 +107,23 @@ func (s *ContainerScheduler) Unregister(e *Entity) { s.set.unregister(e) }
 // SetRunnable implements Scheduler.
 func (s *ContainerScheduler) SetRunnable(e *Entity, runnable bool) { s.set.setRunnable(e, runnable) }
 
-// state returns (registering if needed) the scheduler state of c.
+// Window returns the limit window every CPU charge to a container the
+// scheduler schedules must pass; nil for a nil scheduler.
+func (s *ContainerScheduler) Window() *rc.Window {
+	if s == nil {
+		return nil
+	}
+	return &s.win
+}
+
+// state returns (registering and joining the window if needed) c's state.
 func (s *ContainerScheduler) state(c *rc.Container) *cstate {
 	if st, ok := c.SchedState.(*cstate); ok {
 		return st
 	}
-	st := &cstate{sched: s, snapshot: c.Usage().CPU()}
+	st := &cstate{sched: s}
 	c.SchedState = st
+	s.win.Join(c)
 	s.registered = append(s.registered, c)
 	return st
 }
@@ -125,36 +135,24 @@ func (s *ContainerScheduler) registerChain(c *rc.Container) {
 	}
 }
 
-// rollWindow starts a new enforcement window if the current one expired:
-// every registered container's usage snapshot advances, replenishing cap
-// budgets and resetting guarantee progress.
+// rollWindow starts a new enforcement window if the current one expired,
+// replenishing cap budgets and resetting guarantee progress.
 func (s *ContainerScheduler) rollWindow(now sim.Time) {
 	if now.Sub(s.windowStart) < DefaultWindow {
 		return
 	}
-	// Compact destroyed containers while resnapshotting, so short-lived
-	// per-connection containers do not accumulate.
+	// Compact destroyed containers: per-connection ones must not pile up.
 	kept := s.registered[:0]
 	for _, c := range s.registered {
 		if c.Destroyed() {
 			c.SchedState = nil
 			continue
 		}
-		s.state(c).snapshot = c.Usage().CPU()
 		kept = append(kept, c)
 	}
 	s.registered = kept
 	s.windowStart = now
-}
-
-// windowUsage returns the CPU consumed by c's subtree in the current
-// window.
-func (s *ContainerScheduler) windowUsage(c *rc.Container) sim.Duration {
-	u := c.Usage().CPU() - s.state(c).snapshot
-	if u < 0 {
-		return 0
-	}
-	return u
+	s.win.Roll()
 }
 
 // attrs returns c's scheduler state with the cached attribute aggregates
@@ -212,7 +210,7 @@ func (s *ContainerScheduler) throttled(c *rc.Container) bool {
 		if st.capBudget < 0 {
 			continue
 		}
-		if s.windowUsage(p) >= st.capBudget {
+		if s.win.Usage(p) >= st.capBudget {
 			return true
 		}
 	}
@@ -231,7 +229,7 @@ func (s *ContainerScheduler) pathDeficit(c *rc.Container, now sim.Time) sim.Dura
 		if sh <= 0 {
 			continue
 		}
-		d := sim.Duration(sh*float64(elapsed)*float64(s.Capacity)) - s.windowUsage(p)
+		d := sim.Duration(sh*float64(elapsed)*float64(s.Capacity)) - s.win.Usage(p)
 		if d > max {
 			max = d
 		}
@@ -537,8 +535,8 @@ func (s *ContainerScheduler) lotteryNormal(now sim.Time) *Entity {
 
 // Charge implements Scheduler: scaled usage lands on the charged leaf
 // container. Window usage and cap budgets need no update here — they are
-// derived from the container's own accounting (rc.ChargeCPU), which the
-// kernel performs for every slice.
+// derived from the container's own accounting (rc.ChargeCPU through
+// Window), which the kernel performs for every slice.
 func (s *ContainerScheduler) Charge(e *Entity, c *rc.Container, d sim.Duration, now sim.Time) {
 	if c == nil {
 		return
@@ -719,7 +717,7 @@ func (s *ContainerScheduler) SliceBudget(c *rc.Container, now sim.Time) sim.Dura
 		if st.capBudget < 0 {
 			continue
 		}
-		rem := st.capBudget - s.windowUsage(p)
+		rem := st.capBudget - s.win.Usage(p)
 		if rem < budget {
 			budget = rem
 		}

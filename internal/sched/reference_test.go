@@ -16,15 +16,17 @@ import (
 // shares from the attributes, reads the weight from the attributes,
 // keeps each leaf's usage decayed to the last time it was read, computing
 // every decay factor afresh, caches no entity's key and prunes in a pass
-// of its own. It shares the embedded scheduler's window and registration
-// state, and TestPickMatchesReference drives it beside a
-// ContainerScheduler over a twin container tree. The network entity net
+// of its own. It keeps its own eager limit window: a snapshot of each
+// registered container's usage, taken at registration and re-taken for
+// every container at each roll. TestPickMatchesReference drives it
+// beside a ContainerScheduler over a twin container tree. The network entity net
 // is classed by netPending, a list rebuilt at every call, and its
 // resource binding, or its fallback when that is nil or destroyed; it
 // records no scheduler binding.
 type refScheduler struct {
 	*ContainerScheduler
 	usage      map[*rc.Container]*refUsage
+	snapshot   map[*rc.Container]sim.Duration
 	net        *Entity
 	netPending func() []*rc.Container
 	// skipNetFallback plants a bug: the network entity never falls back.
@@ -38,7 +40,48 @@ type refUsage struct {
 }
 
 func newRefScheduler(s *ContainerScheduler) *refScheduler {
-	return &refScheduler{ContainerScheduler: s, usage: map[*rc.Container]*refUsage{}}
+	return &refScheduler{
+		ContainerScheduler: s,
+		usage:              map[*rc.Container]*refUsage{},
+		snapshot:           map[*rc.Container]sim.Duration{},
+	}
+}
+
+// state registers c in the reference's window.
+func (s *refScheduler) state(c *rc.Container) {
+	if _, ok := s.snapshot[c]; !ok {
+		s.snapshot[c] = c.Usage().CPU()
+	}
+}
+
+// registerChain registers c and all its ancestors.
+func (s *refScheduler) registerChain(c *rc.Container) {
+	for p := c; p != nil; p = p.Parent() {
+		s.state(p)
+	}
+}
+
+// rollWindow starts a new window if the current one expired: every
+// registered container's snapshot is re-taken, and destroyed ones are
+// forgotten.
+func (s *refScheduler) rollWindow(now sim.Time) {
+	if now.Sub(s.windowStart) < DefaultWindow {
+		return
+	}
+	for c := range s.snapshot {
+		if c.Destroyed() {
+			delete(s.snapshot, c)
+			continue
+		}
+		s.snapshot[c] = c.Usage().CPU()
+	}
+	s.windowStart = now
+}
+
+// windowUsage returns the CPU consumed by c's subtree in the current
+// window.
+func (s *refScheduler) windowUsage(c *rc.Container) sim.Duration {
+	return max(c.Usage().CPU()-s.snapshot[c], 0)
 }
 
 func (s *refScheduler) capBudget(c *rc.Container) sim.Duration {
@@ -341,6 +384,9 @@ type differential struct {
 	// staleDrain plants a bug: a drain leaves the set without dropping
 	// the entity's cached key.
 	staleDrain bool
+	// unwindowed plants a bug: the fast world charges without its
+	// scheduler's window.
+	unwindowed bool
 	fallback   map[int]bool
 	// netFallbacks counts the checks at which the network entity's
 	// resource binding was destroyed, so that it fell back.
@@ -461,8 +507,12 @@ func (d *differential) op() {
 		e := d.rng.Intn(len(d.fast.ents))
 		dur := sim.Duration(1 + d.rng.Intn(int(2*sim.Millisecond)))
 		cf, cr := d.fast.ents[e].Resource, d.ref.ents[e].Resource
-		cf.ChargeCPU(rc.UserCPU, dur)
-		cr.ChargeCPU(rc.UserCPU, dur)
+		w := d.fast.s.Window()
+		if d.unwindowed {
+			w = nil
+		}
+		cf.ChargeCPU(rc.UserCPU, dur, w)
+		cr.ChargeCPU(rc.UserCPU, dur, nil)
 		d.fast.s.Charge(d.fast.ents[e], cf, dur, d.now)
 		d.refs.charge(cr, dur, d.now)
 	case r < 72: // attributes change, on a leaf or an ancestor
@@ -700,6 +750,15 @@ func (plantedFailer) Fatalf(format string, args ...any) {
 // it by a leaf it no longer serves, and the differential test catches it.
 func TestPickMatchesReferenceCatchesStaleDrain(t *testing.T) {
 	wantDivergence(t, "drains that keep the cached key", func(d *differential) { d.staleDrain = true })
+}
+
+// Planted bug: charges that bypass the scheduler's window never move a
+// container's snapshot past a roll, so its window usage reads 0 however
+// much it is charged: caps stop throttling and guarantees read as
+// unmet. The differential test, whose reference keeps its own eager
+// window, catches it.
+func TestPickMatchesReferenceCatchesUnwindowedCharge(t *testing.T) {
+	wantDivergence(t, "charges outside the window", func(d *differential) { d.unwindowed = true })
 }
 
 // Planted bug: a scheduler whose network entity does not fall back when

@@ -30,7 +30,8 @@ func drive(s Scheduler, total sim.Duration) map[*Entity]sim.Duration {
 			continue
 		}
 		slice := DefaultQuantum
-		if cs, ok := s.(*ContainerScheduler); ok && e.Resource != nil {
+		cs, _ := s.(*ContainerScheduler)
+		if cs != nil && e.Resource != nil {
 			if sb := cs.SliceBudget(e.Resource, now); sb < slice {
 				slice = sb
 			}
@@ -40,7 +41,7 @@ func drive(s Scheduler, total sim.Duration) map[*Entity]sim.Duration {
 		}
 		now = now.Add(slice)
 		if e.Resource != nil {
-			e.Resource.ChargeCPU(rc.UserCPU, slice)
+			e.Resource.ChargeCPU(rc.UserCPU, slice, cs.Window())
 		}
 		s.Charge(e, e.Resource, slice, now)
 		got[e] += slice
@@ -388,7 +389,7 @@ func TestContainerThrottledNextRelease(t *testing.T) {
 		}
 		slice := s.SliceBudget(leaf, now)
 		now = now.Add(slice)
-		leaf.ChargeCPU(rc.UserCPU, slice)
+		leaf.ChargeCPU(rc.UserCPU, slice, s.Window())
 		s.Charge(e, leaf, slice, now)
 	}
 	next, ok := s.NextRelease(now)
@@ -413,13 +414,13 @@ func TestContainerSliceBudgetClipping(t *testing.T) {
 		t.Fatalf("budget %v, want quantum", b)
 	}
 	// Consume 5.5ms: remaining budget 0.5ms < quantum.
-	leaf.ChargeCPU(rc.UserCPU, 5500*sim.Microsecond)
+	leaf.ChargeCPU(rc.UserCPU, 5500*sim.Microsecond, s.Window())
 	if b := s.SliceBudget(leaf, sim.Time(sim.Millisecond)); b != 500*sim.Microsecond {
 		t.Fatalf("budget %v, want 500µs", b)
 	}
 	// Over budget: zero — the kernel must not run this work until the
 	// window rolls.
-	leaf.ChargeCPU(rc.UserCPU, sim.Millisecond)
+	leaf.ChargeCPU(rc.UserCPU, sim.Millisecond, s.Window())
 	if b := s.SliceBudget(leaf, sim.Time(sim.Millisecond)); b != 0 {
 		t.Fatalf("budget %v, want 0", b)
 	}
@@ -529,7 +530,7 @@ func TestMultiplexedThreadCombinedScheduling(t *testing.T) {
 	s.Bind(e, free, 0)
 	s.SetRunnable(e, true)
 	// Exhaust the capped container's budget.
-	cl.ChargeCPU(rc.UserCPU, sim.Second)
+	cl.ChargeCPU(rc.UserCPU, sim.Second, s.Window())
 	if got := s.Pick(sim.Time(sim.Millisecond)); got != e {
 		t.Fatal("thread with one eligible binding container should still run")
 	}

@@ -68,7 +68,7 @@ func TestContainerHierarchyPublicAPI(t *testing.T) {
 	if child.Parent() != parent {
 		t.Fatal("hierarchy broken")
 	}
-	child.ChargeCPU(0, Millisecond)
+	child.ChargeCPU(0, Millisecond, nil)
 	if parent.Usage().CPU() != Millisecond {
 		t.Fatal("usage did not aggregate to parent")
 	}

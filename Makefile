@@ -86,14 +86,16 @@ CHAOS_NIGHTLY_SEED ?= 1
 chaos-nightly:
 	$(GO) run ./cmd/rcchaos -run 500 -seed $(CHAOS_NIGHTLY_SEED)
 
-# Nightly fuzz of the chaos repro loaders, one target after the other,
-# five minutes each on one worker. -fuzzminimizetime 1s bounds the
-# minimization of each new interesting input, which otherwise takes up
-# to a minute with no executions reported. A failing input is written
-# under internal/chaos/testdata/fuzz.
+# Nightly fuzz of the chaos repro loaders and of rcserve's -tenant flag
+# parser, one target after the other, five minutes each on one worker.
+# -fuzzminimizetime 1s bounds the minimization of each new interesting
+# input, which otherwise takes up to a minute with no executions
+# reported. A failing input is written under the package's
+# testdata/fuzz.
 fuzz-nightly:
 	$(GO) test -run - -fuzz '^FuzzLoadScenario$$' -fuzztime 5m -fuzzminimizetime 1s -parallel 1 ./internal/chaos
 	$(GO) test -run - -fuzz '^FuzzLoadLiveScenario$$' -fuzztime 5m -fuzzminimizetime 1s -parallel 1 ./internal/chaos
+	$(GO) test -run - -fuzz '^FuzzTenantFlag$$' -fuzztime 5m -fuzzminimizetime 1s -parallel 1 ./cmd/rcserve
 
 # Datacenter-scale smoke: ramp each kernel mode to 100k concurrent
 # connections (quick axis) under the race detector. Verifies the

@@ -109,28 +109,25 @@ func TestCachePruneDeadlinePassed(t *testing.T) {
 	}
 }
 
-func TestCacheRebase(t *testing.T) {
+func TestCacheEpochBoundary(t *testing.T) {
 	s := NewContainerScheduler()
 	a1, b1, c := cacheLeaf(1), cacheLeaf(1), cacheLeaf(1)
 	a := cacheEntity(s, 1, 0, a1)
 	b := cacheEntity(s, 2, 0, b1)
-	t1 := sim.Time(rebaseAfter - 100*sim.Second)
-	s.Charge(a, a1, sim.Millisecond, t1)
-	s.Charge(b, b1, sim.Second, t1)
-	pickFilling(t, s, t1, a, a, b)
-	// The first charge rebases. a1's usage, decayed for 200 s, is far
-	// below b1's fresh millisecond; a's cached key, in the old unit, is
-	// far above c's 2 ms, which Bind folds into it. (a1 is bound again
-	// first, so that it does not age out.)
-	t2 := sim.Time(rebaseAfter + 100*sim.Second)
-	s.Charge(b, b1, sim.Millisecond, t2)
-	if s.base != t2 {
-		t.Fatalf("base %v after a charge at %v, want a rebase", s.base, t2)
-	}
-	s.Charge(a, c, 2*sim.Millisecond, t2)
-	s.Bind(a, a1, t2)
-	s.Bind(a, c, t2)
-	wantPick(t, s, t2, a)
+	s.Charge(a, a1, 10*sim.Millisecond, 0)
+	s.Charge(b, b1, 12*sim.Millisecond, 0)
+	pickFilling(t, s, 0, a, a, b)
+	// One half-life on, a1 has decayed to 5 ms and b1 to 6 ms, 7 ms
+	// after a charge of 1 ms. a's cached key, read before the boundary,
+	// is still 10 ms, above c's 8 ms, which Bind folds into it; reused,
+	// it would key a at 8 ms and b would run. (a1 is bound again first,
+	// so that it does not age out.)
+	t1 := sim.Time(decayHalfLife)
+	s.Charge(b, b1, sim.Millisecond, t1)
+	s.Charge(a, c, 8*sim.Millisecond, t1)
+	s.Bind(a, a1, t1)
+	s.Bind(a, c, t1)
+	wantPick(t, s, t1, a)
 }
 
 func TestCacheBindFreshLeaf(t *testing.T) {

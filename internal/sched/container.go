@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/bits"
 
 	"rescon/internal/rc"
 	"rescon/internal/sim"
@@ -17,11 +18,6 @@ const DefaultWindow = 20 * sim.Millisecond
 // kernel prunes the scheduler binding periodically).
 const DefaultPruneAge = 100 * sim.Millisecond
 
-// rebaseAfter is how far the clock may run past the scaled-usage base
-// before the scheduler rebases: e^600 is about 4e260, so scaled usage
-// stays finite for any usage a simulation can charge.
-const rebaseAfter = 600 * sim.Second
-
 // never is a prune deadline that never passes.
 const never = sim.Time(math.MaxInt64)
 
@@ -31,25 +27,26 @@ const never = sim.Time(math.MaxInt64)
 // (TestCStateSize).
 type cstate struct {
 	sched *ContainerScheduler // told of every change to the container
-	// scaled is the leaf's time-invariant usage: the CPU seconds charged
-	// to it, each scaled by e^{(t−T₀)/τ} for its charge time t and the
-	// scheduler's base T₀. Its decayed usage at now is
-	// scaled·e^{−(now−T₀)/τ}; at any one now that factor is common to
-	// every leaf, so scaled orders leaves as decayed usage does.
-	scaled float64
+	// usage is the leaf's decayed CPU usage in nanoseconds as of decay
+	// epoch ep (see decayed).
+	usage uint64
 
 	// Cached attribute aggregates over the ancestor chain, so the Pick
 	// path does not recompute O(depth²) products or walk the chain on
 	// every evaluation. Invalidated by rc's epoch counter, which bumps on
 	// any attribute or topology change in the subtree.
 	cacheValid  bool
-	chainCapped bool // some container on the ancestor path has a Limit
-	chainShared bool // some container on the ancestor path has a Share
+	chainCapped bool   // some container on the ancestor path has a Limit
+	chainShared bool   // some container on the ancestor path has a Share
+	ep          uint32 // usage's decay epoch, in the flags' padding
 	cacheEpoch  uint64
 	capBudget   sim.Duration // own-limit window budget; -1 when no own limit
 	effShare    float64      // guaranteed machine fraction (0 when no own share)
-	weight      float64      // time-sharing weight (see weight)
+	weight      uint64       // time-sharing weight (see weight)
 }
+
+// usageAt returns the leaf's decayed usage at decay epoch k.
+func (st *cstate) usageAt(k uint32) uint64 { return decayed(st.usage, st.ep, k) }
 
 // Changed implements rc.SchedHook: any attribute, topology or liveness
 // change may change an entity's class or key, so every entity cache of
@@ -74,28 +71,22 @@ type ContainerScheduler struct {
 
 	win          rc.Window // cap budgets and guarantee progress read it
 	windowStart  sim.Time
-	registered   []*rc.Container
 	sawThrottled bool
 	policy       LeafPolicy
 	rng          *sim.RNG
-	// base is T₀ of the scaled usage (see cstate.scaled).
-	base sim.Time
-	// up and down are e^{±(now−T₀)/τ} for now−T₀ = scaleOf (see scale):
-	// up turns CPU seconds charged at now into scaled usage, down turns
-	// scaled usage into decayed seconds.
-	scaleOf  sim.Duration
-	up, down float64
+	// decayEp is the decay epoch every key is read at: the latest one
+	// Pick or Charge has seen (see age).
+	decayEp uint32
 	// epoch advances on every container change (cstate.Changed) and
-	// every rebase; an entity's Pick cache holds only under the epoch it
-	// was filled in.
+	// every new decay epoch; an entity's Pick cache holds only under the
+	// epoch it was filled in.
 	epoch uint64
 }
 
 // NewContainerScheduler returns a uniprocessor container scheduler.
 func NewContainerScheduler() *ContainerScheduler {
 	// Epoch 0 marks an empty entity cache, so the scheduler starts at 1.
-	// At now = T₀ both scale factors are 1.
-	return &ContainerScheduler{Capacity: 1, epoch: 1, up: 1, down: 1}
+	return &ContainerScheduler{Capacity: 1, epoch: 1}
 }
 
 // Register implements Scheduler.
@@ -124,7 +115,6 @@ func (s *ContainerScheduler) state(c *rc.Container) *cstate {
 	st := &cstate{sched: s}
 	c.SchedState = st
 	s.win.Join(c)
-	s.registered = append(s.registered, c)
 	return st
 }
 
@@ -141,16 +131,6 @@ func (s *ContainerScheduler) rollWindow(now sim.Time) {
 	if now.Sub(s.windowStart) < DefaultWindow {
 		return
 	}
-	// Compact destroyed containers: per-connection ones must not pile up.
-	kept := s.registered[:0]
-	for _, c := range s.registered {
-		if c.Destroyed() {
-			c.SchedState = nil
-			continue
-		}
-		kept = append(kept, c)
-	}
-	s.registered = kept
 	s.windowStart = now
 	s.win.Roll()
 }
@@ -241,10 +221,10 @@ func (s *ContainerScheduler) pathDeficit(c *rc.Container, now sim.Time) sim.Dura
 // time-share containers form the idle class (weight 0), the mechanism
 // behind the SYN-flood defense of §5.7. Fixed-share containers never
 // starve: they default to weight 1 when no priority is set.
-func weight(c *rc.Container) float64 {
+func weight(c *rc.Container) uint64 {
 	p := c.Attributes().Priority
 	if p > 0 {
-		return float64(p)
+		return uint64(p)
 	}
 	if c.Class() == rc.FixedShare {
 		return 1
@@ -252,51 +232,49 @@ func weight(c *rc.Container) float64 {
 	return 0
 }
 
-// rebase moves the scaled-usage base to now once the clock has run
-// rebaseAfter past it, rescaling every registered container's usage, so
-// that e^{(now−T₀)/τ} never overflows. Every entity cache goes stale:
-// its key is in the old unit.
-func (s *ContainerScheduler) rebase(now sim.Time) {
-	if now.Sub(s.base) < rebaseAfter {
-		return
-	}
-	// Every charge was scaled by less than e^{rebaseAfter/τ}, so the
-	// first factor brings usage back to at most the seconds charged. One
-	// factor e^{−(now−T₀)/τ} would be 0 past 745 s and lose usage that
-	// has not yet decayed out of range.
-	f := math.Exp(-rebaseAfter.Seconds() / decayTau.Seconds())
-	g := math.Exp(-(now.Sub(s.base) - rebaseAfter).Seconds() / decayTau.Seconds())
-	for _, c := range s.registered {
-		st := s.state(c)
-		st.scaled = st.scaled * f * g
-	}
-	s.base = now
-	s.epoch++
-}
-
-// scale brings up and down to now. They are computed once per distinct
-// now−T₀: a Charge and the Pick beside it usually share a now. Both
-// rebase first, so now−T₀ < rebaseAfter: up is finite and down is not 0.
-func (s *ContainerScheduler) scale(now sim.Time) {
-	if d := now.Sub(s.base); d != s.scaleOf {
-		s.setScale(d)
+// age brings the scheduler to now's decay epoch. Every cached key was
+// read at the old epoch, so a new one makes them all stale.
+func (s *ContainerScheduler) age(now sim.Time) {
+	if k := decayEpoch(now); k > s.decayEp {
+		s.decayEp = k
+		s.epoch++
 	}
 }
 
-func (s *ContainerScheduler) setScale(d sim.Duration) {
-	s.scaleOf = d
-	s.up = math.Exp(d.Seconds() / decayTau.Seconds())
-	s.down = 1 / s.up
+// key is an in-class scheduling key, the fraction u/w; lower runs first.
+// A normal-class key is decayed usage over weight, an idle-class key
+// decayed usage over 1, and a guarantee-class key MaxUint64 − deficit
+// over 1, so that the largest deficit runs first.
+type key struct{ u, w uint64 }
+
+// cmp returns the sign of k − o, exactly: it compares u·o.w with o.u·w
+// as 128-bit products.
+func (k key) cmp(o key) int {
+	ah, al := bits.Mul64(k.u, o.w)
+	bh, bl := bits.Mul64(o.u, k.w)
+	switch {
+	case ah < bh || ah == bh && al < bl:
+		return -1
+	case ah == bh && al == bl:
+		return 0
+	}
+	return 1
+}
+
+// leafClass returns the class of an eligible time-share leaf: normal,
+// or idle at weight 0.
+func leafClass(st *cstate) schedClass {
+	if st.weight > 0 {
+		return classNormal
+	}
+	return classIdle
 }
 
 // leafKey returns the class and in-class key of an eligible time-share
-// leaf: its scaled usage over its weight, or the idle class keyed by its
-// scaled usage alone.
-func leafKey(st *cstate) (schedClass, float64) {
-	if st.weight > 0 {
-		return classNormal, st.scaled / st.weight
-	}
-	return classIdle, st.scaled
+// leaf at the scheduler's decay epoch: its decayed usage over its
+// weight, or in the idle class its decayed usage alone.
+func (s *ContainerScheduler) leafKey(st *cstate) (schedClass, key) {
+	return leafClass(st), key{st.usageAt(s.decayEp), max(st.weight, 1)}
 }
 
 // schedClass orders candidate entities: guarantee-deficit first, then
@@ -315,8 +293,8 @@ const (
 type verdict struct {
 	cls     schedClass
 	deficit sim.Duration // largest guarantee deficit (guarantee class)
-	key     float64      // smallest scaled-usage key (normal/idle class)
-	leaf    *cstate      // the leaf that gave key
+	key     key          // smallest usage key (normal/idle class)
+	leaf    *cstate      // the leaf that gave key; nil before the first
 	// nocache is set when the verdict cannot be cached: a considered
 	// container has a limit or a share on its ancestor path, so its class
 	// depends on the window, or the entity fell back to Entity.Fallback,
@@ -324,7 +302,7 @@ type verdict struct {
 	nocache bool
 }
 
-func newVerdict() verdict { return verdict{cls: classNone, key: math.Inf(1)} }
+func newVerdict() verdict { return verdict{cls: classNone} }
 
 // consider folds one binding container into v. The chain flags skip the
 // throttle and deficit walks exactly where they could find nothing.
@@ -344,23 +322,29 @@ func (s *ContainerScheduler) consider(v *verdict, c *rc.Container, now sim.Time)
 			return
 		}
 	}
-	cls, k := leafKey(st)
+	cls, k := s.leafKey(st)
 	v.cls = min(v.cls, cls)
-	if k < v.key {
+	// Among equal keys the later leaf gives the key. Equal charges give
+	// equal usage, so exact keys tie often; a thread serves its leaves
+	// roughly in the order they joined (oldest connection, oldest
+	// pending work first), so the later leaf is charged later and the
+	// entity's cached key, which only its own leaf's charge drops,
+	// holds longer.
+	if v.leaf == nil || k.cmp(v.key) <= 0 {
 		v.key, v.leaf = k, st
 	}
 }
 
 // result returns the verdict's class and key (guarantee: larger deficit
 // wins; normal/idle: smaller key wins).
-func (v *verdict) result() (schedClass, float64) {
+func (v *verdict) result() (schedClass, key) {
 	switch v.cls {
 	case classGuarantee:
-		return v.cls, -v.deficit.Seconds() // negate: smaller key = bigger deficit
+		return v.cls, key{math.MaxUint64 - uint64(v.deficit), 1}
 	case classNormal, classIdle:
 		return v.cls, v.key
 	default:
-		return classNone, 0
+		return classNone, key{}
 	}
 }
 
@@ -405,12 +389,12 @@ func (s *ContainerScheduler) pruneDeadline(e *Entity, b bindingEntry, by sim.Tim
 //
 // An entity keeps its class and key from the last evaluation when no
 // container it was classed by has a limit or a share on its ancestor
-// path: scaled usage only changes when charged, so the key holds until
-// the leaf that gave it is charged, the containers change (Bind and a
-// pending-set add fold a new leaf in; prune and dropKey invalidate),
-// prune could drop an entry, or the scheduler's epoch moves (a container
-// change or a rebase). When only the leaf was charged, one pass refills
-// it without pruning.
+// path: within one decay epoch usage only changes when charged, so the
+// key holds until the leaf that gave it is charged, the containers
+// change (Bind and a pending-set add fold a new leaf in; prune and
+// dropKey invalidate), prune could drop an entry, or the scheduler's
+// epoch moves (a container change or a new decay epoch). When only the
+// leaf was charged, one pass refills it without pruning.
 //
 // Otherwise pruning is folded into the evaluation pass: the scan checks
 // each entry against prune's rule, and only on the first entry that
@@ -424,9 +408,9 @@ func (s *ContainerScheduler) pruneDeadline(e *Entity, b bindingEntry, by sim.Tim
 // the add, so each registers with the scheduler at the first evaluation
 // that considers it. Either way, the entity's fallback is considered
 // where Entity.fallback says, uncached.
-func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (schedClass, float64) {
+func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (schedClass, key) {
 	v := newVerdict()
-	keyHolds := e.keyEpoch == s.epoch && e.keyLeaf.scaled == e.keyScaled
+	keyHolds := e.keyEpoch == s.epoch && e.keyLeaf.usageAt(s.decayEp) == e.keyUsage
 	if p := e.pending; p != nil {
 		if keyHolds {
 			for _, c := range p.list[p.folded:] {
@@ -465,7 +449,7 @@ func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (sche
 	e.keyEpoch = 0
 	if !v.nocache && v.leaf != nil {
 		e.keyEpoch, e.keyCls, e.key = s.epoch, v.cls, v.key
-		e.keyLeaf, e.keyScaled = v.leaf, v.leaf.scaled
+		e.keyLeaf, e.keyUsage = v.leaf, v.key.u
 	}
 	return v.result()
 }
@@ -473,31 +457,25 @@ func (s *ContainerScheduler) evaluate(e *Entity, now sim.Time, prune bool) (sche
 // Pick implements Scheduler.
 func (s *ContainerScheduler) Pick(now sim.Time) *Entity {
 	s.rollWindow(now)
-	s.rebase(now)
+	s.age(now)
 	s.sawThrottled = false
-	// Candidate order matters: the near-equal-key tie-break is not
-	// transitive, so the scan runs in registration (seq) order.
+	// Class, key and less are a total order, so the winner does not
+	// depend on the candidate order; only the lottery draw below still
+	// depends on the seq order of the runnable list.
 	var best *Entity
 	bestClass := classNone
-	var bestKey float64
-	s.scale(now)
+	var bestKey key
 	for _, e := range s.set.runnable {
 		if e.onCPU {
 			continue
 		}
-		cls, key := s.evaluate(e, now, true)
+		cls, k := s.evaluate(e, now, true)
 		if cls == classNone {
 			s.sawThrottled = true
 			continue
 		}
-		if cls != classGuarantee {
-			// less's tie window is an absolute ε in decayed seconds.
-			// Compared scaled, keys would tie less and less as the clock
-			// runs away from the base.
-			key *= s.down
-		}
-		if best == nil || cls < bestClass || (cls == bestClass && less(key, e, bestKey, best)) {
-			best, bestClass, bestKey = e, cls, key
+		if best == nil || cls < bestClass || (cls == bestClass && less(k.cmp(bestKey), e, best)) {
+			best, bestClass, bestKey = e, cls, k
 		}
 	}
 	if best != nil && bestClass == classNormal && s.policy == PolicyLottery {
@@ -533,8 +511,8 @@ func (s *ContainerScheduler) lotteryNormal(now sim.Time) *Entity {
 	return s.lotteryPick(cands, tickets)
 }
 
-// Charge implements Scheduler: scaled usage lands on the charged leaf
-// container. Window usage and cap budgets need no update here — they are
+// Charge implements Scheduler: usage lands on the charged leaf
+// container, brought to the current decay epoch first. Window usage and cap budgets need no update here — they are
 // derived from the container's own accounting (rc.ChargeCPU through
 // Window), which the kernel performs for every slice.
 func (s *ContainerScheduler) Charge(e *Entity, c *rc.Container, d sim.Duration, now sim.Time) {
@@ -542,9 +520,9 @@ func (s *ContainerScheduler) Charge(e *Entity, c *rc.Container, d sim.Duration, 
 		return
 	}
 	s.registerChain(c)
-	s.rebase(now)
-	s.scale(now)
-	s.state(c).scaled += d.Seconds() * s.up
+	s.age(now)
+	st := s.state(c)
+	st.usage, st.ep = st.usageAt(s.decayEp)+uint64(d), s.decayEp
 }
 
 // Bind implements Scheduler: the entity's resource binding moves to c and
@@ -596,10 +574,10 @@ func (s *ContainerScheduler) foldKey(e *Entity, c *rc.Container) {
 		e.keyEpoch = 0
 		return
 	}
-	cls, k := leafKey(st)
+	cls, k := s.leafKey(st)
 	e.keyCls = min(e.keyCls, cls)
-	if k < e.key {
-		e.key, e.keyLeaf, e.keyScaled = k, st, st.scaled
+	if k.cmp(e.key) <= 0 { // the later leaf, as in consider
+		e.key, e.keyLeaf, e.keyUsage = k, st, k.u
 	}
 }
 
@@ -612,9 +590,7 @@ func (e *Entity) dropKey(c *rc.Container) {
 	if e.keyEpoch == 0 || !ok {
 		return
 	}
-	cls, _ := leafKey(st)
-	leafCls, _ := leafKey(e.keyLeaf)
-	if st == e.keyLeaf || (cls == e.keyCls && leafCls != e.keyCls) {
+	if st == e.keyLeaf || (leafClass(st) == e.keyCls && leafClass(e.keyLeaf) != e.keyCls) {
 		e.keyEpoch = 0
 	}
 }

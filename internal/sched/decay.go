@@ -1,20 +1,34 @@
 package sched
 
 import (
-	"math"
+	"cmp"
 
 	"rescon/internal/rc"
 	"rescon/internal/sim"
 )
 
-// decayTau is the time constant of the exponential usage decay: usage
-// observed decayTau ago counts for 1/e of fresh usage. One second matches
-// the coarse-grained feel of the 4.3BSD scheduler.
-const decayTau = sim.Second
+// decayHalfLife is the period of the usage decay: CPU usage halves once
+// at every multiple of it, as 4.3BSD's schedcpu decays p_estcpu once per
+// tick of a fixed period. 693 ms is τ·ln 2 for τ = 1 s, so usage ages at
+// the rate of a continuous decay e^{−t/τ}, which matches the
+// coarse-grained feel of the 4.3BSD scheduler.
+const decayHalfLife = 693 * sim.Millisecond
 
-// niceUnit is the usage offset one nice level is worth, in decayed
-// seconds. Positive nice makes a principal look busier, so it yields CPU.
-const niceUnit = 0.05
+// decayEpoch returns the decay epoch of now: how many half-lives have
+// passed since time 0.
+func decayEpoch(now sim.Time) uint32 { return uint32(now / sim.Time(decayHalfLife)) }
+
+// decayed returns CPU usage that was ns nanoseconds as of decay epoch ep,
+// read at epoch k ≥ ep: halved once per boundary in between. Catching up
+// lazily is exact, since (x>>a)>>b == x>>(a+b): the value read at k does
+// not depend on when, or how often, it was caught up before. A shift of
+// 64 or more gives 0. Usage halves every half-life, so decayed usage
+// stays below 2·decayHalfLife per processor and never overflows.
+func decayed(ns uint64, ep, k uint32) uint64 { return ns >> (k - ep) }
+
+// niceUnit is the usage offset one nice level is worth. Positive nice
+// makes a principal look busier, so it yields CPU.
+const niceUnit = 50 * sim.Millisecond
 
 // DecayScheduler is the baseline process scheduler: each process is one
 // resource principal; the runnable entity whose principal has the least
@@ -22,8 +36,7 @@ const niceUnit = 0.05
 // whatever principal was running (see kernel.CPU), reproducing the
 // misaccounting of paper §3.2/§5.6.
 type DecayScheduler struct {
-	set   entitySet
-	decay decayMemo
+	set entitySet
 }
 
 // NewDecayScheduler returns a baseline scheduler.
@@ -45,57 +58,25 @@ func (s *DecayScheduler) Unregister(e *Entity) { s.set.unregister(e) }
 // SetRunnable implements Scheduler.
 func (s *DecayScheduler) SetRunnable(e *Entity, runnable bool) { s.set.setRunnable(e, runnable) }
 
-// decayMemo memoises the decay factors of the last two intervals,
-// newest first. The decays of one Pick mostly share one of two
-// intervals: the principals were last decayed together, except the one
-// just charged. The same interval always gives the same factor, so the
-// memo changes no result.
-type decayMemo struct {
-	dt     [2]sim.Duration
-	factor [2]float64
-}
-
-// of returns the decay factor of an interval dt > 0.
-func (m *decayMemo) of(dt sim.Duration) float64 {
-	switch dt {
-	case m.dt[0]:
-		return m.factor[0]
-	case m.dt[1]:
-		return m.factor[1]
-	}
-	f := math.Exp(-dt.Seconds() / decayTau.Seconds())
-	m.dt[0], m.dt[1] = dt, m.dt[0]
-	m.factor[0], m.factor[1] = f, m.factor[0]
-	return f
-}
-
-func (p *ProcPrincipal) decay(now sim.Time, m *decayMemo) {
-	if now <= p.lastDecay {
-		return
-	}
-	p.decayed *= m.of(now.Sub(p.lastDecay))
-	p.lastDecay = now
-}
-
-// key is the scheduling key: lower runs first.
-func (p *ProcPrincipal) key(now sim.Time, m *decayMemo) float64 {
-	p.decay(now, m)
-	return p.decayed + float64(p.Nice)*niceUnit
+// key is the scheduling key at decay epoch k: lower runs first.
+func (p *ProcPrincipal) key(k uint32) int64 {
+	return int64(decayed(p.usage, p.ep, k)) + int64(p.Nice)*int64(niceUnit)
 }
 
 // Pick implements Scheduler: the runnable entity with the smallest
 // principal key runs; ties break round-robin by least-recently-run, then
 // by registration order (deterministic).
 func (s *DecayScheduler) Pick(now sim.Time) *Entity {
+	k := decayEpoch(now)
 	var best *Entity
-	var bestKey float64
+	var bestKey int64
 	for _, e := range s.set.runnable {
 		if e.onCPU {
 			continue
 		}
-		k := e.Proc.key(now, &s.decay)
-		if best == nil || less(k, e, bestKey, best) {
-			best, bestKey = e, k
+		key := e.Proc.key(k)
+		if best == nil || less(cmp.Compare(key, bestKey), e, best) {
+			best, bestKey = e, key
 		}
 	}
 	if best != nil {
@@ -104,15 +85,14 @@ func (s *DecayScheduler) Pick(now sim.Time) *Entity {
 	return best
 }
 
-// less orders (key, entity) pairs: smaller key first; among near-equal
-// keys, least-recently-run first, then registration order.
-func less(k float64, e *Entity, bk float64, be *Entity) bool {
-	const eps = 1e-12
-	if k < bk-eps {
-		return true
-	}
-	if k > bk+eps {
-		return false
+// less orders two candidates whose keys compare as c (the sign of the
+// first's key minus the second's): smaller key first; among equal keys,
+// least-recently-run first, then registration order. Keys are exact, so
+// this is a strict total order and the winner of a scan does not depend
+// on the order of the candidates.
+func less(c int, e, be *Entity) bool {
+	if c != 0 {
+		return c < 0
 	}
 	if e.lastRun != be.lastRun {
 		return e.lastRun < be.lastRun
@@ -124,9 +104,9 @@ func less(k float64, e *Entity, bk float64, be *Entity) bool {
 // principal; the container argument is ignored — the baseline system has
 // no container principals.
 func (s *DecayScheduler) Charge(e *Entity, _ *rc.Container, d sim.Duration, now sim.Time) {
+	k := decayEpoch(now)
 	p := e.Proc
-	p.decay(now, &s.decay)
-	p.decayed += d.Seconds()
+	p.usage, p.ep = decayed(p.usage, p.ep, k)+uint64(d), k
 	p.total += d
 }
 

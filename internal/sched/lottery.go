@@ -61,7 +61,7 @@ func (s *ContainerScheduler) tickets(e *Entity, now sim.Time) float64 {
 		if st.chainCapped && s.throttled(c) {
 			return
 		}
-		best = max(best, st.weight)
+		best = max(best, float64(st.weight))
 	}
 	if p := e.pending; p != nil {
 		for _, c := range p.list {

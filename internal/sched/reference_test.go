@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"slices"
 	"testing"
 
@@ -14,9 +15,9 @@ import (
 // shortcuts: every evaluation walks each binding container's whole
 // ancestor chain for limits and shares, recomputes the budgets and
 // shares from the attributes, reads the weight from the attributes,
-// keeps each leaf's usage decayed to the last time it was read, computing
-// every decay factor afresh, caches no entity's key and prunes in a pass
-// of its own. It keeps its own eager limit window: a snapshot of each
+// halves every leaf's usage eagerly at each decay epoch boundary, one
+// boundary at a time, compares keys with big-integer products, caches no
+// entity's key and prunes in a pass of its own. It keeps its own eager limit window: a snapshot of each
 // registered container's usage, taken at registration and re-taken for
 // every container at each roll. TestPickMatchesReference drives it
 // beside a ContainerScheduler over a twin container tree. The network entity net
@@ -25,7 +26,10 @@ import (
 // records no scheduler binding.
 type refScheduler struct {
 	*ContainerScheduler
-	usage      map[*rc.Container]*refUsage
+	// usage is each charged leaf's decayed CPU usage in nanoseconds as
+	// of decay epoch ep.
+	usage      map[*rc.Container]uint64
+	ep         uint32
 	snapshot   map[*rc.Container]sim.Duration
 	net        *Entity
 	netPending func() []*rc.Container
@@ -33,16 +37,10 @@ type refScheduler struct {
 	skipNetFallback bool
 }
 
-// refUsage is a leaf's decayed CPU usage in seconds, as of last.
-type refUsage struct {
-	decayed float64
-	last    sim.Time
-}
-
 func newRefScheduler(s *ContainerScheduler) *refScheduler {
 	return &refScheduler{
 		ContainerScheduler: s,
-		usage:              map[*rc.Container]*refUsage{},
+		usage:              map[*rc.Container]uint64{},
 		snapshot:           map[*rc.Container]sim.Duration{},
 	}
 }
@@ -138,23 +136,29 @@ func (s *refScheduler) pathDeficit(c *rc.Container, now sim.Time) sim.Duration {
 	return max
 }
 
-func (s *refScheduler) decayed(c *rc.Container, now sim.Time) float64 {
-	u := s.usage[c]
-	if u == nil {
-		u = &refUsage{last: now}
-		s.usage[c] = u
+// age halves every leaf's usage once for each decay epoch boundary
+// between the last one it crossed and now.
+func (s *refScheduler) age(now sim.Time) {
+	for k := uint32(int64(now) / int64(decayHalfLife)); s.ep < k; s.ep++ {
+		for c, u := range s.usage {
+			s.usage[c] = u / 2
+		}
 	}
-	if now > u.last {
-		u.decayed *= math.Exp(-now.Sub(u.last).Seconds() / decayTau.Seconds())
-		u.last = now
-	}
-	return u.decayed
 }
 
-func (s *refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
+// refCmp returns the sign of a − b for two keys, by big-integer cross
+// products.
+func refCmp(a, b key) int {
+	x := new(big.Int).Mul(new(big.Int).SetUint64(a.u), new(big.Int).SetUint64(b.w))
+	y := new(big.Int).Mul(new(big.Int).SetUint64(b.u), new(big.Int).SetUint64(a.w))
+	return x.Cmp(y)
+}
+
+func (s *refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, key) {
 	cls := classNone
 	bestDeficit := sim.Duration(0)
-	bestKey := math.Inf(1)
+	var bestKey key
+	found := false
 	consider := func(c *rc.Container) {
 		if c == nil || c.Destroyed() || s.throttled(c) {
 			return
@@ -164,12 +168,15 @@ func (s *refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
 			bestDeficit = max(bestDeficit, d)
 			return
 		}
+		k := key{s.usage[c], 1}
 		if w := weight(c); w > 0 {
 			cls = min(cls, classNormal)
-			bestKey = min(bestKey, s.decayed(c, now)/w)
+			k.w = w
 		} else {
 			cls = min(cls, classIdle)
-			bestKey = min(bestKey, s.decayed(c, now))
+		}
+		if !found || refCmp(k, bestKey) < 0 {
+			bestKey, found = k, true
 		}
 	}
 	if e == s.net {
@@ -187,11 +194,11 @@ func (s *refScheduler) evaluate(e *Entity, now sim.Time) (schedClass, float64) {
 	}
 	switch cls {
 	case classGuarantee:
-		return cls, -bestDeficit.Seconds()
+		return cls, key{math.MaxUint64 - uint64(bestDeficit), 1}
 	case classNormal, classIdle:
 		return cls, bestKey
 	}
-	return classNone, 0
+	return classNone, key{}
 }
 
 // netResource is the container the network entity is classed by
@@ -250,28 +257,29 @@ func (s *refScheduler) bind(e *Entity, c *rc.Container, now sim.Time) {
 
 func (s *refScheduler) charge(c *rc.Container, d sim.Duration, now sim.Time) {
 	s.registerChain(c)
-	s.decayed(c, now)
-	s.usage[c].decayed += d.Seconds()
+	s.age(now)
+	s.usage[c] += uint64(d)
 }
 
 func (s *refScheduler) pick(now sim.Time) *Entity {
 	s.rollWindow(now)
+	s.age(now)
 	s.sawThrottled = false
 	var best *Entity
 	bestClass := classNone
-	var bestKey float64
+	var bestKey key
 	for _, e := range s.set.runnable {
 		if e.onCPU {
 			continue
 		}
 		s.prune(e, now)
-		cls, key := s.evaluate(e, now)
+		cls, k := s.evaluate(e, now)
 		if cls == classNone {
 			s.sawThrottled = true
 			continue
 		}
-		if best == nil || cls < bestClass || (cls == bestClass && less(key, e, bestKey, best)) {
-			best, bestClass, bestKey = e, cls, key
+		if best == nil || cls < bestClass || (cls == bestClass && less(refCmp(k, bestKey), e, best)) {
+			best, bestClass, bestKey = e, cls, k
 		}
 	}
 	if best != nil && bestClass == classNormal && s.policy == PolicyLottery {
@@ -304,7 +312,7 @@ func (s *refScheduler) tickets(e *Entity) float64 {
 	best := 0.0
 	consider := func(c *rc.Container) {
 		if c != nil && !c.Destroyed() && !s.throttled(c) {
-			best = max(best, weight(c))
+			best = max(best, float64(weight(c)))
 		}
 	}
 	switch {
@@ -393,32 +401,9 @@ type differential struct {
 	netFallbacks int
 	now          sim.Time
 	step         int
-	// jumps makes some time steps hundreds of virtual seconds long, so
-	// the run crosses rebases; rebases counts them.
-	jumps   bool
-	rebases int
-}
-
-// keyTolerance is how far, relatively, a normal- or idle-class key in
-// decayed seconds may stray from the reference's. The scheduler's scaled
-// usage is a sum of charges each scaled once; the reference decays a
-// running sum at every read, so the two round differently. Keys below
-// keyFloor decayed seconds are usage that decayed into the subnormal
-// range, where no relative bound holds; they compare as equal.
-const (
-	keyTolerance = 1e-9
-	keyFloor     = 1e-300
-)
-
-// decayedKey converts a normal- or idle-class key from the scheduler's
-// scaled unit to decayed seconds per unit weight.
-func (s *ContainerScheduler) decayedKey(key float64, now sim.Time) float64 {
-	s.scale(now)
-	return key * s.down
-}
-
-func keysAgree(a, b float64) bool {
-	return math.Abs(a-b) <= keyTolerance*max(math.Abs(a), math.Abs(b))+keyFloor
+	// jumps makes some time steps seconds long, and a few longer than
+	// 64 half-lives, so the run crosses many decay epoch boundaries.
+	jumps bool
 }
 
 func (d *differential) fatalf(format string, args ...any) {
@@ -494,7 +479,10 @@ func (d *differential) op() {
 			dt += DefaultPruneAge
 		}
 		if d.jumps && d.rng.Intn(2) == 0 {
-			dt += sim.Duration(100+d.rng.Intn(300)) * sim.Second
+			dt += sim.Duration(100+d.rng.Intn(3900)) * sim.Millisecond
+			if d.rng.Intn(10) == 0 {
+				dt += sim.Duration(30+d.rng.Intn(60)) * sim.Second
+			}
 		}
 		d.now = d.now.Add(dt)
 	case r < 40: // a thread serves a container
@@ -606,14 +594,12 @@ func (d *differential) addPending(i int) {
 
 // check compares one whole scheduling decision: the pick, the next
 // release, every entity's class and key, every binding, and every
-// container's slice budget.
+// container's slice budget. Keys are fractions, and two leaves with the
+// same ratio represent one key two ways (4/2 and 2/1), so keys must be
+// equal as numbers, exactly.
 func (d *differential) check() {
 	d.t.Helper()
-	base := d.fast.s.base
 	pf, pr := d.fast.s.Pick(d.now), d.refs.pick(d.now)
-	if d.fast.s.base != base {
-		d.rebases++
-	}
 	if (pf == nil) != (pr == nil) || (pf != nil && pf.ID != pr.ID) {
 		d.fatalf("picked %v, reference picked %v", pf, pr)
 	}
@@ -630,14 +616,7 @@ func (d *differential) check() {
 		cf, kf := d.fast.s.evaluate(ef, d.now, true)
 		d.refs.prune(er, d.now)
 		cr, kr := d.refs.evaluate(er, d.now)
-		if math.IsInf(kf, 0) || math.IsNaN(kf) {
-			d.fatalf("entity %d: class %d key %v is not finite", i, cf, kf)
-		}
-		agree := math.Float64bits(kf) == math.Float64bits(kr)
-		if cf == classNormal || cf == classIdle {
-			agree = keysAgree(d.fast.s.decayedKey(kf, d.now), kr)
-		}
-		if cf != cr || !agree {
+		if cf != cr || refCmp(kf, kr) != 0 {
 			d.fatalf("entity %d: class %d key %v, reference class %d key %v", i, cf, kf, cr, kr)
 		}
 		if len(ef.binding) != len(er.binding) {
@@ -710,15 +689,14 @@ func newDifferential(t failer, seed int64) *differential {
 }
 
 // TestPickMatchesReference is the differential test of the Pick path's
-// shortcuts (chain flags and weight cached under the rc epoch,
-// time-invariant scaled usage, the per-entity key cache, prune folded
-// into evaluate and skipped while nothing can age out): over seeded
-// random trees and operation sequences — binds, charges, attribute
-// changes on leaves and ancestors, reparenting, releases, time steps
-// across the window and the pruning age — every decision must match
-// refScheduler: the same pick, next release, classes, bindings and slice
-// budgets, and keys within keyTolerance once converted to decayed
-// seconds. The network entity's pending set changes by push, as the
+// shortcuts (chain flags and weight cached under the rc epoch, usage
+// decayed lazily by shifts, the per-entity key cache, prune folded into
+// evaluate and skipped while nothing can age out): over seeded random
+// trees and operation sequences — binds, charges, attribute changes on
+// leaves and ancestors, reparenting, releases, time steps across the
+// window and the pruning age — every decision must match refScheduler
+// exactly: the same pick, next release, classes, keys, bindings and
+// slice budgets. The network entity's pending set changes by push, as the
 // kernel's protocol queue changes it, and the reference rebuilds it; its
 // resource binding is often released, so that it falls back.
 func TestPickMatchesReference(t *testing.T) {
@@ -802,17 +780,17 @@ func runPlanted(seed int64, plant func(*differential)) (msg string) {
 	return ""
 }
 
-// TestPickMatchesReferenceAcrossRebase runs the differential test with
-// time steps of hundreds of virtual seconds mixed in, so that every run
-// crosses at least five rebases of the scaled usage; every key must stay
-// finite and every decision match the reference across them.
-func TestPickMatchesReferenceAcrossRebase(t *testing.T) {
+// TestPickMatchesReferenceAcrossEpochs runs the differential test with
+// time steps of seconds mixed in, and a few past 64 half-lives, so that
+// every run crosses at least 50 decay epoch boundaries: the scheduler's
+// lazy shifts must match the reference's eager halving at each of them.
+func TestPickMatchesReferenceAcrossEpochs(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		d := newDifferential(t, seed)
 		d.jumps = true
 		d.run(400)
-		if d.rebases < 5 {
-			t.Fatalf("seed %d: %d rebases in %v, want at least 5", seed, d.rebases, d.now)
+		if n := decayEpoch(d.now); n < 50 {
+			t.Fatalf("seed %d: %d decay epoch boundaries in %v, want at least 50", seed, n, d.now)
 		}
 	}
 }

@@ -80,12 +80,12 @@ type Entity struct {
 	pruneEpoch uint64
 	pruneBy    sim.Time
 	// keyCls and key are the entity's class and key, and keyLeaf the
-	// leaf that gave the key, whose scaled usage was keyScaled.
-	keyEpoch  uint64
-	keyCls    schedClass
-	key       float64
-	keyLeaf   *cstate
-	keyScaled float64
+	// leaf that gave the key, whose decayed usage was keyUsage.
+	keyEpoch uint64
+	keyCls   schedClass
+	key      key
+	keyLeaf  *cstate
+	keyUsage uint64
 }
 
 // PendingSet is a scheduler binding that its owner keeps by pushing
@@ -169,16 +169,16 @@ func (e *Entity) Binding() []*rc.Container {
 func (e *Entity) String() string { return fmt.Sprintf("entity(%d %s)", e.ID, e.Name) }
 
 // ProcPrincipal is the classic scheduler's resource principal: one per
-// process. CPU usage decays exponentially, as in the 4.3BSD scheduler, so
-// long-run shares equalize among always-runnable processes.
+// process. CPU usage halves every decayHalfLife, as 4.3BSD's schedcpu
+// decays it, so long-run shares equalize among always-runnable processes.
 type ProcPrincipal struct {
 	Name string
 	// Nice shifts the principal's precedence; positive nice yields CPU.
 	Nice int
 
-	decayed   float64 // decayed CPU usage, in seconds
-	lastDecay sim.Time
-	total     sim.Duration // undecayed total, for accounting checks
+	usage uint64       // decayed CPU usage in nanoseconds, as of decay epoch ep
+	ep    uint32       // see decayed
+	total sim.Duration // undecayed total, for accounting checks
 }
 
 // NewProcPrincipal returns a principal with zero usage.
@@ -222,9 +222,9 @@ type Scheduler interface {
 
 // entitySet is the shared registered-entity bookkeeping. Alongside the
 // full membership slice it maintains the runnable subset, kept ordered by
-// registration seq: Pick iterates only runnable entities, and the seq
-// order reproduces exactly the candidate order of a scan over the full
-// set, which the near-equal-key tie-break depends on.
+// registration seq: Pick iterates only runnable entities. less is a
+// total order, so no winner by key depends on that order; only the
+// lottery draw still does, since it lists its candidates in seq order.
 type entitySet struct {
 	entities []*Entity
 	runnable []*Entity // runnable entities, ascending by seq

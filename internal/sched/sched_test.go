@@ -233,26 +233,30 @@ func TestContainerWeightedTimeShare(t *testing.T) {
 	within(t, frac(got[b], 10*sim.Second), 2.0/3.0, 0.04, "weight-2 share")
 }
 
-// TestContainerLongIdleNearTie: keys that differ by less than the tie
-// window in decayed seconds tie wherever the clock sits relative to the
-// scaled-usage base, and the tie goes to the least recently run entity.
-// Leaves charged 1 ms and 2 ms and then left idle for 40 s have decayed
-// keys of about 4e-21 and 8e-21 s.
+// TestContainerLongIdleNearTie: usage that has decayed to the same
+// integer ties, and the tie goes to the least recently run entity.
+// Leaves charged 1 ms and 1 ms + 1 ns differ by a nanosecond while
+// fresh, and both decay to 500 µs at the next half-life boundary and to
+// 0 after 64 of them.
 func TestContainerLongIdleNearTie(t *testing.T) {
 	for _, prio := range []int{1, 0} {
-		for _, at := range []sim.Duration{0, 300 * sim.Second, 550 * sim.Second, 580 * sim.Second, 1000 * sim.Second} {
+		for _, at := range []sim.Duration{0, 300 * sim.Second, 1000 * sim.Second} {
 			t0 := sim.Time(at)
 			s := NewContainerScheduler()
 			a := leafEntity(1, rc.MustNew(nil, rc.TimeShare, "a", rc.Attributes{Priority: prio}), s)
 			b := leafEntity(2, rc.MustNew(nil, rc.TimeShare, "b", rc.Attributes{Priority: prio}), s)
 			s.Charge(a, a.Resource, sim.Millisecond, t0)
-			s.Charge(b, b.Resource, 2*sim.Millisecond, t0)
-			// Fresh, the keys are a millisecond apart: a runs.
+			s.Charge(b, b.Resource, sim.Millisecond+1, t0)
+			// Fresh, the keys are a nanosecond apart: a runs.
 			if got := s.Pick(t0.Add(sim.Millisecond)); got != a {
 				t.Fatalf("priority %d, charged at %v: fresh Pick = %v, want a", prio, t0, got)
 			}
-			if got := s.Pick(t0.Add(40 * sim.Second)); got != b {
-				t.Fatalf("priority %d, charged at %v: Pick 40 s later = %v, want b, which ran less recently", prio, t0, got)
+			boundary := sim.Time(decayEpoch(t0)+1) * sim.Time(decayHalfLife)
+			if got := s.Pick(boundary); got != b {
+				t.Fatalf("priority %d, charged at %v: Pick at the next half-life = %v, want b, which ran less recently", prio, t0, got)
+			}
+			if got := s.Pick(t0.Add(64 * decayHalfLife)); got != a {
+				t.Fatalf("priority %d, charged at %v: Pick 64 half-lives later = %v, want a, which ran less recently", prio, t0, got)
 			}
 		}
 	}
